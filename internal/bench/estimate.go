@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 
@@ -39,9 +40,18 @@ func CorpusItems(name string, n int) ([]core.Item, error) {
 		}
 		return core.PerfCorpus(lay, n), nil
 	default:
-		return nil, fmt.Errorf("bench: unknown corpus %q (valid corpora: %s)",
-			name, strings.Join(Corpora, ", "))
+		return nil, CheckCorpus(name)
 	}
+}
+
+// CheckCorpus reports whether name is in Corpora with the error
+// CorpusItems would answer, without generating the corpus.
+func CheckCorpus(name string) error {
+	if slices.Contains(Corpora, name) {
+		return nil
+	}
+	return fmt.Errorf("bench: unknown corpus %q (valid corpora: %s)",
+		name, strings.Join(Corpora, ", "))
 }
 
 // CorpusEstimate is the outcome of one corpus × layer × fault-plan

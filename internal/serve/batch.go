@@ -10,7 +10,6 @@ import (
 	"io"
 	"net/http"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/batch"
@@ -132,52 +131,28 @@ type campaignKey struct {
 	runs, n int
 }
 
+const maxCampaignDigests = 128
+
 // campaignDigests memoizes corpus digests per (seed, runs, n): the
 // corpus is a pure function of those three numbers, so hashing the
-// generated transaction bytes once is enough. Without this, every
-// /v1/batch request — cache hits included — regenerated the entire
-// campaign (up to 1024×4096 transactions) just to compute its key.
-// Bounded FIFO keeps the memo from growing with request diversity.
-var (
-	campMu      sync.Mutex
-	campDigests = map[campaignKey][sha256.Size]byte{}
-	campOrder   []campaignKey
-)
-
-const maxCampaignDigests = 128
+// generated transaction bytes once is enough. Otherwise every
+// /v1/batch request — cache hits included — would regenerate the
+// entire campaign (up to 1024×4096 transactions) to compute its key.
+var campaignDigests = newMemo[campaignKey, [sha256.Size]byte](maxCampaignDigests)
 
 // campaignDigest returns the SHA-256 digest of the campaign's
 // generated transaction bytes, generating the corpus only on the first
 // request for a given (seed, runs, n).
 func campaignDigest(seed uint64, runs, n int) [sha256.Size]byte {
-	k := campaignKey{seed, runs, n}
-	campMu.Lock()
-	if d, ok := campDigests[k]; ok {
-		campMu.Unlock()
-		return d
-	}
-	campMu.Unlock()
-
-	// Generate and hash outside the lock so distinct campaigns digest
-	// concurrently; a racing duplicate computes the same bytes.
-	h := sha256.New()
-	for _, run := range campaignGen(seed, runs, n) {
-		h.Write(itemBytes(run.Items))
-	}
-	var d [sha256.Size]byte
-	h.Sum(d[:0])
-
-	campMu.Lock()
-	if _, ok := campDigests[k]; !ok {
-		campDigests[k] = d
-		campOrder = append(campOrder, k)
-		for len(campOrder) > maxCampaignDigests {
-			delete(campDigests, campOrder[0])
-			campOrder = campOrder[1:]
+	return campaignDigests.get(campaignKey{seed, runs, n}, func() [sha256.Size]byte {
+		h := sha256.New()
+		for _, run := range campaignGen(seed, runs, n) {
+			h.Write(itemBytes(run.Items))
 		}
-	}
-	campMu.Unlock()
-	return d
+		var d [sha256.Size]byte
+		h.Sum(d[:0])
+		return d
+	})
 }
 
 // key content-addresses the campaign. Width is deliberately absent:

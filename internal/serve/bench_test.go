@@ -50,20 +50,27 @@ func BenchmarkServeEstimateCold(b *testing.B) {
 	}
 }
 
+// BenchmarkServeEstimateHit replays one cached point. The n=2048 case
+// shows whether keying a hit still costs corpus-sized work.
 func BenchmarkServeEstimateHit(b *testing.B) {
-	_, client := newBenchServer(b, Options{Workers: 2})
-	ctx := context.Background()
-	req := benchReq(0)
-	if _, _, err := client.Estimate(ctx, req); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, verdict, err := client.Estimate(ctx, req); err != nil {
-			b.Fatal(err)
-		} else if verdict != "hit" {
-			b.Fatalf("iteration %d verdict %q, want hit", i, verdict)
-		}
+	for _, n := range []int{64, 2048} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			_, client := newBenchServer(b, Options{Workers: 2})
+			ctx := context.Background()
+			req := benchReq(0)
+			req.N = n
+			if _, _, err := client.Estimate(ctx, req); err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, verdict, err := client.Estimate(ctx, req); err != nil {
+					b.Fatal(err)
+				} else if verdict != "hit" {
+					b.Fatalf("iteration %d verdict %q, want hit", i, verdict)
+				}
+			}
+		})
 	}
 }
 

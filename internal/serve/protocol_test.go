@@ -29,6 +29,7 @@ func TestStatusMapping(t *testing.T) {
 		{"estimate bad layer", "/v1/estimate", `{"layer":9}`, http.StatusBadRequest},
 		{"estimate bad corpus", "/v1/estimate", `{"layer":0,"corpus":"nope"}`, http.StatusBadRequest},
 		{"estimate bad fault", "/v1/estimate", `{"layer":0,"fault":"bogus"}`, http.StatusBadRequest},
+		{"estimate n over limit", "/v1/estimate", `{"layer":0,"n":100000000}`, http.StatusBadRequest},
 		{"sweep bad json", "/v1/sweep", `{`, http.StatusBadRequest},
 		{"sweep bad layer", "/v1/sweep", `{"layers":[99]}`, http.StatusBadRequest},
 		{"sweep bad org", "/v1/sweep", `{"orgs":["bogus"]}`, http.StatusBadRequest},

@@ -31,7 +31,8 @@ type EstimateRequest struct {
 	// Corpus names the transaction workload (bench.Corpora); default
 	// "perf".
 	Corpus string `json:"corpus,omitempty"`
-	// N sizes the perf corpus; <= 0 selects bench.DefaultPerfN.
+	// N sizes the perf corpus; <= 0 selects bench.DefaultPerfN, capped
+	// at 4096.
 	N int `json:"n,omitempty"`
 	// Fault is a named fault plan (fault.Names) or a key=value plan
 	// spec (fault.Parse); empty means a clean run.
@@ -81,6 +82,8 @@ func canonicalizeEstimate(req EstimateRequest) (canonEstimate, error) {
 		c.N = 0 // only the perf corpus is parameterized
 	} else if c.N <= 0 {
 		c.N = bench.DefaultPerfN
+	} else if c.N > maxEstimateN {
+		return c, fmt.Errorf("serve: estimate n %d exceeds limit %d", c.N, maxEstimateN)
 	}
 	plan, err := fault.Parse(strings.TrimSpace(req.Fault))
 	if err != nil {
@@ -88,25 +91,52 @@ func canonicalizeEstimate(req EstimateRequest) (canonEstimate, error) {
 	}
 	c.Plan, c.Spec = plan, plan.Spec()
 	// Reject unknown corpora now, not at compute time.
-	if _, err := bench.CorpusItems(c.Corpus, c.N); err != nil {
+	if err := bench.CheckCorpus(c.Corpus); err != nil {
 		return c, fmt.Errorf("serve: %w", err)
 	}
 	return c, nil
 }
 
+// maxEstimateN caps the perf-corpus size of one estimate, as maxBatchN
+// caps a campaign run's.
+const maxEstimateN = 4096
+
+// estimateID is the canonical tuple an estimate's content key is a pure
+// function of within one process.
+type estimateID struct {
+	layer  int
+	corpus string
+	n      int
+	spec   string
+}
+
+const maxEstimateKeys = 1024 // about 150 B each
+
+// estimateKeys memoizes content keys per estimateID, so the key of a
+// repeated request — a cache hit, or a cluster hop that keys the same
+// request twice — costs a map lookup instead of a corpus generation.
+var estimateKeys = newMemo[estimateID, string](maxEstimateKeys)
+
+// corpusGen is the corpus generator behind the estimate key — a seam
+// the memoization test swaps to count generator invocations.
+var corpusGen = bench.CorpusItems
+
 // key content-addresses the estimation point: layer × corpus identity ×
 // fault plan × code version, where the corpus identity is a digest of
 // the actual transaction bytes (not just the name), so a corpus
-// generator change changes the address.
+// generator change changes the address. It is memoized per canonical
+// tuple, so only the first request for a point generates its corpus.
 func (c canonEstimate) key() string {
-	h := sha256.New()
-	fmt.Fprintf(h, "%s\x00estimate\x00layer=%d\x00corpus=%s\x00n=%d\x00fault=%s\x00",
-		Version, c.Layer, c.Corpus, c.N, c.Spec)
-	items, err := bench.CorpusItems(c.Corpus, c.N)
-	if err == nil {
-		h.Write(itemBytes(items))
-	}
-	return hex.EncodeToString(h.Sum(nil))
+	return estimateKeys.get(estimateID{c.Layer, c.Corpus, c.N, c.Spec}, func() string {
+		h := sha256.New()
+		fmt.Fprintf(h, "%s\x00estimate\x00layer=%d\x00corpus=%s\x00n=%d\x00fault=%s\x00",
+			Version, c.Layer, c.Corpus, c.N, c.Spec)
+		items, err := corpusGen(c.Corpus, c.N)
+		if err == nil {
+			h.Write(itemBytes(items))
+		}
+		return hex.EncodeToString(h.Sum(nil))
+	})
 }
 
 // itemBytes serializes a transaction corpus deterministically — the

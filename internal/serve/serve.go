@@ -243,17 +243,20 @@ func (s *Server) worker() {
 
 // enqueue admits a task into the bounded queue: 0 on success,
 // otherwise the HTTP status to answer (429 overloaded, 503 draining).
+// The task is counted before the send: a worker may finish it before
+// the send returns, and its Done must never precede the Add.
 func (s *Server) enqueue(t *task) int {
 	s.qmu.Lock()
 	defer s.qmu.Unlock()
 	if s.draining {
 		return http.StatusServiceUnavailable
 	}
+	s.taskWg.Add(1)
 	select {
 	case s.queue <- t:
-		s.taskWg.Add(1)
 		return 0
 	default:
+		s.taskWg.Done()
 		return http.StatusTooManyRequests
 	}
 }

@@ -283,6 +283,37 @@ func TestOverloadBackpressure(t *testing.T) {
 	}
 }
 
+// TestEnqueueCountsBeforeSend is the admission-count regression: a
+// worker can pick up and finish a no-op compute before the send that
+// queued it returns, so enqueue must count the task before sending it —
+// counting after drove the count negative and panicked the process
+// ("sync: negative WaitGroup counter"). Ten thousand no-op computes
+// through two workers with no compute hook open that window often.
+func TestEnqueueCountsBeforeSend(t *testing.T) {
+	s := New(Options{Workers: 2, QueueDepth: 64})
+	const submitters, each = 4, 2500
+	noop := func(context.Context) ([]byte, error) { return []byte("ok"), nil }
+	var wg sync.WaitGroup
+	for g := 0; g < submitters; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				key := fmt.Sprintf("noop-%d-%d", g, i)
+				if _, _, status, err := s.Do(context.Background(), "estimate", key, 0, noop); err != nil {
+					t.Errorf("%s: status %d: %v", key, status, err)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	s.Close()
+	if got := s.Stats().Computes; got != submitters*each {
+		t.Fatalf("%d computes, want %d", got, submitters*each)
+	}
+}
+
 // Graceful shutdown drains: an in-flight compute finishes and its
 // client gets a full answer, while new work is refused with 503.
 func TestGracefulShutdownDrains(t *testing.T) {
@@ -631,6 +662,7 @@ func TestRequestValidation(t *testing.T) {
 		{"/v1/estimate", EstimateRequest{Layer: 3}, "valid layers"},
 		{"/v1/estimate", EstimateRequest{Layer: 1, Corpus: "nope"}, "valid corpora"},
 		{"/v1/estimate", EstimateRequest{Layer: 1, Fault: "bogus"}, "fault"},
+		{"/v1/estimate", EstimateRequest{Layer: 1, N: maxEstimateN + 1}, "exceeds limit 4096"},
 		{"/v1/sweep", SweepRequest{Layers: []int{0}}, "valid layers"},
 		{"/v1/sweep", SweepRequest{Orgs: []string{"nope"}}, "organization"},
 		{"/v1/sweep", SweepRequest{AddrMaps: []string{"warp"}}, "address map"},

@@ -20,9 +20,10 @@ repro/internal/dma:70
 repro/internal/apdu:70
 repro/internal/journal:70
 repro/internal/tear:70
+repro/internal/serve:70
 "
 
-out=$(go test -cover ./internal/metrics/ ./internal/fault/ ./internal/checker/ ./internal/batch/ ./internal/tlm3/ ./internal/calib/ ./internal/cluster/ ./internal/arb/ ./internal/dma/ ./internal/apdu/ ./internal/journal/ ./internal/tear/)
+out=$(go test -cover ./internal/metrics/ ./internal/fault/ ./internal/checker/ ./internal/batch/ ./internal/tlm3/ ./internal/calib/ ./internal/cluster/ ./internal/arb/ ./internal/dma/ ./internal/apdu/ ./internal/journal/ ./internal/tear/ ./internal/serve/)
 echo "$out"
 
 fail=0
