@@ -13,19 +13,18 @@ test:
 vet:
 	$(GO) vet ./...
 
+# race and fuzz run the lists verify.sh runs (scripts/gates.sh holds them).
 race:
-	$(GO) test -race ./internal/explore/... ./internal/sim/... ./internal/fault/... ./internal/serve/... ./internal/batch/... ./internal/tlm3/... ./internal/calib/...
+	./scripts/gates.sh race
 
-# cover enforces per-package coverage floors (70% for metrics, fault
-# and checker, the packages carrying the observability contracts).
+# cover enforces the per-package coverage floors listed in
+# scripts/cover.sh (70% each).
 cover:
 	./scripts/cover.sh
 
 # fuzz runs every fuzz target for 10s — the same smoke verify runs.
 fuzz:
-	$(GO) test -run '^$$' -fuzz '^FuzzPlanParse$$' -fuzztime 10s ./internal/fault/
-	$(GO) test -run '^$$' -fuzz '^FuzzWithoutReadErrors$$' -fuzztime 10s ./internal/fault/
-	$(GO) test -run '^$$' -fuzz '^FuzzCheckerRules$$' -fuzztime 10s ./internal/checker/
+	./scripts/gates.sh fuzz
 
 faultsmoke:
 	$(GO) run ./cmd/ecbench -fault grind

@@ -156,19 +156,13 @@ func main() {
 		}
 		journalNames = names
 	}
-	// Active tear/journal axes need a timed single-master bus; reject the
-	// impossible combinations up front, like the serve endpoints do.
-	if activeAxis(tearNames) || activeAxis(journalNames) {
-		for _, l := range layers {
-			if l != 1 && l != 2 {
-				fmt.Fprintf(os.Stderr, "jcexplore: -tear/-journal need timed layers (1, 2); layer %d requested\n", l)
-				os.Exit(2)
-			}
-		}
-		if activeAxis(arbNames) {
-			fmt.Fprintln(os.Stderr, "jcexplore: -tear/-journal are single-master only; drop -arb")
-			os.Exit(2)
-		}
+	// Refuse impossible axis combinations (tear/journal off a timed
+	// single-master bus) up front, through the rule the serve endpoints
+	// apply.
+	axes := explore.SweepOpts{Faults: faultNames, Arbs: arbNames, Tears: tearNames, Journals: journalNames}
+	if err := explore.ValidAxes(axes, layers); err != nil {
+		fmt.Fprintln(os.Stderr, "jcexplore:", err)
+		os.Exit(2)
 	}
 
 	if *batchN != 0 {
@@ -217,8 +211,8 @@ func main() {
 		return
 	}
 
-	opts := explore.SweepOpts{Workers: *workers, Metrics: *report, Faults: faultNames, Arbs: arbNames,
-		Tears: tearNames, Journals: journalNames}
+	opts := axes
+	opts.Workers, opts.Metrics = *workers, *report
 	if *progress {
 		opts.OnResult = func(r explore.Result, err error) {
 			if err != nil {
@@ -244,17 +238,6 @@ func main() {
 		}
 	}
 	printTables(results, *report)
-}
-
-// activeAxis reports whether a parsed axis list contains a non-empty
-// (active) entry — lists of only "none" spellings stay unrestricted.
-func activeAxis(names []string) bool {
-	for _, n := range names {
-		if n != "" {
-			return true
-		}
-	}
-	return false
 }
 
 // runMultiFidelity runs the screen or confirm fidelity and prints the

@@ -30,7 +30,7 @@ var CalibrationFaults = fault.Names
 // Single-master groups keep the historical org-only key, which keeps
 // existing calibrations and content hashes stable.
 func calibGroup(org javacard.Organization, arbPolicy string) string {
-	if arbPolicy == "" || arbPolicy == "none" {
+	if off(arbPolicy) == "" {
 		return org.String()
 	}
 	return org.String() + "+arb:" + arbPolicy
@@ -79,8 +79,8 @@ func Calibrate(ctx context.Context, opts SweepOpts, layers []int, orgs []javacar
 	// what their coefficients must price.
 	var arbPolicies []string
 	for _, a := range opts.Arbs {
-		if canonArb(a) != "" {
-			arbPolicies = append(arbPolicies, canonArb(a))
+		if off(a) != "" {
+			arbPolicies = append(arbPolicies, off(a))
 		}
 	}
 	if len(arbPolicies) > 0 {

@@ -1,23 +1,10 @@
 package explore
 
 import (
-	"context"
-	"errors"
-	"fmt"
-
-	"repro/internal/arb"
-	"repro/internal/core"
 	"repro/internal/crypto"
 	"repro/internal/dma"
 	"repro/internal/ecbus"
-	"repro/internal/fault"
-	"repro/internal/gatepower"
-	"repro/internal/javacard"
 	"repro/internal/mem"
-	"repro/internal/metrics"
-	"repro/internal/sim"
-	"repro/internal/tlm1"
-	"repro/internal/tlm2"
 )
 
 // The contended system's extra slaves: the APDU command buffer (fast
@@ -60,41 +47,6 @@ func fillApdu(r *mem.RAM) {
 	}
 }
 
-// buildContendedMap is buildMap extended with the APDU buffer and the
-// EEPROM store. An active fault plan wraps all four slaves (the buffer
-// RAMs have idempotent reads, so they take the full plan; the stack
-// keeps its side-effect-safe projection).
-func buildContendedMap(cfg Config, p prepared, reg *metrics.Registry) (uint64, *ecbus.Map, core.RetryPolicy, error) {
-	base, ok := BaseForMap(cfg.AddrMap)
-	if !ok {
-		return 0, nil, core.RetryPolicy{}, fmt.Errorf("explore: unknown address map %q", cfg.AddrMap)
-	}
-	hs := javacard.NewHardStack("stack", base)
-	apdu := mem.NewRAM("apdu", ApduBase, contendedBufSize, 0, 0)
-	ee := mem.NewNVRAM("ee", EEBase, contendedBufSize, 1, 2, 8)
-	fillApdu(apdu)
-
-	plan, ok := fault.Named(cfg.Fault)
-	if !ok {
-		return 0, nil, core.RetryPolicy{}, fmt.Errorf("explore: unknown fault plan %q", cfg.Fault)
-	}
-	var retry core.RetryPolicy
-	rom, stack := ecbus.Slave(p.rom), ecbus.Slave(hs)
-	apduS, eeS := ecbus.Slave(apdu), ecbus.Slave(ee)
-	if !plan.Empty() {
-		rom = fault.Wrap(rom, plan).AttachMetrics(reg)
-		stack = fault.Wrap(stack, plan.WithoutReadErrors()).AttachMetrics(reg)
-		apduS = fault.Wrap(apduS, plan).AttachMetrics(reg)
-		eeS = fault.Wrap(eeS, plan).AttachMetrics(reg)
-		retry = SweepRetry
-	}
-	bmap, err := ecbus.NewMap(rom, stack, apduS, eeS)
-	if err != nil {
-		return 0, nil, core.RetryPolicy{}, err
-	}
-	return base, bmap, retry, nil
-}
-
 // Mux port assignment of the contended system. The CPU keeps the
 // highest fixed priority (its stalls serialize the interpreter), the
 // DMA engine the lowest (its transfers are the most latency-tolerant).
@@ -104,115 +56,3 @@ const (
 	portDMA
 	contendedMasters
 )
-
-// attachContenders registers the crypto and DMA masters on their mux
-// ports with the run's retry policy.
-func attachContenders(k *sim.Kernel, mux *arb.Mux, retry core.RetryPolicy, reg *metrics.Registry) (*crypto.Master, *dma.Engine) {
-	cm := crypto.NewMaster(k, mux.Port(portCrypto), cryptoMasterKey, contendedJobs())
-	cm.Retry, cm.Metrics = retry, reg
-	de := dma.New(k, mux.Port(portDMA), contendedDescriptors())
-	de.Retry, de.Metrics = retry, reg
-	return cm, de
-}
-
-// contendedDrainBudget bounds the post-VM drain of the autonomous
-// masters; reaching it means a grant-protocol deadlock, not slowness.
-const contendedDrainBudget = 2_000_000
-
-// drainContenders runs the kernel until the autonomous masters and the
-// mux are idle.
-func drainContenders(k *sim.Kernel, mux *arb.Mux, cm *crypto.Master, de *dma.Engine) error {
-	_, done := k.RunUntil(contendedDrainBudget, func() bool {
-		return cm.Done() && de.Done() && mux.Drained()
-	})
-	if !done {
-		return errors.New("explore: contended run did not drain (grant-protocol deadlock?)")
-	}
-	return nil
-}
-
-// runContended evaluates a multi-master configuration at a timed
-// layer: the CPU (interpreter + code fetcher), the crypto master and
-// the DMA engine contend for the bus through an arbitration mux under
-// cfg.Arb. Reported energy is the bus energy plus the arbitration
-// wires' own switching energy; transactions and retries sum over all
-// three masters.
-func runContended(ctx context.Context, cfg Config, p prepared, char gatepower.CharTable, metered bool) (Result, error) {
-	policy, err := arb.ParsePolicy(cfg.Arb)
-	if err != nil {
-		return Result{}, err
-	}
-	var reg *metrics.Registry
-	if metered {
-		reg = metrics.New(fmt.Sprintf("L%d+%s", cfg.Layer, cfg.Arb))
-		reg.SetMaster(p.w.Name)
-	}
-	k := sim.New(0)
-	// The mux's falling-edge proc must register before the bus model's
-	// so a grant's address phase starts on the grant cycle.
-	mux := arb.NewMux(k, policy, contendedMasters)
-	base, bmap, retry, err := buildContendedMap(cfg, p, reg)
-	if err != nil {
-		return Result{}, err
-	}
-
-	var bus core.Initiator
-	var energy func() float64
-	switch cfg.Layer {
-	case 1:
-		b := tlm1.New(k, bmap).AttachPower(tlm1.NewPowerModel(char))
-		if reg != nil {
-			b.AttachMetrics(reg)
-		}
-		bus, energy = b, b.Power().TotalEnergy
-	case 2:
-		b := tlm2.New(k, bmap).AttachPower(tlm2.NewPowerModel(char))
-		if reg != nil {
-			b.AttachMetrics(reg)
-		}
-		bus, energy = b, b.Power().TotalEnergy
-	default:
-		return Result{}, fmt.Errorf("explore: unsupported layer %d for arbitration (valid: 1, 2, 3)", cfg.Layer)
-	}
-	mux.Bind(bus)
-
-	cm, de := attachContenders(k, mux, retry, reg)
-	adapter := javacard.NewMasterAdapter(k, mux.Port(portCPU), base, cfg.Org)
-	adapter.Retry = retry
-	fetcher := &blockingMaster{k: k, bus: mux.Port(portCPU), retry: retry}
-	mm, fw := p.w.Runtime()
-	vm := javacard.NewVM(p.prog, adapter, mm, fw)
-	vm.FetchHook = func(pc int) {
-		_ = fetcher.read8(uint64(pc) % romSize)
-	}
-	if err := runVM(ctx, vm); err != nil {
-		if ctx.Err() != nil && errors.Is(err, ctx.Err()) {
-			return Result{}, &CancelledError{Config: cfg, Workload: p.w.Name, Cause: err}
-		}
-		return Result{}, err
-	}
-	if err := adapter.Flush(); err != nil {
-		return Result{}, err
-	}
-	if err := drainContenders(k, mux, cm, de); err != nil {
-		return Result{}, err
-	}
-	res := Result{
-		Config:       cfg,
-		Workload:     p.w.Name,
-		Cycles:       k.Cycle(),
-		BusEnergyJ:   energy() + mux.TotalEnergy(),
-		Transactions: adapter.Transactions + fetcher.n + cm.Transactions + de.Transactions,
-		Retries:      adapter.Retries + fetcher.retries + cm.Retries + de.Retries,
-		Steps:        vm.Steps,
-	}
-	if reg != nil {
-		reg.Retries(adapter.Retries + fetcher.retries)
-		mux.ReportMetrics(reg)
-		reg.RecordKernel(k.Cycle(), k.SkippedCycles(), k.IdleSkips(), k.ProcsRun())
-		reg.Finalize(res.BusEnergyJ)
-		snap := reg.Snapshot()
-		res.Metrics = &snap
-	}
-	return res, nil
-}

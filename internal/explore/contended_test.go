@@ -2,7 +2,9 @@ package explore
 
 import (
 	"context"
+	"fmt"
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/javacard"
@@ -172,5 +174,64 @@ func TestSweepArbAxis(t *testing.T) {
 	}
 	if results[0].Arb != "" || results[1].Arb != "rr" {
 		t.Fatalf("arb order %q, %q — arbs must be innermost", results[0].Arb, results[1].Arb)
+	}
+}
+
+// TestArbNoneIsSingleMaster: "none" is the single-master spelling of
+// the arbitration axis everywhere, not only on the command line. At
+// every layer, metered or not, it runs the single-master system with
+// results equal to Arb "" (the config keeps the caller's spelling),
+// renders no "/none", and is no multi-master run to a tear plan.
+func TestArbNoneIsSingleMaster(t *testing.T) {
+	char := platform.DefaultCharTable()
+	w := []javacard.Workload{churn()}
+	org := []javacard.Organization{javacard.OrgHalf}
+	for _, base := range []Config{
+		{Org: javacard.OrgHalf, AddrMap: "near"},
+		{Org: javacard.OrgHalf, AddrMap: "near", Fault: "flaky"},
+		{Org: javacard.OrgHalf, AddrMap: "near", Tear: "tear-mid", Journal: "word-eager"},
+	} {
+		layers := SweepLayers
+		if base.Tear != "" {
+			layers = []int{1, 2}
+		}
+		for _, l := range layers {
+			solo, none := base, base
+			solo.Layer, none.Layer, none.Arb = l, l, "none"
+			if got := none.String(); got != solo.String() {
+				t.Fatalf("String() = %q, want %q", got, solo.String())
+			}
+			want, err := Run(solo, churn(), char)
+			if err != nil {
+				t.Fatalf("%v: %v", solo, err)
+			}
+			got, err := Run(none, churn(), char)
+			if err != nil {
+				t.Fatalf("%v arb none: %v", none, err)
+			}
+			if got.Arb != "none" {
+				t.Fatalf("%v: result arb %q, want the caller's spelling", none, got.Arb)
+			}
+			got.Arb = ""
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%v: arb none %+v, want %+v", none, got, want)
+			}
+			for _, arbs := range [][]string{{""}, {"none"}} {
+				res, err := SweepWith(SweepOpts{Workers: 1, Metrics: true, Faults: []string{base.Fault},
+					Arbs: arbs, Tears: []string{base.Tear}, Journals: []string{base.Journal}},
+					[]int{l}, org, []string{"near"}, w)
+				if err != nil || len(res) != 1 {
+					t.Fatalf("%v metered arbs %q: %d results, %v", solo, arbs, len(res), err)
+				}
+				res[0].Arb = ""
+				want.Metrics = res[0].Metrics
+				if !reflect.DeepEqual(res[0], want) {
+					t.Fatalf("%v metered arbs %q: %+v, want %+v", solo, arbs, res[0], want)
+				}
+				if want.Metrics.Layer != fmt.Sprintf("L%d", l) {
+					t.Fatalf("%v metered: registry %q", solo, want.Metrics.Layer)
+				}
+			}
+		}
 	}
 }

@@ -32,15 +32,12 @@ import (
 	"repro/internal/arb"
 	"repro/internal/core"
 	"repro/internal/ecbus"
-	"repro/internal/fault"
 	"repro/internal/gatepower"
 	"repro/internal/javacard"
 	"repro/internal/mem"
 	"repro/internal/metrics"
 	"repro/internal/platform"
 	"repro/internal/sim"
-	"repro/internal/tlm1"
-	"repro/internal/tlm2"
 )
 
 // Stack SFR base addresses of the two explored address maps. The code
@@ -92,9 +89,6 @@ func BaseForMap(name string) (uint64, bool) {
 // event-count model, no cycle simulation).
 var SweepLayers = []int{1, 2, 3}
 
-// ValidLayer reports whether l is a sweepable layer.
-func ValidLayer(l int) bool { return l >= 1 && l <= 3 }
-
 // LayerVocab renders the valid sweep layers for error messages.
 func LayerVocab() string {
 	parts := make([]string, len(SweepLayers))
@@ -118,8 +112,8 @@ func ParseLayers(spec string) ([]int, error) {
 		if err != nil {
 			return nil, fmt.Errorf("explore: bad layer %q (valid layers: %s)", part, LayerVocab())
 		}
-		if !ValidLayer(l) {
-			return nil, fmt.Errorf("explore: unsupported layer %d (valid layers: %s)", l, LayerVocab())
+		if err := Valid(Config{Layer: l}); err != nil {
+			return nil, err
 		}
 		out = append(out, l)
 	}
@@ -172,7 +166,7 @@ type Config struct {
 	Org     javacard.Organization
 	AddrMap string // named address map (AllAddrMaps)
 	Fault   string // named fault plan (fault.Names); "" or "none" = clean
-	Arb     string // arbitration policy (ArbPolicies); "" = single master
+	Arb     string // arbitration policy (ArbPolicies); "" or "none" = single master
 	Tear    string // named tear plan (tear.Names); "" or "none" = never torn
 	Journal string // journal strategy (journal.Names); "" or "none" = unjournaled
 }
@@ -184,19 +178,98 @@ type Config struct {
 // rendering stays unambiguous).
 func (c Config) String() string {
 	s := fmt.Sprintf("L%d/%s/%s", c.Layer, c.Org, c.AddrMap)
-	if c.Fault != "" && c.Fault != "none" {
-		s += "/" + c.Fault
-	}
-	if c.Arb != "" {
-		s += "/" + c.Arb
-	}
-	if t := canonTear(c.Tear); t != "" {
-		s += "/" + t
-	}
-	if j := canonJournal(c.Journal); j != "" {
-		s += "/" + j
+	for _, v := range [...]string{c.Fault, c.Arb, c.Tear, c.Journal} {
+		if v = off(v); v != "" {
+			s += "/" + v
+		}
 	}
 	return s
+}
+
+// off folds the "none" spelling of an axis's off value (clean, single
+// master, never torn, unjournaled) into the canonical empty form.
+func off(v string) string {
+	if v == "none" {
+		return ""
+	}
+	return v
+}
+
+// Valid reports whether the harness can evaluate cfg: the layer must
+// be a sweep layer, and a tear plan or journal strategy needs a timed
+// single-master bus. It is the one statement of these rules: the
+// engine applies it to every configuration it runs, and the command
+// lines and the serving layer apply it to their requests up front
+// (ValidAxes), so an impossible combination is refused before any work
+// starts. The axis vocabularies are checked where names resolve.
+func Valid(cfg Config) error {
+	if cfg.Layer < 1 || cfg.Layer > 3 {
+		return fmt.Errorf("explore: unsupported layer %d (valid layers: %s)", cfg.Layer, LayerVocab())
+	}
+	if off(cfg.Tear) == "" && off(cfg.Journal) == "" {
+		return nil
+	}
+	if cfg.Layer != 1 && cfg.Layer != 2 {
+		return fmt.Errorf("explore: tear/journal configurations need timed layers (1, 2); layer %d requested", cfg.Layer)
+	}
+	if a := off(cfg.Arb); a != "" {
+		return fmt.Errorf("explore: tear/journal configurations are single-master only; arbitration %q requested", a)
+	}
+	return nil
+}
+
+// ValidAxes applies Valid to every layer × arbitration × tear ×
+// journal combination of a sweep — the only axes the rule reads, so
+// the check stays cheap however many organizations, maps and
+// workloads the sweep names.
+func ValidAxes(opts SweepOpts, layers []int) error {
+	for _, l := range layers {
+		for _, a := range axis(opts.Arbs) {
+			for _, t := range axis(opts.Tears) {
+				for _, j := range axis(opts.Journals) {
+					if err := Valid(Config{Layer: l, Arb: a, Tear: t, Journal: j}); err != nil {
+						return err
+					}
+				}
+			}
+		}
+	}
+	return nil
+}
+
+// axis returns a sweep axis's values, the off value alone when empty.
+func axis(vals []string) []string {
+	if len(vals) == 0 {
+		return []string{""}
+	}
+	return vals
+}
+
+// Configs enumerates the cross product of the configuration axes in
+// canonical order: layers outer, then organizations, maps, fault
+// plans, arbitration policies, tear plans and journal strategies
+// innermost. An empty opts axis contributes its off value alone. The
+// sweep engine and the serving layer's distributed fan-out both expand
+// sweeps through it, so a single-node sweep body and its reassembled
+// fan-out list configurations in the same order.
+func Configs(opts SweepOpts, layers []int, orgs []javacard.Organization, maps []string) []Config {
+	var cfgs []Config
+	for _, l := range layers {
+		for _, o := range orgs {
+			for _, m := range maps {
+				for _, f := range axis(opts.Faults) {
+					for _, a := range axis(opts.Arbs) {
+						for _, t := range axis(opts.Tears) {
+							for _, j := range axis(opts.Journals) {
+								cfgs = append(cfgs, Config{Layer: l, Org: o, AddrMap: m, Fault: f, Arb: a, Tear: t, Journal: j})
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	return cfgs
 }
 
 // Result is the measured outcome of one configuration on one workload.
@@ -378,140 +451,82 @@ func runVM(ctx context.Context, vm *javacard.VM) error {
 	return nil
 }
 
-// buildMap constructs the per-run address map of a configuration: the
-// shared read-only code ROM plus a private hardware stack at the
-// configured base, each wrapped in a private fault injector when the
-// configuration carries an active plan. It returns the stack base, the
-// map, and the retry policy the masters should use.
-func buildMap(cfg Config, p prepared, reg *metrics.Registry) (uint64, *ecbus.Map, core.RetryPolicy, error) {
-	base, ok := BaseForMap(cfg.AddrMap)
-	if !ok {
-		return 0, nil, core.RetryPolicy{}, fmt.Errorf("explore: unknown address map %q (valid maps: %s)",
-			cfg.AddrMap, strings.Join(AllAddrMaps, ", "))
-	}
-	hs := javacard.NewHardStack("stack", base)
-
-	// An active fault plan wraps every slave in a per-run injector: the
-	// injector carries mutable access counters, so each configuration
-	// gets private instances while the ROM underneath stays shared and
-	// read-only across workers.
-	plan, ok := fault.Named(cfg.Fault)
-	if !ok {
-		return 0, nil, core.RetryPolicy{}, fmt.Errorf("explore: unknown fault plan %q", cfg.Fault)
-	}
-	var retry core.RetryPolicy
-	rom, stack := ecbus.Slave(p.rom), ecbus.Slave(hs)
-	if !plan.Empty() {
-		// The stack SFR has destructive reads (pop registers), so it only
-		// takes the side-effect-safe projection of the plan.
-		rom = fault.Wrap(rom, plan).AttachMetrics(reg)
-		stack = fault.Wrap(stack, plan.WithoutReadErrors()).AttachMetrics(reg)
-		retry = SweepRetry
-	}
-	bmap, err := ecbus.NewMap(rom, stack)
-	if err != nil {
-		return 0, nil, core.RetryPolicy{}, err
-	}
-	return base, bmap, retry, nil
-}
-
 // runPrepared evaluates one configuration against prepared workload
 // state. It builds a fully private simulation context — kernel, bus,
 // power model, adapter, VM — and therefore may run concurrently with
 // other calls sharing the same prepared value. With metered set, the
 // run additionally carries a private metrics registry whose final
-// snapshot lands in Result.Metrics.
+// snapshot lands in Result.Metrics. The result keeps the caller's
+// spelling of every axis.
 func runPrepared(ctx context.Context, cfg Config, p prepared, char gatepower.CharTable, metered bool) (Result, error) {
 	if err := ctx.Err(); err != nil {
 		return Result{}, &CancelledError{Config: cfg, Workload: p.w.Name, Cause: err}
 	}
-	if canonTear(cfg.Tear) != "" || canonJournal(cfg.Journal) != "" {
+	if err := Valid(cfg); err != nil {
+		return Result{}, err
+	}
+	c := cfg
+	c.Arb, c.Tear, c.Journal = off(cfg.Arb), off(cfg.Tear), off(cfg.Journal)
+	var res Result
+	var err error
+	switch {
+	case c.Tear != "" || c.Journal != "":
 		// A tear plan or journal strategy promotes the run to the
 		// two-phase (session + power-up) persistent system. See tear.go.
-		// Clean configurations never enter this branch, which is what
-		// keeps Tear: "" sweep outputs byte-identical to the pre-tear
-		// harness.
-		return runTorn(ctx, cfg, p, char, metered)
-	}
-	if cfg.Layer == 3 {
+		res, err = runTorn(ctx, c, p, char, metered)
+	case c.Layer == 3:
 		// The analytic layer does not simulate cycles: it counts the
 		// configuration's traffic once and evaluates the calibrated
 		// model. See screen.go.
-		return runAnalytic(ctx, cfg, p, metered)
+		res, err = runAnalytic(ctx, c, p, metered)
+	default:
+		res, err = runTimed(ctx, c, p, char, metered)
 	}
-	if cfg.Arb != "" {
-		// An arbitration policy promotes the run to the three-master
-		// contended system. See contended.go. The cfg.Arb == "" path
-		// below is untouched, which is what keeps single-master sweep
-		// outputs byte-identical to the pre-arbiter harness.
-		return runContended(ctx, cfg, p, char, metered)
-	}
-	var reg *metrics.Registry
-	if metered {
-		reg = metrics.New(fmt.Sprintf("L%d", cfg.Layer))
-		reg.SetMaster(p.w.Name)
-	}
-	k := sim.New(0)
-	base, bmap, retry, err := buildMap(cfg, p, reg)
 	if err != nil {
 		return Result{}, err
 	}
+	res.Config = cfg
+	return res, nil
+}
 
-	var bus core.Initiator
-	var energy func() float64
-	switch cfg.Layer {
-	case 1:
-		b := tlm1.New(k, bmap).AttachPower(tlm1.NewPowerModel(char))
-		if reg != nil {
-			b.AttachMetrics(reg)
+// runTimed evaluates a configuration on its timed bus: the CPU alone,
+// or — under an arbitration policy — contending with the crypto and
+// DMA masters, in which case the reported energy adds the arbitration
+// wires' own switching energy and the traffic sums over all three
+// masters.
+func runTimed(ctx context.Context, cfg Config, p prepared, char gatepower.CharTable, metered bool) (Result, error) {
+	var reg *metrics.Registry
+	if metered {
+		name := fmt.Sprintf("L%d", cfg.Layer)
+		if cfg.Arb != "" {
+			name += "+" + cfg.Arb
 		}
-		bus, energy = b, b.Power().TotalEnergy
-	case 2:
-		b := tlm2.New(k, bmap).AttachPower(tlm2.NewPowerModel(char))
-		if reg != nil {
-			b.AttachMetrics(reg)
-		}
-		bus, energy = b, b.Power().TotalEnergy
-	default:
-		return Result{}, fmt.Errorf("explore: unsupported layer %d (valid layers: %s)", cfg.Layer, LayerVocab())
+		reg = metrics.New(name)
+		reg.SetMaster(p.w.Name)
 	}
-
-	adapter := javacard.NewMasterAdapter(k, bus, base, cfg.Org)
-	adapter.Retry = retry
-	fetcher := &blockingMaster{k: k, bus: bus, retry: retry}
-	mm, fw := p.w.Runtime()
-	vm := javacard.NewVM(p.prog, adapter, mm, fw)
-	vm.FetchHook = func(pc int) {
-		// Interleave the interpreter's code fetch with the stack
-		// traffic. Method bodies alias onto the main image window; the
-		// traffic pattern, not the fetched value, is what matters here.
-		_ = fetcher.read8(uint64(pc) % romSize)
-	}
-	if err := runVM(ctx, vm); err != nil {
-		if ctx.Err() != nil && errors.Is(err, ctx.Err()) {
-			return Result{}, &CancelledError{Config: cfg, Workload: p.w.Name, Cause: err}
-		}
+	s, err := newSystem(cfg, p, cfg.Layer, char, reg, reg)
+	if err != nil {
 		return Result{}, err
 	}
-	if err := adapter.Flush(); err != nil {
+	s.boot()
+	if err := s.run(ctx); err != nil {
 		return Result{}, err
 	}
-	res := Result{
-		Config:       cfg,
-		Workload:     p.w.Name,
-		Cycles:       k.Cycle(),
-		BusEnergyJ:   energy(),
-		Transactions: adapter.Transactions + fetcher.n,
-		Retries:      adapter.Retries + fetcher.retries,
-		Steps:        vm.Steps,
+	res := Result{Workload: p.w.Name, Cycles: s.k.Cycle(), BusEnergyJ: s.energy(), Steps: s.vm.Steps}
+	if s.mux != nil {
+		res.BusEnergyJ += s.mux.TotalEnergy()
 	}
+	res.Transactions, res.Retries = s.traffic()
 	if reg != nil {
 		// The interpreter steps the kernel itself, so the run accounting
-		// and the master-side retries are recorded here rather than
-		// through kernel/master hooks.
-		reg.Retries(res.Retries)
-		reg.RecordKernel(k.Cycle(), k.SkippedCycles(), k.IdleSkips(), k.ProcsRun())
-		reg.Finalize(energy())
+		// and the CPU-side retries are recorded here rather than through
+		// kernel/master hooks (the contenders report their own).
+		reg.Retries(s.cpuRetries())
+		if s.mux != nil {
+			s.mux.ReportMetrics(reg)
+		}
+		reg.RecordKernel(s.k.Cycle(), s.k.SkippedCycles(), s.k.IdleSkips(), s.k.ProcsRun())
+		reg.Finalize(res.BusEnergyJ)
 		snap := reg.Snapshot()
 		res.Metrics = &snap
 	}
@@ -600,28 +615,12 @@ type job struct {
 	p   prepared
 }
 
-// enumerateJobs builds the cross product in canonical order (workloads
-// outer, then layers, organizations, maps, faults, arbitration
-// policies, tear plans, journal strategies) with per-workload
-// preparation hoisted. Workloads that fail to prepare contribute an
-// error instead of jobs.
+// enumerateJobs builds the cross product in canonical order
+// (workloads outer, then Configs' order) with per-workload preparation
+// hoisted. Workloads that fail to prepare contribute an error instead
+// of jobs.
 func enumerateJobs(opts SweepOpts, layers []int, orgs []javacard.Organization, maps []string, workloads []javacard.Workload) ([]job, []error) {
-	faults := opts.Faults
-	if len(faults) == 0 {
-		faults = []string{""}
-	}
-	arbs := opts.Arbs
-	if len(arbs) == 0 {
-		arbs = []string{""}
-	}
-	tears := opts.Tears
-	if len(tears) == 0 {
-		tears = []string{""}
-	}
-	journals := opts.Journals
-	if len(journals) == 0 {
-		journals = []string{""}
-	}
+	cfgs := Configs(opts, layers, orgs, maps)
 	var jobs []job
 	var prepErrs []error
 	for _, w := range workloads {
@@ -630,20 +629,8 @@ func enumerateJobs(opts SweepOpts, layers []int, orgs []javacard.Organization, m
 			prepErrs = append(prepErrs, fmt.Errorf("explore %s: %w", w.Name, err))
 			continue
 		}
-		for _, l := range layers {
-			for _, o := range orgs {
-				for _, m := range maps {
-					for _, f := range faults {
-						for _, a := range arbs {
-							for _, t := range tears {
-								for _, j := range journals {
-									jobs = append(jobs, job{idx: len(jobs), cfg: Config{Layer: l, Org: o, AddrMap: m, Fault: f, Arb: a, Tear: t, Journal: j}, p: p})
-								}
-							}
-						}
-					}
-				}
-			}
+		for _, cfg := range cfgs {
+			jobs = append(jobs, job{idx: len(jobs), cfg: cfg, p: p})
 		}
 	}
 	return jobs, prepErrs

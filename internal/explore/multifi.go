@@ -146,8 +146,8 @@ func SweepMultiFidelityContext(ctx context.Context, opts MultiFidelityOpts, laye
 	var out MultiFidelityResult
 
 	for _, l := range layers {
-		if !ValidLayer(l) {
-			return out, fmt.Errorf("explore: unsupported layer %d (valid layers: %s)", l, LayerVocab())
+		if err := Valid(Config{Layer: l}); err != nil {
+			return out, err
 		}
 	}
 	model := opts.Model
@@ -171,8 +171,8 @@ func SweepMultiFidelityContext(ctx context.Context, opts MultiFidelityOpts, laye
 	// required for them.
 	arbsAxis := []string{""}
 	for _, a := range opts.Arbs {
-		if canonArb(a) != "" {
-			arbsAxis = append(arbsAxis, canonArb(a))
+		if off(a) != "" {
+			arbsAxis = append(arbsAxis, off(a))
 		}
 	}
 	type epsKey struct {
@@ -224,7 +224,7 @@ func SweepMultiFidelityContext(ctx context.Context, opts MultiFidelityOpts, laye
 	keySlot := map[fkey]int{}
 	var keyJobs []job // one representative job per unique key
 	for _, j := range jobs {
-		k := fkey{j.p.w.Name, j.cfg.Org, j.cfg.AddrMap, canonFault(j.cfg.Fault), canonArb(j.cfg.Arb)}
+		k := fkey{j.p.w.Name, j.cfg.Org, j.cfg.AddrMap, off(j.cfg.Fault), off(j.cfg.Arb)}
 		if _, ok := keySlot[k]; !ok {
 			keySlot[k] = len(keyJobs)
 			keyJobs = append(keyJobs, j)
@@ -265,7 +265,7 @@ func SweepMultiFidelityContext(ctx context.Context, opts MultiFidelityOpts, laye
 	exempt := make([]bool, len(jobs)) // never prune: layer 3 or failed screen
 	for i, j := range jobs {
 		preds[i] = Prediction{Config: j.cfg, Workload: j.p.w.Name}
-		fr := featRes[keySlot[fkey{j.p.w.Name, j.cfg.Org, j.cfg.AddrMap, canonFault(j.cfg.Fault), canonArb(j.cfg.Arb)}]]
+		fr := featRes[keySlot[fkey{j.p.w.Name, j.cfg.Org, j.cfg.AddrMap, off(j.cfg.Fault), off(j.cfg.Arb)}]]
 		if fr.err != nil {
 			// Conservative fallback: confirm exactly what could not be
 			// screened, and surface the screening failure.
@@ -290,7 +290,7 @@ func SweepMultiFidelityContext(ctx context.Context, opts MultiFidelityOpts, laye
 			// costs one (already cached) counting run.
 			exempt[i] = true
 		}
-		if canonArb(j.cfg.Arb) != "" && canonFault(j.cfg.Fault) != "" {
+		if off(j.cfg.Arb) != "" && off(j.cfg.Fault) != "" {
 			// Faulted contention is outside the calibrated bands (arb
 			// groups are fitted clean-only): the prediction is reported
 			// but never trusted — the configuration is always confirmed
@@ -298,7 +298,7 @@ func SweepMultiFidelityContext(ctx context.Context, opts MultiFidelityOpts, laye
 			// are skipped as dominators below).
 			exempt[i] = true
 		}
-		if canonTear(j.cfg.Tear) != "" || canonJournal(j.cfg.Journal) != "" {
+		if off(j.cfg.Tear) != "" || off(j.cfg.Journal) != "" {
 			// Torn/journaled runs carry two-phase traffic (session +
 			// power-up replay) the analytic model was never fitted on:
 			// always confirm exactly, never prune by the clean prediction.
@@ -308,7 +308,7 @@ func SweepMultiFidelityContext(ctx context.Context, opts MultiFidelityOpts, laye
 
 	// ---- ε-domination pruning, per workload.
 	bounds := func(i int) (loE, upE, loC, upC float64) {
-		k := epsKey{jobs[i].cfg.Layer, jobs[i].cfg.Org, canonArb(jobs[i].cfg.Arb)}
+		k := epsKey{jobs[i].cfg.Layer, jobs[i].cfg.Org, off(jobs[i].cfg.Arb)}
 		eE, eC := epsE[k], epsC[k]
 		loE = preds[i].EnergyJ / (1 + eE)
 		loC = preds[i].Cycles / (1 + eC)

@@ -2,15 +2,13 @@ package explore
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
 	"sync"
 
-	"repro/internal/arb"
+	"repro/internal/gatepower"
 	"repro/internal/javacard"
 	"repro/internal/metrics"
-	"repro/internal/sim"
 	"repro/internal/tlm3"
 )
 
@@ -65,7 +63,8 @@ const featCacheCap = 8192
 // countRun returns one configuration's feature vector and exact
 // traffic stats, via the cache when the shape has been counted before.
 func countRun(ctx context.Context, cfg Config, p prepared) (tlm3.Features, countStats, error) {
-	key := featKey{fp: p.fp, org: cfg.Org, amap: cfg.AddrMap, fault: canonFault(cfg.Fault), arb: canonArb(cfg.Arb)}
+	cfg.Arb = off(cfg.Arb)
+	key := featKey{fp: p.fp, org: cfg.Org, amap: cfg.AddrMap, fault: off(cfg.Fault), arb: cfg.Arb}
 	featMu.Lock()
 	v, ok := featCache[key]
 	featMu.Unlock()
@@ -87,117 +86,34 @@ func countRun(ctx context.Context, cfg Config, p prepared) (tlm3.Features, count
 	return f, st, nil
 }
 
-// canonFault folds the two spellings of a clean run ("" and "none")
-// into one cache identity, matching fault.Named's resolution.
-func canonFault(f string) string {
-	if f == "none" {
-		return ""
-	}
-	return f
-}
-
-// canonArb folds the two spellings of the single-master system ("" and
-// "none") into one cache identity, matching ParseArbs's resolution.
-func canonArb(a string) string {
-	if a == "none" {
-		return ""
-	}
-	return a
-}
-
 // countRunUncached executes one configuration's workload against the
 // layer-3 counting bus: the full interpreter run with the same masters,
 // fault injectors and retry policy as a timed evaluation, but with
-// every transaction completing in zero simulated time. It returns the
-// feature vector of the traffic in microseconds instead of
-// milliseconds. The features do not depend on cfg.Layer.
+// every transaction completing in zero simulated time. On a contended
+// system the Counter completes each transaction at its grant cycle, so
+// the counted event stream is the contended traffic, and the mux's
+// grant and contention tallies land in its arbitration counts. It
+// returns the feature vector of the traffic in microseconds instead of
+// milliseconds. The features do not depend on cfg.Layer; cfg.Arb must
+// be folded (off).
 func countRunUncached(ctx context.Context, cfg Config, p prepared) (tlm3.Features, countStats, error) {
 	if err := ctx.Err(); err != nil {
 		return tlm3.Features{}, countStats{}, &CancelledError{Config: cfg, Workload: p.w.Name, Cause: err}
 	}
-	if canonArb(cfg.Arb) != "" {
-		return countRunContended(ctx, cfg, p)
-	}
-	k := sim.New(0)
-	base, bmap, retry, err := buildMap(cfg, p, nil)
+	s, err := newSystem(cfg, p, 3, gatepower.CharTable{}, nil, nil)
 	if err != nil {
 		return tlm3.Features{}, countStats{}, err
 	}
-	counter := tlm3.NewCounter(bmap)
-	adapter := javacard.NewMasterAdapter(k, counter, base, cfg.Org)
-	adapter.Retry = retry
-	fetcher := &blockingMaster{k: k, bus: counter, retry: retry}
-	mm, fw := p.w.Runtime()
-	vm := javacard.NewVM(p.prog, adapter, mm, fw)
-	vm.FetchHook = func(pc int) {
-		_ = fetcher.read8(uint64(pc) % romSize)
-	}
-	if err := runVM(ctx, vm); err != nil {
-		if ctx.Err() != nil && errors.Is(err, ctx.Err()) {
-			return tlm3.Features{}, countStats{}, &CancelledError{Config: cfg, Workload: p.w.Name, Cause: err}
-		}
+	s.boot()
+	if err := s.run(ctx); err != nil {
 		return tlm3.Features{}, countStats{}, err
 	}
-	if err := adapter.Flush(); err != nil {
-		return tlm3.Features{}, countStats{}, err
+	if s.mux != nil {
+		s.count.RecordArb(s.mux.TotalGrants(), s.mux.Contentions())
 	}
-	st := countStats{
-		tx:      adapter.Transactions + fetcher.n,
-		retries: adapter.Retries + fetcher.retries,
-		steps:   vm.Steps,
-		cycles:  counter.Cycles(),
-	}
-	return counter.Features(), st, nil
-}
-
-// countRunContended is the multi-master counting run: the same three
-// masters as runContended drive the layer-3 counting bus through an
-// arbitration mux. The Counter completes each transaction at its grant
-// cycle, so the counted event stream is the contended traffic — the
-// CPU's plus the crypto and DMA masters' — and the mux's grant and
-// contention tallies land in the Counter's arbitration counts.
-func countRunContended(ctx context.Context, cfg Config, p prepared) (tlm3.Features, countStats, error) {
-	policy, err := arb.ParsePolicy(canonArb(cfg.Arb))
-	if err != nil {
-		return tlm3.Features{}, countStats{}, err
-	}
-	k := sim.New(0)
-	mux := arb.NewMux(k, policy, contendedMasters)
-	base, bmap, retry, err := buildContendedMap(cfg, p, nil)
-	if err != nil {
-		return tlm3.Features{}, countStats{}, err
-	}
-	counter := tlm3.NewCounter(bmap)
-	mux.Bind(counter)
-	cm, de := attachContenders(k, mux, retry, nil)
-	adapter := javacard.NewMasterAdapter(k, mux.Port(portCPU), base, cfg.Org)
-	adapter.Retry = retry
-	fetcher := &blockingMaster{k: k, bus: mux.Port(portCPU), retry: retry}
-	mm, fw := p.w.Runtime()
-	vm := javacard.NewVM(p.prog, adapter, mm, fw)
-	vm.FetchHook = func(pc int) {
-		_ = fetcher.read8(uint64(pc) % romSize)
-	}
-	if err := runVM(ctx, vm); err != nil {
-		if ctx.Err() != nil && errors.Is(err, ctx.Err()) {
-			return tlm3.Features{}, countStats{}, &CancelledError{Config: cfg, Workload: p.w.Name, Cause: err}
-		}
-		return tlm3.Features{}, countStats{}, err
-	}
-	if err := adapter.Flush(); err != nil {
-		return tlm3.Features{}, countStats{}, err
-	}
-	if err := drainContenders(k, mux, cm, de); err != nil {
-		return tlm3.Features{}, countStats{}, err
-	}
-	counter.RecordArb(mux.TotalGrants(), mux.Contentions())
-	st := countStats{
-		tx:      adapter.Transactions + fetcher.n + cm.Transactions + de.Transactions,
-		retries: adapter.Retries + fetcher.retries + cm.Retries + de.Retries,
-		steps:   vm.Steps,
-		cycles:  counter.Cycles(),
-	}
-	return counter.Features(), st, nil
+	st := countStats{steps: s.vm.Steps, cycles: s.count.Cycles()}
+	st.tx, st.retries = s.traffic()
+	return s.count.Features(), st, nil
 }
 
 // runAnalytic evaluates a layer-3 configuration: one counting run

@@ -9,7 +9,6 @@ import (
 	"repro/internal/checker"
 	"repro/internal/core"
 	"repro/internal/ecbus"
-	"repro/internal/fault"
 	"repro/internal/gatepower"
 	"repro/internal/javacard"
 	"repro/internal/journal"
@@ -17,8 +16,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/tear"
-	"repro/internal/tlm1"
-	"repro/internal/tlm2"
 )
 
 // The tear-aware system's persistent store: an EEPROM holding the
@@ -47,23 +44,6 @@ func TearRegion() journal.Region {
 	}
 }
 
-// canonTear folds the "none" spelling of the tear axis into the empty
-// canonical form, mirroring canonFault/canonArb.
-func canonTear(name string) string {
-	if name == "none" {
-		return ""
-	}
-	return name
-}
-
-// canonJournal folds the "none" spelling of the journal axis.
-func canonJournal(name string) string {
-	if name == "none" {
-		return ""
-	}
-	return name
-}
-
 // ParseTears parses a comma-separated tear-plan list ("none,tear-mid"),
 // folding "none" into the empty spelling and rejecting unknown plans
 // upfront with the full vocabulary.
@@ -74,7 +54,7 @@ func ParseTears(spec string) ([]string, error) {
 	}
 	out := make([]string, 0, len(names))
 	for _, n := range names {
-		out = append(out, canonTear(n))
+		out = append(out, off(n))
 	}
 	if len(out) == 0 {
 		return nil, fmt.Errorf("tear: empty plan list (valid plans: %s)", strings.Join(tear.Names, ", "))
@@ -91,7 +71,7 @@ func ParseJournals(spec string) ([]string, error) {
 	}
 	out := make([]string, 0, len(names))
 	for _, n := range names {
-		out = append(out, canonJournal(n))
+		out = append(out, off(n))
 	}
 	if len(out) == 0 {
 		return nil, fmt.Errorf("journal: empty strategy list (valid strategies: %s)", strings.Join(journal.Names, ", "))
@@ -159,61 +139,6 @@ func (m *wordMaster) ReadWord(addr uint64) (uint32, error) {
 func (m *wordMaster) WriteWord(addr uint64, data uint32) error {
 	_, err := m.access(ecbus.Write, addr, data)
 	return err
-}
-
-// buildTornMap is buildMap extended with the persistent EEPROM store.
-// An active fault plan wraps all three slaves (the stack keeps its
-// side-effect-safe projection).
-func buildTornMap(cfg Config, p prepared, k *sim.Kernel, reg *metrics.Registry) (uint64, *mem.EEPROM, *ecbus.Map, core.RetryPolicy, error) {
-	base, ok := BaseForMap(cfg.AddrMap)
-	if !ok {
-		return 0, nil, nil, core.RetryPolicy{}, fmt.Errorf("explore: unknown address map %q (valid maps: %s)",
-			cfg.AddrMap, strings.Join(AllAddrMaps, ", "))
-	}
-	hs := javacard.NewHardStack("stack", base)
-	ee := mem.NewEEPROM("ee", TearEEBase, tearEESize, k)
-
-	plan, ok := fault.Named(cfg.Fault)
-	if !ok {
-		return 0, nil, nil, core.RetryPolicy{}, fmt.Errorf("explore: unknown fault plan %q", cfg.Fault)
-	}
-	var retry core.RetryPolicy
-	rom, stack, eeS := ecbus.Slave(p.rom), ecbus.Slave(hs), ecbus.Slave(ee)
-	if !plan.Empty() {
-		rom = fault.Wrap(rom, plan).AttachMetrics(reg)
-		stack = fault.Wrap(stack, plan.WithoutReadErrors()).AttachMetrics(reg)
-		// The EEPROM's reads are idempotent, but an injected read error
-		// mid-replay would abort recovery rather than exercise it; the
-		// store keeps the write/wait projection like the stack.
-		eeS = fault.Wrap(eeS, plan.WithoutReadErrors()).AttachMetrics(reg)
-		retry = SweepRetry
-	}
-	bmap, err := ecbus.NewMap(rom, stack, eeS)
-	if err != nil {
-		return 0, nil, nil, core.RetryPolicy{}, err
-	}
-	return base, ee, bmap, retry, nil
-}
-
-// tearBus builds the configured timed bus over bmap, returning the
-// initiator and its bit-exact energy meter.
-func tearBus(cfg Config, k *sim.Kernel, bmap *ecbus.Map, char gatepower.CharTable, reg *metrics.Registry) (core.Initiator, func() float64, error) {
-	switch cfg.Layer {
-	case 1:
-		b := tlm1.New(k, bmap).AttachPower(tlm1.NewPowerModel(char))
-		if reg != nil {
-			b.AttachMetrics(reg)
-		}
-		return b, b.Power().TotalEnergy, nil
-	case 2:
-		b := tlm2.New(k, bmap).AttachPower(tlm2.NewPowerModel(char))
-		if reg != nil {
-			b.AttachMetrics(reg)
-		}
-		return b, b.Power().TotalEnergy, nil
-	default:
-		return nil, nil, fmt.Errorf("explore: card-tear injection needs a timed layer (1 or 2), got layer %d", cfg.Layer)
-	}
 }
 
 // persister mirrors committed VM statics into the persistent store:
@@ -305,10 +230,6 @@ func runTorn(ctx context.Context, cfg Config, p prepared, char gatepower.CharTab
 		return Result{}, fmt.Errorf("explore: unknown journal strategy %q (valid strategies: %s)",
 			cfg.Journal, strings.Join(journal.Names, ", "))
 	}
-	if cfg.Arb != "" {
-		return Result{}, fmt.Errorf("explore: card-tear injection is single-master only (arb %q)", cfg.Arb)
-	}
-
 	var reg *metrics.Registry
 	if metered {
 		reg = metrics.New(fmt.Sprintf("L%d", cfg.Layer))
@@ -317,35 +238,23 @@ func runTorn(ctx context.Context, cfg Config, p prepared, char gatepower.CharTab
 	region := TearRegion()
 
 	// ---- Phase A: the powered session, cut by the tear monitor.
-	k := sim.New(0)
-	base, ee, bmap, retry, err := buildTornMap(cfg, p, k, reg)
+	sa, err := newSystem(cfg, p, cfg.Layer, char, reg, reg)
 	if err != nil {
 		return Result{}, err
 	}
-	bus, energy, err := tearBus(cfg, k, bmap, char, reg)
-	if err != nil {
-		return Result{}, err
-	}
+	sa.boot()
+	k, ee, energy, vm := sa.k, sa.ee, sa.energy, sa.vm
 
 	clock := k.Cycle // the checker reports against the live phase's clock
 	pc := checker.NewPersist(func() uint64 { return clock() })
 	mon := tear.NewMonitor(plan, k.Cycle, energy, ee.Programs)
-	jbus := &wordMaster{k: k, bus: bus, retry: retry, mon: mon}
+	jbus := &wordMaster{k: k, bus: sa.cpu, retry: sa.retry, mon: mon}
 	jbus.onRead = func(addr uint64) {
 		if addr < region.JournalBase {
 			pc.ObserveRead(addr)
 		}
 	}
 	pers := newPersister(strat, region, jbus, pc)
-
-	adapter := javacard.NewMasterAdapter(k, bus, base, cfg.Org)
-	adapter.Retry = retry
-	fetcher := &blockingMaster{k: k, bus: bus, retry: retry}
-	mm, fw := p.w.Runtime()
-	vm := javacard.NewVM(p.prog, adapter, mm, fw)
-	vm.FetchHook = func(pcOff int) {
-		_ = fetcher.read8(uint64(pcOff) % romSize)
-	}
 	vm.StaticHook = pers.put
 
 	// The interpreter loop polls the monitor at every bytecode boundary
@@ -377,7 +286,7 @@ func runTorn(ctx context.Context, cfg Config, p prepared, char gatepower.CharTab
 		// Normal completion: flush the trailing transaction, which may
 		// itself be cut.
 		if err := pers.flush(); err == nil {
-			err = adapter.Flush()
+			err = sa.adapter.Flush()
 			if err != nil {
 				return Result{}, err
 			}
@@ -402,26 +311,23 @@ func runTorn(ctx context.Context, cfg Config, p prepared, char gatepower.CharTab
 		committed[a] = v
 	}
 	cyclesA, e1 := k.Cycle(), energy()
-	txA, retriesA := adapter.Transactions+fetcher.n+jbus.n, adapter.Retries+fetcher.retries+jbus.retries
+	txA, retriesA := sa.traffic()
+	txA, retriesA = txA+jbus.n, retriesA+jbus.retries
 
-	// ---- Phase B: power-up on the surviving EEPROM image.
-	k2 := sim.New(0)
-	_, ee2, bmap2, retry2, err := buildTornMap(cfg, p, k2, reg)
+	// ---- Phase B: power-up on the surviving EEPROM image. Phase B's
+	// bus carries its own meter; the registry stays on phase A's bus so
+	// the energy cursor never runs backward. The recovery energy is
+	// attributed through the journal counters instead.
+	sb, err := newSystem(cfg, p, cfg.Layer, char, reg, nil)
 	if err != nil {
 		return Result{}, err
 	}
-	if err := ee2.Load(0, ee.Bytes()); err != nil {
+	if err := sb.ee.Load(0, ee.Bytes()); err != nil {
 		return Result{}, err
 	}
-	// Phase B's bus carries its own meter; the registry stays on phase
-	// A's bus so the energy cursor never runs backward. The recovery
-	// energy is attributed through the journal counters instead.
-	bus2, energy2, err := tearBus(cfg, k2, bmap2, char, nil)
-	if err != nil {
-		return Result{}, err
-	}
+	k2, energy2 := sb.k, sb.energy
 	clock = k2.Cycle
-	jbus2 := &wordMaster{k: k2, bus: bus2, retry: retry2, mon: nil}
+	jbus2 := &wordMaster{k: k2, bus: sb.cpu, retry: sb.retry, mon: nil}
 	jbus2.onRead = jbus.onRead // same data-window filter, same checker
 
 	var rec journal.Recovery

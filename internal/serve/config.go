@@ -55,11 +55,7 @@ type canonConfig struct {
 }
 
 func canonicalizeConfig(req ConfigRequest) (canonConfig, error) {
-	var c canonConfig
-	if !explore.ValidLayer(req.Layer) {
-		return c, fmt.Errorf("serve: unsupported sweep layer %d (valid layers: %s)", req.Layer, explore.LayerVocab())
-	}
-	c.Layer = req.Layer
+	c := canonConfig{Layer: req.Layer}
 	org, ok := OrgByName(req.Org)
 	if !ok {
 		return c, fmt.Errorf("serve: unknown organization %q", req.Org)
@@ -75,34 +71,31 @@ func canonicalizeConfig(req ConfigRequest) (canonConfig, error) {
 		}
 	}
 	c.Fault = req.Fault
-	if req.Arb != "" && req.Arb != "none" {
+	if req.Arb != "" {
 		arbs, err := explore.ParseArbs(req.Arb)
 		if err != nil || len(arbs) != 1 {
 			return c, fmt.Errorf("serve: unknown arbitration policy %q", req.Arb)
 		}
 		c.Arb = arbs[0]
 	}
-	if req.Tear != "" && req.Tear != "none" {
-		if _, ok := tear.Named(req.Tear); !ok {
+	if req.Tear != "" {
+		tears, err := explore.ParseTears(req.Tear)
+		if err != nil || len(tears) != 1 {
 			return c, fmt.Errorf("serve: unknown tear plan %q (valid plans: %s)",
 				req.Tear, strings.Join(tear.Names, ", "))
 		}
-		c.Tear = req.Tear
+		c.Tear = tears[0]
 	}
-	if req.Journal != "" && req.Journal != "none" {
-		if _, ok := journal.Named(req.Journal); !ok {
+	if req.Journal != "" {
+		journals, err := explore.ParseJournals(req.Journal)
+		if err != nil || len(journals) != 1 {
 			return c, fmt.Errorf("serve: unknown journal strategy %q (valid strategies: %s)",
 				req.Journal, strings.Join(journal.Names, ", "))
 		}
-		c.Journal = req.Journal
+		c.Journal = journals[0]
 	}
-	if c.Tear != "" || c.Journal != "" {
-		if c.Layer != 1 && c.Layer != 2 {
-			return c, fmt.Errorf("serve: tear/journal configurations need timed layers (1, 2); layer %d requested", c.Layer)
-		}
-		if c.Arb != "" {
-			return c, fmt.Errorf("serve: tear/journal configurations are single-master only; arbitration %q requested", c.Arb)
-		}
+	if err := explore.Valid(explore.Config{Layer: c.Layer, Arb: c.Arb, Tear: c.Tear, Journal: c.Journal}); err != nil {
+		return c, fmt.Errorf("serve: %w", err)
 	}
 	found := false
 	for _, w := range javacard.Workloads() {
@@ -270,57 +263,29 @@ func ConfigKey(req ConfigRequest) (string, error) {
 
 // ExpandSweep canonicalizes a sweep request and enumerates its cross
 // product as ConfigRequests in exactly the order the rows appear in a
-// single-node sweep body (workloads outer, then layers, organizations,
-// maps, faults, arbitration policies, tear plans, journal strategies —
-// explore's canonical order). The coordinator fans these
-// out and reassembles the body by concatenating the returned rows in
-// this order, then appending the trailer.
+// single-node sweep body: workloads outer, then explore.Configs' order.
+// The coordinator fans these out and reassembles the body by
+// concatenating the returned rows in this order, then appending the
+// trailer.
 func ExpandSweep(req SweepRequest) (key string, configs []ConfigRequest, err error) {
 	c, err := canonicalizeSweep(req)
 	if err != nil {
 		return "", nil, err
 	}
-	faults := c.Faults
-	if len(faults) == 0 {
-		faults = []string{""}
-	}
-	arbs := c.Arbs
-	if len(arbs) == 0 {
-		arbs = []string{""}
-	}
-	tears := c.Tears
-	if len(tears) == 0 {
-		tears = []string{""}
-	}
-	journals := c.Journals
-	if len(journals) == 0 {
-		journals = []string{""}
-	}
+	cfgs := explore.Configs(c.axes(), c.Layers, c.Orgs, c.Maps)
 	for _, w := range c.Workloads {
-		for _, l := range c.Layers {
-			for _, o := range c.Orgs {
-				for _, m := range c.Maps {
-					for _, f := range faults {
-						for _, a := range arbs {
-							for _, tp := range tears {
-								for _, j := range journals {
-									configs = append(configs, ConfigRequest{
-										Workload:   w.Name,
-										Layer:      l,
-										Org:        o.String(),
-										AddrMap:    m,
-										Fault:      f,
-										Arb:        a,
-										Tear:       tp,
-										Journal:    j,
-										DeadlineMs: req.DeadlineMs,
-									})
-								}
-							}
-						}
-					}
-				}
-			}
+		for _, cfg := range cfgs {
+			configs = append(configs, ConfigRequest{
+				Workload:   w.Name,
+				Layer:      cfg.Layer,
+				Org:        cfg.Org.String(),
+				AddrMap:    cfg.AddrMap,
+				Fault:      cfg.Fault,
+				Arb:        cfg.Arb,
+				Tear:       cfg.Tear,
+				Journal:    cfg.Journal,
+				DeadlineMs: req.DeadlineMs,
+			})
 		}
 	}
 	return c.key(), configs, nil

@@ -44,6 +44,8 @@ func TestStatusMapping(t *testing.T) {
 		{"batch bad fault", "/v1/batch", `{"layer":0,"fault":"bogus"}`, http.StatusBadRequest},
 		{"config bad workload", "/v1/config", `{"workload":"nope","layer":1,"org":"byte-staged","addr_map":"near"}`, http.StatusBadRequest},
 		{"config bad org", "/v1/config", `{"workload":"arith-loop","layer":1,"org":"nope","addr_map":"near"}`, http.StatusBadRequest},
+		{"config tear at layer 3", "/v1/config", `{"workload":"arith-loop","layer":3,"org":"halfword","addr_map":"near","tear":"tear-mid"}`, http.StatusBadRequest},
+		{"config tear with arb", "/v1/config", `{"workload":"arith-loop","layer":1,"org":"halfword","addr_map":"near","arb":"rr","journal":"word-eager"}`, http.StatusBadRequest},
 	}
 	for _, c := range cases {
 		resp, err := http.Post(hs.URL+c.path, "application/json", bytes.NewReader([]byte(c.body)))

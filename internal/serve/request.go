@@ -273,11 +273,6 @@ func canonicalizeSweep(req SweepRequest) (canonSweep, error) {
 	if len(c.Layers) == 0 {
 		c.Layers = []int{1, 2}
 	}
-	for _, l := range c.Layers {
-		if !explore.ValidLayer(l) {
-			return c, fmt.Errorf("serve: unsupported sweep layer %d (valid layers: %s)", l, explore.LayerVocab())
-		}
-	}
 	fid, err := explore.ParseFidelity(req.Fidelity)
 	if err != nil {
 		return c, fmt.Errorf("serve: %w", err)
@@ -363,43 +358,16 @@ func canonicalizeSweep(req SweepRequest) (canonSweep, error) {
 		}
 		c.Journals = journals
 	}
-	if err := validateTearCombos(c); err != nil {
-		return c, err
+	if err := explore.ValidAxes(c.axes(), c.Layers); err != nil {
+		return c, fmt.Errorf("serve: %w", err)
 	}
 	return c, nil
 }
 
-// validateTearCombos rejects tear/journal axes that some requested
-// cell could not evaluate: card-tear injection needs a timed
-// single-master bus, so an active tear plan or journal strategy is
-// incompatible with layer 3 and with arbitration policies. Lists
-// containing only "none" (canonicalized to "") stay unrestricted.
-func validateTearCombos(c canonSweep) error {
-	active := false
-	for _, t := range c.Tears {
-		if t != "" {
-			active = true
-		}
-	}
-	for _, j := range c.Journals {
-		if j != "" {
-			active = true
-		}
-	}
-	if !active {
-		return nil
-	}
-	for _, l := range c.Layers {
-		if l != 1 && l != 2 {
-			return fmt.Errorf("serve: tear/journal axes need timed layers (1, 2); layer %d requested", l)
-		}
-	}
-	for _, a := range c.Arbs {
-		if a != "" {
-			return fmt.Errorf("serve: tear/journal axes are single-master only; arbitration %q requested", a)
-		}
-	}
-	return nil
+// axes returns the sweep's fault, arbitration, tear and journal axes
+// in the engine's option form.
+func (c canonSweep) axes() explore.SweepOpts {
+	return explore.SweepOpts{Faults: c.Faults, Arbs: c.Arbs, Tears: c.Tears, Journals: c.Journals}
 }
 
 // key content-addresses the sweep: every axis in request order plus a

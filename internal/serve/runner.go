@@ -75,8 +75,8 @@ func EnergyFromBits(s string) (float64, error) {
 // exactly as it always has; the screen and confirm fidelities add
 // their accounting to the trailer.
 func (s *Server) computeSweep(ctx context.Context, key string, c canonSweep) ([]byte, error) {
-	opts := explore.SweepOpts{Workers: s.opts.SweepWorkers, Faults: c.Faults, Arbs: c.Arbs,
-		Tears: c.Tears, Journals: c.Journals}
+	opts := c.axes()
+	opts.Workers = s.opts.SweepWorkers
 	if c.Fidelity != explore.FidelityExhaustive {
 		return s.computeSweepMultiFi(ctx, key, c, opts)
 	}

@@ -21,9 +21,13 @@ repro/internal/apdu:70
 repro/internal/journal:70
 repro/internal/tear:70
 repro/internal/serve:70
+repro/internal/explore:70
+repro/internal/core:70
+repro/internal/tlm2:70
 "
 
-out=$(go test -cover ./internal/metrics/ ./internal/fault/ ./internal/checker/ ./internal/batch/ ./internal/tlm3/ ./internal/calib/ ./internal/cluster/ ./internal/arb/ ./internal/dma/ ./internal/apdu/ ./internal/journal/ ./internal/tear/ ./internal/serve/)
+# shellcheck disable=SC2046 # word-split the package list
+out=$(go test -cover $(for spec in $FLOORS; do echo "${spec%:*}"; done))
 echo "$out"
 
 fail=0

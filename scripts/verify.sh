@@ -14,17 +14,14 @@ go test ./...
 echo "== vet"
 go vet ./...
 
-echo "== race gate (explore, sim, fault, serve, batch, tlm3, calib, cluster, arb, dma, crypto, tear, journal)"
-go test -race ./internal/explore/... ./internal/sim/... ./internal/fault/... ./internal/serve/... ./internal/batch/... ./internal/tlm3/... ./internal/calib/... ./internal/cluster/... ./internal/arb/... ./internal/dma/... ./internal/crypto/... ./internal/tear/... ./internal/journal/...
+echo "== race gate (scripts/gates.sh race)"
+./scripts/gates.sh race
 
 echo "== coverage floors"
 ./scripts/cover.sh
 
 echo "== fuzz smoke (10s per target)"
-go test -run '^$' -fuzz '^FuzzPlanParse$' -fuzztime 10s ./internal/fault/
-go test -run '^$' -fuzz '^FuzzWithoutReadErrors$' -fuzztime 10s ./internal/fault/
-go test -run '^$' -fuzz '^FuzzCheckerRules$' -fuzztime 10s ./internal/checker/
-go test -run '^$' -fuzz '^FuzzArbiterGrant$' -fuzztime 10s ./internal/arb/
+./scripts/gates.sh fuzz
 
 echo "== fault-plan smoke (ecbench)"
 go run ./cmd/ecbench -fault grind > /dev/null
@@ -58,6 +55,15 @@ for pol in fixed rr; do
 	echo "$arbout" | grep -q "/$pol\b" || {
 		echo "verify: arbitration smoke missing $pol rows" >&2; exit 1; }
 done
+
+echo "== axis rule smoke (jcexplore refuses a tear plan at layer 3 with exit 2)"
+jcdir=$(mktemp -d)
+go build -o "$jcdir/jcexplore" ./cmd/jcexplore
+rc=0
+"$jcdir/jcexplore" -layer 3 -tear tear-mid > /dev/null 2>&1 || rc=$?
+rm -rf "$jcdir"
+[ "$rc" -eq 2 ] || {
+	echo "verify: jcexplore -layer 3 -tear tear-mid exited $rc, want 2" >&2; exit 1; }
 
 echo "== cluster smoke (2 nodes, SIGKILL one mid-sweep)"
 tmpd=$(mktemp -d)
