@@ -27,13 +27,16 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"strings"
 
 	"repro/internal/batch"
 	"repro/internal/bench"
 	"repro/internal/explore"
-	"repro/internal/fault"
 	"repro/internal/platform"
 )
+
+// vocab renders an axis's vocabulary for flag help.
+func vocab(ax *explore.Axis) string { return strings.Join(ax.Vocab, ", ") }
 
 // tearNamesForGrid maps explore's canonical axis spellings (where
 // "none" folds to "") back to the grid vocabulary, which spells the
@@ -54,9 +57,9 @@ func main() {
 	figure := flag.Int("figure", 0, "print only figure 6")
 	exploreOnly := flag.Bool("explore", false, "print only the case-study exploration")
 	layerSpec := flag.String("layer", "", "comma-separated exploration sweep layers (valid: "+explore.LayerVocab()+"); empty = 1,2")
-	faultPlan := flag.String("fault", "", "print only the fault-robustness table for this plan (none, flaky, storm, grind)")
-	tearSpec := flag.String("tear", "", "print only the card-tear session grid for these comma-separated plans (none, tear-early, tear-mid, tear-late)")
-	journalSpec := flag.String("journal", "", "journaling strategies for the card-tear grid (none, word-eager, word-lazy, page-eager, page-lazy); implies the grid")
+	faultPlan := flag.String("fault", "", "print only the fault-robustness table for this plan ("+vocab(explore.FaultAxis)+")")
+	tearSpec := flag.String("tear", "", "print only the card-tear session grid for these comma-separated plans ("+vocab(explore.TearAxis)+")")
+	journalSpec := flag.String("journal", "", "journaling strategies for the card-tear grid ("+vocab(explore.JournalAxis)+"); implies the grid")
 	metricsOn := flag.Bool("metrics", false, "print the per-layer metrics report; diffs clean vs the -fault plan (default storm)")
 	batchN := flag.Int("batch", 0, "print only the serial-vs-batched corpus table at this lane width (1..64)")
 	n := flag.Int("n", 100000, "transactions per Table-3 measurement run")
@@ -68,10 +71,10 @@ func main() {
 
 	// Validate the fault plan before any table runs: a typo must exit
 	// non-zero up front with the valid vocabulary, not after minutes of
-	// simulation (and never degrade to a clean run). ParseNames also
+	// simulation (and never degrade to a clean run). The fault axis also
 	// redirects card-tear plan names to the -tear axis.
 	if *faultPlan != "" {
-		if _, err := fault.ParseNames(*faultPlan); err != nil {
+		if _, err := explore.FaultAxis.Canon(*faultPlan); err != nil {
 			fmt.Fprintln(os.Stderr, "ecbench:", err)
 			os.Exit(2)
 		}
@@ -80,7 +83,7 @@ func main() {
 	// The tear grid's vocabularies get the same up-front treatment.
 	var tearPlans, tearStrategies []string
 	if *tearSpec != "" {
-		names, err := explore.ParseTears(*tearSpec)
+		names, err := explore.TearAxis.Parse(*tearSpec)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "ecbench:", err)
 			os.Exit(2)
@@ -88,7 +91,7 @@ func main() {
 		tearPlans = tearNamesForGrid(names)
 	}
 	if *journalSpec != "" {
-		names, err := explore.ParseJournals(*journalSpec)
+		names, err := explore.JournalAxis.Parse(*journalSpec)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "ecbench:", err)
 			os.Exit(2)

@@ -36,7 +36,6 @@ import (
 	"repro/internal/batch"
 	"repro/internal/bench"
 	"repro/internal/explore"
-	"repro/internal/fault"
 	"repro/internal/javacard"
 	"repro/internal/metrics"
 	"repro/internal/serve"
@@ -46,10 +45,10 @@ func main() {
 	layerSpec := flag.String("layer", "", "comma-separated bus layers to sweep (valid: "+explore.LayerVocab()+"); empty = 1,2. With -batch: the single batched layer (0 or 1)")
 	fidelity := flag.String("fidelity", "", "sweep fidelity: exhaustive (default), screen (analytic predictions only) or confirm (screen, prune, confirm survivors exactly)")
 	workload := flag.String("workload", "", "restrict to one workload (arith-loop, stack-churn, wallet)")
-	faults := flag.String("faults", "", "comma-separated fault plans as an extra sweep axis (none, flaky, storm, grind)")
-	arbSpec := flag.String("arb", "", "comma-separated arbitration policies as an extra sweep axis (none, fixed, rr)")
-	tearSpec := flag.String("tear", "", "comma-separated card-tear plans as an extra sweep axis (none, tear-early, tear-mid, tear-late)")
-	journalSpec := flag.String("journal", "", "comma-separated journaling strategies as an extra sweep axis (none, word-eager, word-lazy, page-eager, page-lazy)")
+	axisSpecs := make([]*string, len(explore.Axes))
+	for i, ax := range explore.Axes {
+		axisSpecs[i] = flag.String(ax.Flag, "", "comma-separated "+ax.Noun+" list as an extra sweep axis ("+strings.Join(ax.Vocab, ", ")+")")
+	}
 	batchN := flag.Int("batch", 0, "run the batched corpus campaign at this lane width (1..64) instead of the sweep")
 	report := flag.Bool("report", false, "collect per-configuration metrics and print the run-report breakdown")
 	workers := flag.Int("workers", 0, "parallel sweep workers; 0 = one per CPU")
@@ -106,60 +105,29 @@ func main() {
 	}
 	workloads := javacard.Workloads()
 	if *workload != "" {
-		var filtered []javacard.Workload
-		for _, w := range workloads {
-			if w.Name == *workload {
-				filtered = append(filtered, w)
-			}
-		}
-		if len(filtered) == 0 {
+		w, ok := javacard.WorkloadByName(*workload)
+		if !ok {
 			fmt.Fprintf(os.Stderr, "jcexplore: unknown workload %q\n", *workload)
 			os.Exit(2)
 		}
-		workloads = filtered
+		workloads = []javacard.Workload{w}
 	}
 
-	var faultNames []string
-	if *faults != "" {
-		names, err := fault.ParseNames(*faults)
+	var axes explore.SweepOpts
+	for i, ax := range explore.Axes {
+		if *axisSpecs[i] == "" {
+			continue
+		}
+		names, err := ax.Parse(*axisSpecs[i])
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "jcexplore:", err)
 			os.Exit(2)
 		}
-		faultNames = names
-	}
-
-	var arbNames []string
-	if *arbSpec != "" {
-		names, err := explore.ParseArbs(*arbSpec)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "jcexplore:", err)
-			os.Exit(2)
-		}
-		arbNames = names
-	}
-
-	var tearNames, journalNames []string
-	if *tearSpec != "" {
-		names, err := explore.ParseTears(*tearSpec)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "jcexplore:", err)
-			os.Exit(2)
-		}
-		tearNames = names
-	}
-	if *journalSpec != "" {
-		names, err := explore.ParseJournals(*journalSpec)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "jcexplore:", err)
-			os.Exit(2)
-		}
-		journalNames = names
+		*ax.List(&axes) = names
 	}
 	// Refuse impossible axis combinations (tear/journal off a timed
 	// single-master bus) up front, through the rule the serve endpoints
 	// apply.
-	axes := explore.SweepOpts{Faults: faultNames, Arbs: arbNames, Tears: tearNames, Journals: journalNames}
 	if err := explore.ValidAxes(axes, layers); err != nil {
 		fmt.Fprintln(os.Stderr, "jcexplore:", err)
 		os.Exit(2)
@@ -189,7 +157,7 @@ func main() {
 				width, bench.BatchCampaignRuns)
 			width = bench.BatchCampaignRuns
 		}
-		text, err := bench.CampaignTable(blayer, width, faultNames)
+		text, err := bench.CampaignTable(blayer, width, axes.Faults)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "jcexplore:", err)
 			os.Exit(1)
@@ -202,7 +170,7 @@ func main() {
 		if *report || *progress {
 			fmt.Fprintln(os.Stderr, "jcexplore: -report and -progress are local-only; ignored with -remote")
 		}
-		results, err := remoteSweep(*remote, fid, layers, workloads, faultNames, arbNames, tearNames, journalNames)
+		results, err := remoteSweep(*remote, fid, layers, workloads, axes)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "jcexplore:", err)
 			os.Exit(1)
@@ -324,9 +292,9 @@ func printTables(results []explore.Result, report bool) {
 // the entry node irrelevant), so failover never changes the result.
 // Energies come from the exact IEEE-754 bit pattern in the stream, so
 // the printed tables are identical to a local run of the same axes.
-func remoteSweep(base string, fid explore.Fidelity, layers []int, workloads []javacard.Workload, faultNames, arbNames, tearNames, journalNames []string) ([]explore.Result, error) {
-	req := serve.SweepRequest{Layers: layers, Faults: faultNames, Arbs: arbNames,
-		Tears: tearNames, Journals: journalNames, Fidelity: string(fid)}
+func remoteSweep(base string, fid explore.Fidelity, layers []int, workloads []javacard.Workload, axes explore.SweepOpts) ([]explore.Result, error) {
+	req := serve.SweepRequest{Layers: layers, Faults: axes.Faults, Arbs: axes.Arbs,
+		Tears: axes.Tears, Journals: axes.Journals, Fidelity: string(fid)}
 	for _, w := range workloads {
 		req.Workloads = append(req.Workloads, w.Name)
 	}

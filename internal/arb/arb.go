@@ -47,8 +47,8 @@ func PolicyNames() string {
 	return strings.Join(parts, ", ")
 }
 
-// ParsePolicy validates a policy name upfront, mirroring
-// fault.ParseNames: unknown names fail loudly with the vocabulary.
+// ParsePolicy validates a policy name upfront: unknown names fail
+// loudly with the vocabulary.
 func ParsePolicy(s string) (Policy, error) {
 	switch Policy(s) {
 	case FixedPriority, RoundRobin:

@@ -69,7 +69,7 @@ func TearGrid(layer platform.Layer, planNames, strategyNames []string) ([]TearRo
 // tear-budget table.
 func TearTable(layer platform.Layer, planNames, strategyNames []string) (string, error) {
 	if len(planNames) == 0 {
-		planNames = []string{"none", "tear-early", "tear-mid", "tear-late"}
+		planNames = tear.Names
 	}
 	if len(strategyNames) == 0 {
 		strategyNames = journal.Names

@@ -12,16 +12,16 @@ import (
 )
 
 func TestParseArbs(t *testing.T) {
-	got, err := ParseArbs("none,fixed,rr")
+	got, err := ArbAxis.Parse("none,fixed,rr")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != 3 || got[0] != "" || got[1] != "fixed" || got[2] != "rr" {
-		t.Fatalf("ParseArbs = %q", got)
+		t.Fatalf("ArbAxis.Parse = %q", got)
 	}
 	for _, bad := range []string{"priority", "fixed,bogus", ""} {
-		if _, err := ParseArbs(bad); err == nil {
-			t.Fatalf("ParseArbs(%q) accepted", bad)
+		if _, err := ArbAxis.Parse(bad); err == nil {
+			t.Fatalf("ArbAxis.Parse(%q) accepted", bad)
 		}
 	}
 }

@@ -100,7 +100,7 @@ func LayerVocab() string {
 
 // ParseLayers parses a comma-separated layer list ("1,2,3"),
 // rejecting unknown layers upfront — the command-line mirror of
-// fault.ParseNames, so a bad layer fails loudly before any pool work.
+// Axis.Parse, so a bad layer fails loudly before any pool work.
 func ParseLayers(spec string) ([]int, error) {
 	var out []int
 	for _, part := range strings.Split(spec, ",") {
@@ -133,33 +133,6 @@ var SweepRetry = core.RetryPolicy{MaxRetries: 16, Backoff: 1}
 // line) keeps the single-master system and is the default.
 var ArbPolicies = []string{string(arb.FixedPriority), string(arb.RoundRobin)}
 
-// ParseArbs parses a comma-separated arbitration-policy list
-// ("none,fixed,rr"), folding "none" into the empty single-master
-// spelling and rejecting unknown policies upfront.
-func ParseArbs(spec string) ([]string, error) {
-	var out []string
-	for _, part := range strings.Split(spec, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		if part == "none" {
-			out = append(out, "")
-			continue
-		}
-		if _, err := arb.ParsePolicy(part); err != nil {
-			return nil, fmt.Errorf("explore: bad arbitration policy %q (valid: none, %s)",
-				part, strings.Join(ArbPolicies, ", "))
-		}
-		out = append(out, part)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("explore: empty arbitration list (valid: none, %s)",
-			strings.Join(ArbPolicies, ", "))
-	}
-	return out, nil
-}
-
 // Config is one point of the design space.
 type Config struct {
 	Layer   int // bus abstraction layer: 1, 2 (timed) or 3 (analytic)
@@ -178,8 +151,8 @@ type Config struct {
 // rendering stays unambiguous).
 func (c Config) String() string {
 	s := fmt.Sprintf("L%d/%s/%s", c.Layer, c.Org, c.AddrMap)
-	for _, v := range [...]string{c.Fault, c.Arb, c.Tear, c.Journal} {
-		if v = off(v); v != "" {
+	for _, ax := range Axes {
+		if v := off(*ax.Field(&c)); v != "" {
 			s += "/" + v
 		}
 	}
@@ -218,54 +191,51 @@ func Valid(cfg Config) error {
 	return nil
 }
 
-// ValidAxes applies Valid to every layer × arbitration × tear ×
-// journal combination of a sweep — the only axes the rule reads, so
-// the check stays cheap however many organizations, maps and
-// workloads the sweep names.
+// ValidAxes applies Valid to every layer × axis-row combination of a
+// sweep. Organizations, maps and workloads do not enter the rule, so
+// the check stays cheap however many of them the sweep names.
 func ValidAxes(opts SweepOpts, layers []int) error {
-	for _, l := range layers {
-		for _, a := range axis(opts.Arbs) {
-			for _, t := range axis(opts.Tears) {
-				for _, j := range axis(opts.Journals) {
-					if err := Valid(Config{Layer: l, Arb: a, Tear: t, Journal: j}); err != nil {
-						return err
-					}
-				}
-			}
+	var c Config
+	for _, c.Layer = range layers {
+		if err := cross(&opts, &c, 0, Valid); err != nil {
+			return err
 		}
 	}
 	return nil
 }
 
-// axis returns a sweep axis's values, the off value alone when empty.
-func axis(vals []string) []string {
-	if len(vals) == 0 {
-		return []string{""}
+// screenTrusted reports whether the analytic screen's prediction for
+// cfg may prune configurations (and be pruned): the multi-fidelity
+// sweep always confirms an untrusted configuration exactly and never
+// lets it dominate another. Two kinds lie outside the calibrated
+// bands: faulted contention, because the arbitration groups are fitted
+// on clean runs only, and torn/journaled runs, whose two-phase traffic
+// (session + power-up replay) the model was never fitted on.
+func screenTrusted(cfg Config) bool {
+	if off(cfg.Arb) != "" && off(cfg.Fault) != "" {
+		return false
 	}
-	return vals
+	return off(cfg.Tear) == "" && off(cfg.Journal) == ""
 }
 
 // Configs enumerates the cross product of the configuration axes in
-// canonical order: layers outer, then organizations, maps, fault
-// plans, arbitration policies, tear plans and journal strategies
-// innermost. An empty opts axis contributes its off value alone. The
-// sweep engine and the serving layer's distributed fan-out both expand
-// sweeps through it, so a single-node sweep body and its reassembled
-// fan-out list configurations in the same order.
+// canonical order: layers outer, then organizations, maps and the Axes
+// rows (fault plans, arbitration policies, tear plans and journal
+// strategies innermost). An empty opts axis contributes its off value
+// alone. The sweep engine and the serving layer's distributed fan-out
+// both expand sweeps through it, so a single-node sweep body and its
+// reassembled fan-out list configurations in the same order.
 func Configs(opts SweepOpts, layers []int, orgs []javacard.Organization, maps []string) []Config {
 	var cfgs []Config
-	for _, l := range layers {
-		for _, o := range orgs {
-			for _, m := range maps {
-				for _, f := range axis(opts.Faults) {
-					for _, a := range axis(opts.Arbs) {
-						for _, t := range axis(opts.Tears) {
-							for _, j := range axis(opts.Journals) {
-								cfgs = append(cfgs, Config{Layer: l, Org: o, AddrMap: m, Fault: f, Arb: a, Tear: t, Journal: j})
-							}
-						}
-					}
-				}
+	add := func(c Config) error {
+		cfgs = append(cfgs, c)
+		return nil
+	}
+	var c Config
+	for _, c.Layer = range layers {
+		for _, c.Org = range orgs {
+			for _, c.AddrMap = range maps {
+				cross(&opts, &c, 0, add)
 			}
 		}
 	}
@@ -466,7 +436,11 @@ func runPrepared(ctx context.Context, cfg Config, p prepared, char gatepower.Cha
 		return Result{}, err
 	}
 	c := cfg
-	c.Arb, c.Tear, c.Journal = off(cfg.Arb), off(cfg.Tear), off(cfg.Journal)
+	for _, ax := range Axes {
+		if ax.fold {
+			*ax.Field(&c) = off(*ax.Field(&c))
+		}
+	}
 	var res Result
 	var err error
 	switch {

@@ -34,7 +34,7 @@ const (
 var Fidelities = []Fidelity{FidelityExhaustive, FidelityScreen, FidelityConfirm}
 
 // ParseFidelity validates a fidelity name upfront, mirroring
-// fault.ParseNames: unknown names fail loudly with the vocabulary.
+// Axis.Parse: unknown names fail loudly with the vocabulary.
 func ParseFidelity(s string) (Fidelity, error) {
 	switch Fidelity(s) {
 	case FidelityExhaustive, FidelityScreen, FidelityConfirm:
@@ -167,8 +167,7 @@ func SweepMultiFidelityContext(ctx context.Context, opts MultiFidelityOpts, laye
 	// and the soundness argument only needs each configuration judged
 	// against its own band. The public per-layer maps keep the worst
 	// case for reporting. Faulted contended configurations are exempt
-	// from pruning (their group is calibrated clean-only), so no band is
-	// required for them.
+	// from pruning (screenTrusted), so no band is required for them.
 	arbsAxis := []string{""}
 	for _, a := range opts.Arbs {
 		if off(a) != "" {
@@ -262,7 +261,7 @@ func SweepMultiFidelityContext(ctx context.Context, opts MultiFidelityOpts, laye
 	wg.Wait()
 
 	preds := make([]Prediction, len(jobs))
-	exempt := make([]bool, len(jobs)) // never prune: layer 3 or failed screen
+	exempt := make([]bool, len(jobs)) // never prune: layer 3, failed or untrusted screen
 	for i, j := range jobs {
 		preds[i] = Prediction{Config: j.cfg, Workload: j.p.w.Name}
 		fr := featRes[keySlot[fkey{j.p.w.Name, j.cfg.Org, j.cfg.AddrMap, off(j.cfg.Fault), off(j.cfg.Arb)}]]
@@ -285,25 +284,10 @@ func SweepMultiFidelityContext(ctx context.Context, opts MultiFidelityOpts, laye
 		}
 		preds[i].EnergyJ = math.Max(e, 0)
 		preds[i].Cycles = math.Max(c, 0)
-		if j.cfg.Layer == 3 {
-			// The analytic layer is its own confirmation — keeping it
-			// costs one (already cached) counting run.
-			exempt[i] = true
-		}
-		if off(j.cfg.Arb) != "" && off(j.cfg.Fault) != "" {
-			// Faulted contention is outside the calibrated bands (arb
-			// groups are fitted clean-only): the prediction is reported
-			// but never trusted — the configuration is always confirmed
-			// exactly, and it never prunes anybody (exempt configurations
-			// are skipped as dominators below).
-			exempt[i] = true
-		}
-		if off(j.cfg.Tear) != "" || off(j.cfg.Journal) != "" {
-			// Torn/journaled runs carry two-phase traffic (session +
-			// power-up replay) the analytic model was never fitted on:
-			// always confirm exactly, never prune by the clean prediction.
-			exempt[i] = true
-		}
+		// The analytic layer is its own confirmation — keeping it costs
+		// one (already cached) counting run. An untrusted prediction is
+		// reported but always confirmed exactly.
+		exempt[i] = j.cfg.Layer == 3 || !screenTrusted(j.cfg)
 	}
 
 	// ---- ε-domination pruning, per workload.

@@ -44,41 +44,6 @@ func TearRegion() journal.Region {
 	}
 }
 
-// ParseTears parses a comma-separated tear-plan list ("none,tear-mid"),
-// folding "none" into the empty spelling and rejecting unknown plans
-// upfront with the full vocabulary.
-func ParseTears(spec string) ([]string, error) {
-	names, err := tear.ParseNames(spec)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]string, 0, len(names))
-	for _, n := range names {
-		out = append(out, off(n))
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("tear: empty plan list (valid plans: %s)", strings.Join(tear.Names, ", "))
-	}
-	return out, nil
-}
-
-// ParseJournals parses a comma-separated journal-strategy list,
-// folding "none" into the empty spelling.
-func ParseJournals(spec string) ([]string, error) {
-	names, err := journal.ParseNames(spec)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]string, 0, len(names))
-	for _, n := range names {
-		out = append(out, off(n))
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("journal: empty strategy list (valid strategies: %s)", strings.Join(journal.Names, ", "))
-	}
-	return out, nil
-}
-
 // wordMaster issues single 32-bit transactions to completion by
 // stepping the kernel — the journal's view of the bus. After every
 // completed operation it polls the tear monitor, so a power loss cuts

@@ -218,24 +218,24 @@ func TestSweepTearAxes(t *testing.T) {
 }
 
 func TestParseTearsAndJournals(t *testing.T) {
-	tears, err := ParseTears("none,tear-mid")
+	tears, err := TearAxis.Parse("none,tear-mid")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(tears) != 2 || tears[0] != "" || tears[1] != "tear-mid" {
 		t.Fatalf("tears = %q", tears)
 	}
-	if _, err := ParseTears("tear-sideways"); err == nil {
+	if _, err := TearAxis.Parse("tear-sideways"); err == nil {
 		t.Fatal("unknown tear plan accepted")
 	}
-	js, err := ParseJournals("none, word-lazy")
+	js, err := JournalAxis.Parse("none, word-lazy")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(js) != 2 || js[0] != "" || js[1] != "word-lazy" {
 		t.Fatalf("journals = %q", js)
 	}
-	if _, err := ParseJournals("page-sometimes"); err == nil {
+	if _, err := JournalAxis.Parse("page-sometimes"); err == nil {
 		t.Fatal("unknown journal strategy accepted")
 	}
 }

@@ -1,10 +1,5 @@
 package fault
 
-import (
-	"fmt"
-	"strings"
-)
-
 // Canonical named plans: the vocabulary of the exploration sweep's
 // fault axis, the ecbench fault table and the docs. Fixed seeds make
 // every run of a named plan reproducible bit for bit.
@@ -14,14 +9,6 @@ import (
 //	storm  wait-state storms plus stretched EEPROM/Flash busy windows
 //	grind  errors and storms combined, the worst-case soak
 var Names = []string{"none", "flaky", "storm", "grind"}
-
-// TearNames is the card-tear plan vocabulary of the -tear axis
-// (internal/tear's Names, duplicated here so the fault package — which
-// tear's clients sit below — can recognize them without an import
-// cycle; a consistency test in internal/tear keeps the two in sync).
-// Tear plans are power-loss events, not bus faults: they travel on
-// their own axis, and ParseNames rejects them with a pointer there.
-var TearNames = []string{"tear-early", "tear-mid", "tear-late"}
 
 // Named returns the canonical plan with the given name.
 func Named(name string) (Plan, bool) {
@@ -55,31 +42,4 @@ func Named(name string) (Plan, bool) {
 	default:
 		return Plan{}, false
 	}
-}
-
-// ParseNames validates a comma-separated list of named plans — the
-// form the CLI fault-axis flags take. Whitespace around elements is
-// trimmed and empty elements are dropped. An unknown name is an error
-// that spells out the valid vocabulary, so a typo fails loudly instead
-// of silently degrading to a clean run.
-func ParseNames(csv string) ([]string, error) {
-	var names []string
-	for _, name := range strings.Split(csv, ",") {
-		name = strings.TrimSpace(name)
-		if name == "" {
-			continue
-		}
-		if _, ok := Named(name); !ok {
-			for _, tn := range TearNames {
-				if name == tn {
-					return nil, fmt.Errorf("fault: %q is a card-tear plan, not a fault plan — pass it via the -tear axis (fault plans: %s; tear plans: %s)",
-						name, strings.Join(Names, ", "), strings.Join(TearNames, ", "))
-				}
-			}
-			return nil, fmt.Errorf("fault: unknown plan %q (valid plans: %s; tear plans travel on the -tear axis: %s)",
-				name, strings.Join(Names, ", "), strings.Join(TearNames, ", "))
-		}
-		names = append(names, name)
-	}
-	return names, nil
 }

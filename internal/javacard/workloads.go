@@ -204,3 +204,13 @@ func Workloads() []Workload {
 		{Name: "wallet", Program: func() Program { return WalletProgram(1000, 7, 40) }, Runtime: WalletRuntime},
 	}
 }
+
+// WorkloadByName resolves a workload name (the Workloads vocabulary).
+func WorkloadByName(name string) (Workload, bool) {
+	for _, w := range Workloads() {
+		if w.Name == name {
+			return w, true
+		}
+	}
+	return Workload{}, false
+}

@@ -29,7 +29,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"strings"
 )
 
 // ErrPowerLost is the sentinel a bus implementation returns when the
@@ -102,25 +101,6 @@ func Named(name string) (Strategy, bool) {
 	default:
 		return Strategy{}, false
 	}
-}
-
-// ParseNames validates a comma-separated strategy list, mirroring
-// fault.ParseNames: trims whitespace, drops empty elements, and rejects
-// an unknown name with the full vocabulary.
-func ParseNames(csv string) ([]string, error) {
-	var names []string
-	for _, name := range strings.Split(csv, ",") {
-		name = strings.TrimSpace(name)
-		if name == "" {
-			continue
-		}
-		if _, ok := Named(name); !ok {
-			return nil, fmt.Errorf("journal: unknown strategy %q (valid strategies: %s)",
-				name, strings.Join(Names, ", "))
-		}
-		names = append(names, name)
-	}
-	return names, nil
 }
 
 // Region locates the journal inside the non-volatile memory: the

@@ -48,20 +48,6 @@ func TestNamedVocabulary(t *testing.T) {
 	}
 }
 
-func TestParseNames(t *testing.T) {
-	got, err := ParseNames(" word-eager , ,page-lazy ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 2 || got[0] != "word-eager" || got[1] != "page-lazy" {
-		t.Fatalf("got %v", got)
-	}
-	_, err = ParseNames("word-eager,bogus")
-	if err == nil || !strings.Contains(err.Error(), "bogus") || !strings.Contains(err.Error(), "page-lazy") {
-		t.Fatalf("want unknown-name error with full vocabulary, got %v", err)
-	}
-}
-
 // eventSeq extracts the kind sequence for order assertions.
 func eventSeq(events []Event) []EventKind {
 	kinds := make([]EventKind, len(events))

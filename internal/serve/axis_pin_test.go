@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"testing"
@@ -112,5 +113,82 @@ func TestAxisKeysPinned(t *testing.T) {
 	const want = "2009ca349101a7ff73447d9d4825a803b667c7731cee4d646f93df91602fedde"
 	if got := hex.EncodeToString(h.Sum(nil)); got != want {
 		t.Fatalf("axis key digest %s, want %s", got, want)
+	}
+}
+
+// TestAxisElementsResolveAlone: every axis element of a sweep list and
+// every single-valued /v1/config axis field resolves on its own, by one
+// rule. "" is the off value — kept in a list, never dropped; [""] means
+// the same sweep as omitting the list; and a field accepts exactly what
+// one list element accepts, so a trailing comma is refused, not split.
+func TestAxisElementsResolveAlone(t *testing.T) {
+	sweep := func(field string, vals ...string) SweepRequest {
+		list, _ := json.Marshal(vals)
+		var req SweepRequest
+		if err := json.Unmarshal([]byte(`{"layers":[1],"`+field+`":`+string(list)+`}`), &req); err != nil {
+			t.Fatal(err)
+		}
+		return req
+	}
+	config := func(field, val string) ConfigRequest {
+		v, _ := json.Marshal(val)
+		var req ConfigRequest
+		body := `{"workload":"arith-loop","layer":1,"org":"halfword","addr_map":"near","` + field + `":` + string(v) + `}`
+		if err := json.Unmarshal([]byte(body), &req); err != nil {
+			t.Fatal(err)
+		}
+		return req
+	}
+	mustKey := func(key string, err error) string {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return key
+	}
+	plain := mustKey(SweepKey(SweepRequest{Layers: []int{1}}))
+	_, plainCfgs, err := ExpandSweep(SweepRequest{Layers: []int{1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ax := range explore.Axes {
+		list := ax.Name + "s"
+		if got := mustKey(SweepKey(sweep(list, ""))); got != plain {
+			t.Errorf("%s [\"\"]: key %s, want the omitted-list key %s", list, got, plain)
+		}
+		v := ax.Vocab[len(ax.Vocab)-1]
+		_, cfgs, err := ExpandSweep(sweep(list, "", v))
+		if err != nil {
+			t.Fatalf("%s [\"\", %q]: %v", list, v, err)
+		}
+		if len(cfgs) != 2*len(plainCfgs) {
+			t.Errorf("%s [\"\", %q]: %d configs, want %d (the off value dropped?)", list, v, len(cfgs), 2*len(plainCfgs))
+		}
+		for _, bad := range []string{v + ",", "," + v, "none," + v} {
+			if _, err := SweepKey(sweep(list, bad)); err == nil {
+				t.Errorf("%s [%q] accepted", list, bad)
+			}
+			if _, err := ConfigKey(config(ax.Name, bad)); err == nil {
+				t.Errorf("config %s %q accepted", ax.Name, bad)
+			}
+		}
+		if got, want := mustKey(ConfigKey(config(ax.Name, " "+v))), mustKey(ConfigKey(config(ax.Name, v))); got != want {
+			t.Errorf("config %s %q: key %s, want %q's key %s", ax.Name, " "+v, got, v, want)
+		}
+		if got, want := mustKey(SweepKey(sweep(list, " "+v))), mustKey(SweepKey(sweep(list, v))); got != want {
+			t.Errorf("%s [%q]: key %s, want [%q]'s key %s", list, " "+v, got, v, want)
+		}
+	}
+	// The arbitration case as first reported: both cells run.
+	_, cfgs, err := ExpandSweep(SweepRequest{Layers: []int{1}, Arbs: []string{"", "rr"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	arbs := map[string]int{}
+	for _, c := range cfgs {
+		arbs[c.Arb]++
+	}
+	if len(cfgs) != 48 || arbs[""] != 24 || arbs["rr"] != 24 {
+		t.Fatalf("arbs [\"\", rr]: %d configs, per policy %v; want 24 each", len(cfgs), arbs)
 	}
 }

@@ -8,15 +8,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"strings"
 	"time"
 
 	"repro/internal/calib"
 	"repro/internal/explore"
-	"repro/internal/fault"
 	"repro/internal/javacard"
-	"repro/internal/journal"
-	"repro/internal/tear"
 )
 
 // POST /v1/config: one sweep configuration — the work-stealing unit of
@@ -44,18 +40,13 @@ type ConfigRequest struct {
 // canonConfig is a validated configuration with every axis element
 // resolved against its vocabulary.
 type canonConfig struct {
+	explore.Config
 	Workload javacard.Workload
-	Layer    int
-	Org      javacard.Organization
-	AddrMap  string
-	Fault    string
-	Arb      string
-	Tear     string
-	Journal  string
 }
 
 func canonicalizeConfig(req ConfigRequest) (canonConfig, error) {
-	c := canonConfig{Layer: req.Layer}
+	c := canonConfig{Config: explore.Config{Layer: req.Layer, AddrMap: req.AddrMap,
+		Fault: req.Fault, Arb: req.Arb, Tear: req.Tear, Journal: req.Journal}}
 	org, ok := OrgByName(req.Org)
 	if !ok {
 		return c, fmt.Errorf("serve: unknown organization %q", req.Org)
@@ -64,47 +55,17 @@ func canonicalizeConfig(req ConfigRequest) (canonConfig, error) {
 	if _, ok := explore.BaseForMap(req.AddrMap); !ok {
 		return c, fmt.Errorf("serve: unknown address map %q", req.AddrMap)
 	}
-	c.AddrMap = req.AddrMap
-	if req.Fault != "" {
-		if _, ok := fault.Named(req.Fault); !ok {
-			return c, fmt.Errorf("serve: unknown fault plan %q (valid plans: %s)", req.Fault, strings.Join(fault.Names, ", "))
+	for _, ax := range explore.Axes {
+		v, err := ax.Canon(*ax.Field(&c.Config))
+		if err != nil {
+			return c, fmt.Errorf("serve: %w", err)
 		}
+		*ax.Field(&c.Config) = v
 	}
-	c.Fault = req.Fault
-	if req.Arb != "" {
-		arbs, err := explore.ParseArbs(req.Arb)
-		if err != nil || len(arbs) != 1 {
-			return c, fmt.Errorf("serve: unknown arbitration policy %q", req.Arb)
-		}
-		c.Arb = arbs[0]
-	}
-	if req.Tear != "" {
-		tears, err := explore.ParseTears(req.Tear)
-		if err != nil || len(tears) != 1 {
-			return c, fmt.Errorf("serve: unknown tear plan %q (valid plans: %s)",
-				req.Tear, strings.Join(tear.Names, ", "))
-		}
-		c.Tear = tears[0]
-	}
-	if req.Journal != "" {
-		journals, err := explore.ParseJournals(req.Journal)
-		if err != nil || len(journals) != 1 {
-			return c, fmt.Errorf("serve: unknown journal strategy %q (valid strategies: %s)",
-				req.Journal, strings.Join(journal.Names, ", "))
-		}
-		c.Journal = journals[0]
-	}
-	if err := explore.Valid(explore.Config{Layer: c.Layer, Arb: c.Arb, Tear: c.Tear, Journal: c.Journal}); err != nil {
+	if err := explore.Valid(c.Config); err != nil {
 		return c, fmt.Errorf("serve: %w", err)
 	}
-	found := false
-	for _, w := range javacard.Workloads() {
-		if w.Name == req.Workload {
-			c.Workload, found = w, true
-			break
-		}
-	}
-	if !found {
+	if c.Workload, ok = javacard.WorkloadByName(req.Workload); !ok {
 		return c, fmt.Errorf("serve: unknown workload %q", req.Workload)
 	}
 	return c, nil
@@ -129,8 +90,11 @@ func hashWorkload(h interface{ Write([]byte) (int, error) }, w javacard.Workload
 // bytes that would not be bit-identical.
 func (c canonConfig) key() string {
 	h := sha256.New()
-	fmt.Fprintf(h, "%s\x00config\x00%s\x00layer=%d\x00org=%s\x00map=%s\x00fault=%s\x00arb=%s\x00tear=%s\x00journal=%s\x00",
-		Version, calib.Version, c.Layer, c.Org.String(), c.AddrMap, c.Fault, c.Arb, c.Tear, c.Journal)
+	fmt.Fprintf(h, "%s\x00config\x00%s\x00layer=%d\x00org=%s\x00map=%s\x00",
+		Version, calib.Version, c.Layer, c.Org.String(), c.AddrMap)
+	for _, ax := range explore.Axes {
+		fmt.Fprintf(h, "%s=%s\x00", ax.Name, *ax.Field(&c.Config))
+	}
 	hashWorkload(h, c.Workload)
 	return hex.EncodeToString(h.Sum(nil))
 }
@@ -139,21 +103,13 @@ func (c canonConfig) key() string {
 // and renders its NDJSON row — byte-identical to the line the same
 // configuration contributes inside a full sweep body.
 func computeConfig(ctx context.Context, c canonConfig) ([]byte, error) {
-	var faults, arbs, tears, journals []string
-	if c.Fault != "" {
-		faults = []string{c.Fault}
+	opts := explore.SweepOpts{Workers: 1}
+	for _, ax := range explore.Axes {
+		if v := *ax.Field(&c.Config); v != "" {
+			*ax.List(&opts) = []string{v}
+		}
 	}
-	if c.Arb != "" {
-		arbs = []string{c.Arb}
-	}
-	if c.Tear != "" {
-		tears = []string{c.Tear}
-	}
-	if c.Journal != "" {
-		journals = []string{c.Journal}
-	}
-	results, err := explore.SweepContext(ctx,
-		explore.SweepOpts{Workers: 1, Faults: faults, Arbs: arbs, Tears: tears, Journals: journals},
+	results, err := explore.SweepContext(ctx, opts,
 		[]int{c.Layer}, []javacard.Organization{c.Org}, []string{c.AddrMap}, []javacard.Workload{c.Workload})
 	if cerr := ctx.Err(); cerr != nil {
 		return nil, cerr
@@ -272,7 +228,7 @@ func ExpandSweep(req SweepRequest) (key string, configs []ConfigRequest, err err
 	if err != nil {
 		return "", nil, err
 	}
-	cfgs := explore.Configs(c.axes(), c.Layers, c.Orgs, c.Maps)
+	cfgs := explore.Configs(c.Opts, c.Layers, c.Orgs, c.Maps)
 	for _, w := range c.Workloads {
 		for _, cfg := range cfgs {
 			configs = append(configs, ConfigRequest{

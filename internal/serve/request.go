@@ -249,10 +249,7 @@ type canonSweep struct {
 	OrgNames  []string
 	Maps      []string
 	Workloads []javacard.Workload
-	Faults    []string
-	Arbs      []string
-	Tears     []string
-	Journals  []string
+	Opts      explore.SweepOpts // the explore.Axes lists: faults, arbitration, tears, journals
 	Fidelity  explore.Fidelity
 }
 
@@ -307,67 +304,38 @@ func canonicalizeSweep(req SweepRequest) (canonSweep, error) {
 				m, strings.Join(explore.AllAddrMaps, ", "))
 		}
 	}
-	all := javacard.Workloads()
 	if len(req.Workloads) == 0 {
-		c.Workloads = all
-	} else {
-		for _, name := range req.Workloads {
-			found := false
-			for _, w := range all {
-				if w.Name == name {
-					c.Workloads = append(c.Workloads, w)
-					found = true
-					break
-				}
+		c.Workloads = javacard.Workloads()
+	}
+	for _, name := range req.Workloads {
+		w, ok := javacard.WorkloadByName(name)
+		if !ok {
+			var valid []string
+			for _, w := range javacard.Workloads() {
+				valid = append(valid, w.Name)
 			}
-			if !found {
-				var valid []string
-				for _, w := range all {
-					valid = append(valid, w.Name)
-				}
-				return c, fmt.Errorf("serve: unknown workload %q (valid: %s)",
-					name, strings.Join(valid, ", "))
+			return c, fmt.Errorf("serve: unknown workload %q (valid: %s)",
+				name, strings.Join(valid, ", "))
+		}
+		c.Workloads = append(c.Workloads, w)
+	}
+	// Each list element resolves on its own, exactly as the matching
+	// /v1/config field does: "" is the off value, never a dropped entry.
+	c.Opts = explore.SweepOpts{Faults: req.Faults, Arbs: req.Arbs, Tears: req.Tears, Journals: req.Journals}
+	for _, ax := range explore.Axes {
+		vals := *ax.List(&c.Opts)
+		canon := make([]string, len(vals))
+		for i, v := range vals {
+			if canon[i], err = ax.Canon(v); err != nil {
+				return c, fmt.Errorf("serve: %w", err)
 			}
 		}
+		*ax.List(&c.Opts) = canon
 	}
-	if len(req.Faults) > 0 {
-		names, err := fault.ParseNames(strings.Join(req.Faults, ","))
-		if err != nil {
-			return c, fmt.Errorf("serve: %w", err)
-		}
-		c.Faults = names
-	}
-	if len(req.Arbs) > 0 {
-		arbs, err := explore.ParseArbs(strings.Join(req.Arbs, ","))
-		if err != nil {
-			return c, fmt.Errorf("serve: %w", err)
-		}
-		c.Arbs = arbs
-	}
-	if len(req.Tears) > 0 {
-		tears, err := explore.ParseTears(strings.Join(req.Tears, ","))
-		if err != nil {
-			return c, fmt.Errorf("serve: %w", err)
-		}
-		c.Tears = tears
-	}
-	if len(req.Journals) > 0 {
-		journals, err := explore.ParseJournals(strings.Join(req.Journals, ","))
-		if err != nil {
-			return c, fmt.Errorf("serve: %w", err)
-		}
-		c.Journals = journals
-	}
-	if err := explore.ValidAxes(c.axes(), c.Layers); err != nil {
+	if err := explore.ValidAxes(c.Opts, c.Layers); err != nil {
 		return c, fmt.Errorf("serve: %w", err)
 	}
 	return c, nil
-}
-
-// axes returns the sweep's fault, arbitration, tear and journal axes
-// in the engine's option form.
-func (c canonSweep) axes() explore.SweepOpts {
-	return explore.SweepOpts{Faults: c.Faults, Arbs: c.Arbs, Tears: c.Tears, Journals: c.Journals}
 }
 
 // key content-addresses the sweep: every axis in request order plus a
@@ -379,8 +347,11 @@ func (c canonSweep) key() string {
 	// The calibration version is part of the address: layer-3 rows and
 	// the screen/confirm fidelities are functions of the fitted model,
 	// so a new fit procedure must miss the old cache entries.
-	fmt.Fprintf(h, "%s\x00sweep\x00%s\x00fidelity=%s\x00layers=%v\x00orgs=%v\x00maps=%v\x00faults=%v\x00arbs=%v\x00tears=%v\x00journals=%v\x00",
-		Version, calib.Version, c.Fidelity, c.Layers, c.OrgNames, c.Maps, c.Faults, c.Arbs, c.Tears, c.Journals)
+	fmt.Fprintf(h, "%s\x00sweep\x00%s\x00fidelity=%s\x00layers=%v\x00orgs=%v\x00maps=%v\x00",
+		Version, calib.Version, c.Fidelity, c.Layers, c.OrgNames, c.Maps)
+	for _, ax := range explore.Axes {
+		fmt.Fprintf(h, "%ss=%v\x00", ax.Name, *ax.List(&c.Opts))
+	}
 	for _, w := range c.Workloads {
 		hashWorkload(h, w)
 	}

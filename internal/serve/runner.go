@@ -75,7 +75,7 @@ func EnergyFromBits(s string) (float64, error) {
 // exactly as it always has; the screen and confirm fidelities add
 // their accounting to the trailer.
 func (s *Server) computeSweep(ctx context.Context, key string, c canonSweep) ([]byte, error) {
-	opts := c.axes()
+	opts := c.Opts
 	opts.Workers = s.opts.SweepWorkers
 	if c.Fidelity != explore.FidelityExhaustive {
 		return s.computeSweepMultiFi(ctx, key, c, opts)

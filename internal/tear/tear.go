@@ -19,12 +19,7 @@
 // so they too reproduce exactly on a given layer.
 package tear
 
-import (
-	"fmt"
-	"strings"
-
-	"repro/internal/journal"
-)
+import "repro/internal/journal"
 
 // ErrPowerLost re-exports the power-loss sentinel bus masters return
 // once the monitor has latched. It is defined in internal/journal — the
@@ -77,25 +72,6 @@ func Named(name string) (Plan, bool) {
 	default:
 		return Plan{}, false
 	}
-}
-
-// ParseNames validates a comma-separated tear-plan list, mirroring
-// fault.ParseNames: trims whitespace, drops empty elements, rejects an
-// unknown name with the full vocabulary.
-func ParseNames(csv string) ([]string, error) {
-	var names []string
-	for _, name := range strings.Split(csv, ",") {
-		name = strings.TrimSpace(name)
-		if name == "" {
-			continue
-		}
-		if _, ok := Named(name); !ok {
-			return nil, fmt.Errorf("tear: unknown plan %q (valid plans: %s)",
-				name, strings.Join(Names, ", "))
-		}
-		names = append(names, name)
-	}
-	return names, nil
 }
 
 // Monitor watches a running simulation and latches when the plan's

@@ -1,11 +1,6 @@
 package tear
 
-import (
-	"strings"
-	"testing"
-
-	"repro/internal/fault"
-)
+import "testing"
 
 func TestNamedVocabulary(t *testing.T) {
 	for _, name := range Names {
@@ -30,47 +25,6 @@ func TestNamedVocabulary(t *testing.T) {
 	}
 	if _, ok := Named("tear-never"); ok {
 		t.Fatal("unknown plan resolved")
-	}
-}
-
-func TestParseNames(t *testing.T) {
-	got, err := ParseNames(" tear-early , ,tear-late ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 2 || got[0] != "tear-early" || got[1] != "tear-late" {
-		t.Fatalf("got %v", got)
-	}
-	_, err = ParseNames("tear-early,bogus")
-	if err == nil || !strings.Contains(err.Error(), `"bogus"`) {
-		t.Fatalf("want unknown-plan error, got %v", err)
-	}
-	for _, n := range Names {
-		if !strings.Contains(err.Error(), n) {
-			t.Fatalf("error does not list %q: %v", n, err)
-		}
-	}
-}
-
-// fault.TearNames is this package's vocabulary duplicated below the
-// import cycle; the two must never drift.
-func TestFaultVocabularyConsistent(t *testing.T) {
-	want := map[string]bool{}
-	for _, n := range Names {
-		if n != "none" {
-			want[n] = true
-		}
-	}
-	if len(fault.TearNames) != len(want) {
-		t.Fatalf("fault.TearNames = %v, tear.Names = %v", fault.TearNames, Names)
-	}
-	for _, n := range fault.TearNames {
-		if !want[n] {
-			t.Fatalf("fault.TearNames lists %q, unknown to tear.Named", n)
-		}
-		if _, ok := Named(n); !ok {
-			t.Fatalf("fault.TearNames lists %q, not resolvable", n)
-		}
 	}
 }
 

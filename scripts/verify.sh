@@ -56,14 +56,18 @@ for pol in fixed rr; do
 		echo "verify: arbitration smoke missing $pol rows" >&2; exit 1; }
 done
 
-echo "== axis rule smoke (jcexplore refuses a tear plan at layer 3 with exit 2)"
+echo "== axis rule smoke (jcexplore refuses a tear plan at layer 3 and an unknown name on every axis flag with exit 2)"
 jcdir=$(mktemp -d)
 go build -o "$jcdir/jcexplore" ./cmd/jcexplore
-rc=0
-"$jcdir/jcexplore" -layer 3 -tear tear-mid > /dev/null 2>&1 || rc=$?
+for args in "-layer 3 -tear tear-mid" "-faults bogus" "-arb bogus" "-tear bogus" "-journal bogus"; do
+	rc=0
+	# shellcheck disable=SC2086 # word-split the flag pair
+	"$jcdir/jcexplore" $args > /dev/null 2>&1 || rc=$?
+	[ "$rc" -eq 2 ] || {
+		rm -rf "$jcdir"
+		echo "verify: jcexplore $args exited $rc, want 2" >&2; exit 1; }
+done
 rm -rf "$jcdir"
-[ "$rc" -eq 2 ] || {
-	echo "verify: jcexplore -layer 3 -tear tear-mid exited $rc, want 2" >&2; exit 1; }
 
 echo "== cluster smoke (2 nodes, SIGKILL one mid-sweep)"
 tmpd=$(mktemp -d)
