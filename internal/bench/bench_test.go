@@ -1,8 +1,13 @@
 package bench
 
 import (
+	"runtime"
+	"sort"
 	"strings"
 	"testing"
+	"time"
+
+	"repro/internal/core"
 )
 
 func TestTable1ReproducesPaperShape(t *testing.T) {
@@ -45,16 +50,18 @@ func TestTable3ReproducesPaperShape(t *testing.T) {
 		t.Fatalf("row %s/%v missing", model, energy)
 		return 0
 	}
-	l1e, l1 := get("TL Layer 1", true), get("TL Layer 1", false)
-	l2e := get("TL Layer 2", true)
+	l1e, l2e := get("TL Layer 1", true), get("TL Layer 2", true)
 	rtlE, rtl := get("Layer 0 (signal)", true), get("Layer 0 (signal)", false)
 	// Paper shape, restricted to the relations this implementation
 	// reproduces robustly (see EXPERIMENTS.md): energy estimation costs
 	// throughput, most of all at gate level; the layer-2 energy model
 	// (per finished phase) simulates faster than the layer-1 one (per
 	// cycle) — the paper's 1.52x factor between the estimating models.
-	if l1e > l1*1.05 {
-		t.Errorf("L1 with energy (%.0f) faster than without (%.0f)", l1e, l1)
+	// The energy-cost claim is timed on its own, in interleaved pairs
+	// compared by median, so a load burst on a shared machine slows both
+	// sides of a pair alike instead of one side's whole best-of-three.
+	if with, without := tl1PairMedians(9, 150000); with > without*1.05 {
+		t.Errorf("L1 with energy (%.0f) faster than without (%.0f), medians of 9 interleaved pairs", with, without)
 	}
 	// Cross-model wall-clock comparisons fluctuate by tens of percent on
 	// shared machines; they are reported (here and in EXPERIMENTS.md)
@@ -64,6 +71,35 @@ func TestTable3ReproducesPaperShape(t *testing.T) {
 	t.Logf("L2+energy / L1+energy throughput factor: %.2f (paper: 1.52)", l2e/l1e)
 	t.Logf("gate-level estimation: %.0f kT/s vs %.0f kT/s without", rtlE, rtl)
 	t.Log("\n" + text)
+}
+
+// tl1PairMedians times TL1 with and without energy estimation in
+// interleaved pairs, alternating which side runs first, and returns
+// each side's median throughput in kT/s.
+func tl1PairMedians(pairs, n int) (with, without float64) {
+	char := CharTable()
+	rate := func(energy bool) float64 {
+		items := core.PerfCorpus(lay, n)
+		runtime.GC() // no run pays for the garbage of the one before
+		start := time.Now()
+		runLayer(1, items, energy, char)
+		return float64(n) / time.Since(start).Seconds() / 1e3
+	}
+	var ws, wos []float64
+	for i := 0; i < pairs; i++ {
+		if i%2 == 0 {
+			ws = append(ws, rate(true))
+			wos = append(wos, rate(false))
+		} else {
+			wos = append(wos, rate(false))
+			ws = append(ws, rate(true))
+		}
+	}
+	median := func(xs []float64) float64 {
+		sort.Float64s(xs)
+		return xs[len(xs)/2]
+	}
+	return median(ws), median(wos)
 }
 
 func TestFigure6Text(t *testing.T) {

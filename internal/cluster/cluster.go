@@ -29,7 +29,6 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -160,16 +159,9 @@ func New(srv *serve.Server, opts Options) *Node {
 	sort.Strings(n.peers)
 
 	n.mux = http.NewServeMux()
-	n.mux.HandleFunc("POST /v1/estimate", func(w http.ResponseWriter, r *http.Request) {
-		n.handleKeyed(w, r, "estimate", "/v1/estimate")
-	})
-	n.mux.HandleFunc("POST /v1/batch", func(w http.ResponseWriter, r *http.Request) {
-		n.handleKeyed(w, r, "batch", "/v1/batch")
-	})
-	n.mux.HandleFunc("POST /v1/config", func(w http.ResponseWriter, r *http.Request) {
-		n.handleKeyed(w, r, "config", "/v1/config")
-	})
-	n.mux.HandleFunc("POST /v1/sweep", n.handleSweep)
+	for _, rt := range serve.Routes() {
+		n.mux.HandleFunc("POST /v1/"+rt.Name, n.handle(rt))
+	}
 	n.mux.HandleFunc("GET /metricz", n.handleMetricz)
 	n.mux.Handle("/", srv.Handler())
 
@@ -281,28 +273,10 @@ func rendezvousScore(node, key string) uint64 {
 	return binary.BigEndian.Uint64(h.Sum(nil))
 }
 
-// respondError mirrors the serve layer's JSON error body.
-func respondError(w http.ResponseWriter, status int, err error) {
-	if status == http.StatusTooManyRequests || status == http.StatusServiceUnavailable {
-		w.Header().Set("Retry-After", "1")
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(map[string]string{"error": err.Error()})
-}
-
-// contentTypeFor returns an endpoint's response content type.
-func contentTypeFor(kind string) string {
-	if kind == "estimate" {
-		return "application/json"
-	}
-	return "application/x-ndjson"
-}
-
 // writeBody serves result bytes verbatim with the cache verdict and
 // the node that supplied them.
-func (n *Node) writeBody(w http.ResponseWriter, kind, key, verdict, from string, body []byte) {
-	w.Header().Set("Content-Type", contentTypeFor(kind))
+func (n *Node) writeBody(w http.ResponseWriter, rt serve.Route, key, verdict, from string, body []byte) {
+	w.Header().Set("Content-Type", rt.ContentType)
 	w.Header().Set("X-Cache", verdict)
 	w.Header().Set("X-Key", key)
 	w.Header().Set(nodeHeader, from)
@@ -313,43 +287,16 @@ func (n *Node) writeBody(w http.ResponseWriter, kind, key, verdict, from string,
 // guard. A false return means the response is already written.
 func (n *Node) readRequest(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
 	if v := r.Header.Get(versionHeader); v != "" && v != VersionTag() {
-		respondError(w, http.StatusPreconditionFailed,
+		serve.RespondError(w, http.StatusPreconditionFailed,
 			fmt.Errorf("cluster: peer version %q incompatible with %q", v, VersionTag()))
 		return nil, false
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 4<<20))
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, serve.MaxBodyBytes))
 	if err != nil {
-		respondError(w, http.StatusBadRequest, fmt.Errorf("cluster: bad request body: %w", err))
+		serve.RespondError(w, http.StatusBadRequest, fmt.Errorf("cluster: bad request body: %w", err))
 		return nil, false
 	}
 	return body, true
-}
-
-// keyFor computes the content address of a keyed endpoint's request
-// body — the same canonicalization its local handler would apply, so
-// an invalid request answers 400 here without a network hop.
-func keyFor(kind string, body []byte) (string, error) {
-	switch kind {
-	case "estimate":
-		var req serve.EstimateRequest
-		if err := json.Unmarshal(body, &req); err != nil {
-			return "", fmt.Errorf("serve: bad request body: %w", err)
-		}
-		return serve.EstimateKey(req)
-	case "batch":
-		var req serve.BatchRequest
-		if err := json.Unmarshal(body, &req); err != nil {
-			return "", fmt.Errorf("serve: bad request body: %w", err)
-		}
-		return serve.BatchKey(req)
-	case "config":
-		var req serve.ConfigRequest
-		if err := json.Unmarshal(body, &req); err != nil {
-			return "", fmt.Errorf("serve: bad request body: %w", err)
-		}
-		return serve.ConfigKey(req)
-	}
-	return "", fmt.Errorf("cluster: unroutable endpoint %q", kind)
 }
 
 // delegate hands the request to the local serve.Server with its body
@@ -360,46 +307,56 @@ func (n *Node) delegate(w http.ResponseWriter, r *http.Request, body []byte) {
 	n.srv.Handler().ServeHTTP(w, r)
 }
 
-// handleKeyed is the routing path shared by /v1/estimate, /v1/batch
-// and /v1/config: local cache tier, then ownership routing with a
-// peer fetch, then local compute.
-func (n *Node) handleKeyed(w http.ResponseWriter, r *http.Request, kind, path string) {
-	body, ok := n.readRequest(w, r)
-	if !ok {
-		return
-	}
-	forwarded := r.Header.Get(forwardHeader) != ""
-	if forwarded && kind == "config" {
-		// A forwarded configuration is one unit of a remote
-		// coordinator's sweep landing on our queue — a steal.
-		n.reg().Steal()
-	}
-	key, err := keyFor(kind, body)
-	if err != nil {
-		n.reg().Request(kind)
-		respondError(w, http.StatusBadRequest, err)
-		return
-	}
-	// Tier 1: the local cache replays its bytes no matter who computed
-	// them.
-	if cached, ok := n.srv.CacheGet(key); ok {
-		n.reg().Request(kind)
-		n.reg().Outcome(kind, metrics.ServeHit, 0)
-		n.writeBody(w, kind, key, "hit", n.opts.Self, cached)
-		return
-	}
-	owner := n.owner(key)
-	if forwarded || owner == n.opts.Self {
+// handle is the routing path of every compute endpoint: the strict
+// parse (an invalid request answers 400 here, without a network hop),
+// the local cache tier, ownership routing with a peer fetch, then — for
+// an exhaustive sweep — distribution, else local compute.
+func (n *Node) handle(rt serve.Route) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		body, ok := n.readRequest(w, r)
+		if !ok {
+			return
+		}
+		req, err := serve.Parse(rt.Name, body)
+		if err != nil {
+			n.reg().Request(rt.Name)
+			serve.RespondError(w, http.StatusBadRequest, err)
+			return
+		}
+		forwarded := r.Header.Get(forwardHeader) != ""
+		if _, unit := req.Body.(*serve.ConfigRequest); unit && forwarded {
+			// A forwarded configuration is one unit of a remote
+			// coordinator's sweep landing on our queue — a steal.
+			n.reg().Steal()
+		}
+		if req.Async {
+			// Jobs stay node-local: the job registry is not replicated.
+			n.delegate(w, r, body)
+			return
+		}
+		// Tier 1: the local cache replays its bytes no matter who
+		// computed them.
+		if cached, ok := n.srv.CacheGet(req.Key); ok {
+			n.reg().Request(rt.Name)
+			n.reg().Outcome(rt.Name, metrics.ServeHit, 0)
+			n.writeBody(w, rt, req.Key, "hit", n.opts.Self, cached)
+			return
+		}
+		// Tier 2: fetch from the owner; its response bytes are relayed
+		// and cached verbatim. A forwarded request is served here.
+		if !forwarded {
+			if owner := n.owner(req.Key); owner != n.opts.Self &&
+				n.tryPeerFetch(w, r.Context(), rt, req.Key, owner, body) {
+				return
+			}
+		}
+		if sweep, ok := req.Body.(*serve.SweepRequest); ok && n.distributes(sweep) {
+			n.distributedSweep(w, r, rt, req, *sweep)
+			return
+		}
+		// Tier 3: compute locally.
 		n.delegate(w, r, body)
-		return
 	}
-	// Tier 2: fetch from the owner; its response bytes are relayed and
-	// cached verbatim.
-	if n.tryPeerFetch(w, r.Context(), kind, path, key, owner, body) {
-		return
-	}
-	// Tier 3: compute locally.
-	n.delegate(w, r, body)
 }
 
 // tryPeerFetch forwards the request to the owning peer. It reports
@@ -410,8 +367,8 @@ func (n *Node) handleKeyed(w http.ResponseWriter, r *http.Request, kind, path st
 // network errors, 5xx, version mismatches and peer backpressure all
 // return false: retry elsewhere, which here means the local compute
 // fallback.
-func (n *Node) tryPeerFetch(w http.ResponseWriter, ctx context.Context, kind, path, key, owner string, body []byte) bool {
-	resp, peerBody, err := n.forward(ctx, owner, path, body)
+func (n *Node) tryPeerFetch(w http.ResponseWriter, ctx context.Context, rt serve.Route, key, owner string, body []byte) bool {
+	resp, peerBody, err := n.forward(ctx, owner, "/v1/"+rt.Name, body)
 	if err != nil {
 		n.reg().PeerError()
 		n.markDead(owner)
@@ -419,20 +376,20 @@ func (n *Node) tryPeerFetch(w http.ResponseWriter, ctx context.Context, kind, pa
 	}
 	switch {
 	case resp.StatusCode == http.StatusOK:
-		if err := validateStream(kind, peerBody); err != nil {
+		if err := rt.Check(peerBody); err != nil {
 			n.reg().PeerError()
 			if errors.Is(err, serve.ErrTruncatedBody) {
 				return false // retry elsewhere: fall back to local compute
 			}
-			respondError(w, http.StatusBadGateway,
+			serve.RespondError(w, http.StatusBadGateway,
 				fmt.Errorf("cluster: corrupt body from %s: %w", owner, err))
 			return true
 		}
 		n.srv.CachePut(key, peerBody)
-		n.reg().Request(kind)
+		n.reg().Request(rt.Name)
 		n.reg().PeerFetch()
-		n.reg().Outcome(kind, metrics.ServeHit, 0)
-		n.writeBody(w, kind, key, "peer", owner, peerBody)
+		n.reg().Outcome(rt.Name, metrics.ServeHit, 0)
+		n.writeBody(w, rt, key, "peer", owner, peerBody)
 		return true
 	case resp.StatusCode >= 400 && resp.StatusCode < 500 &&
 		resp.StatusCode != http.StatusTooManyRequests &&
@@ -441,7 +398,7 @@ func (n *Node) tryPeerFetch(w http.ResponseWriter, ctx context.Context, kind, pa
 		// Deterministic request errors (400 vocabulary violations)
 		// relay as-is; backpressure and version mismatch fall through
 		// to the local fallback instead.
-		n.reg().Request(kind)
+		n.reg().Request(rt.Name)
 		w.Header().Set("Content-Type", resp.Header.Get("Content-Type"))
 		w.Header().Set(nodeHeader, owner)
 		w.WriteHeader(resp.StatusCode)
@@ -453,35 +410,6 @@ func (n *Node) tryPeerFetch(w http.ResponseWriter, ctx context.Context, kind, pa
 			n.markDead(owner)
 		}
 		return false
-	}
-}
-
-// validateStream checks that a fetched NDJSON body carries its trailer
-// before the bytes are cached or relayed — the ErrTruncatedBody
-// distinction is what lets the cluster retry a cut-off transfer
-// elsewhere while failing fast on corruption.
-func validateStream(kind string, body []byte) error {
-	switch kind {
-	case "sweep":
-		_, _, err := serve.ParseSweepBody(body)
-		return err
-	case "batch":
-		_, _, err := serve.ParseBatchBody(body)
-		return err
-	case "config":
-		if len(body) == 0 || body[len(body)-1] != '\n' {
-			return fmt.Errorf("config row: %w", serve.ErrTruncatedBody)
-		}
-		return nil
-	default: // estimate: a single JSON document
-		var probe serve.EstimateResponse
-		if err := json.Unmarshal(body, &probe); err != nil {
-			if errors.Is(err, io.ErrUnexpectedEOF) || len(bytes.TrimSpace(body)) == 0 {
-				return fmt.Errorf("estimate body: %w", serve.ErrTruncatedBody)
-			}
-			return err
-		}
-		return nil
 	}
 }
 

@@ -121,7 +121,14 @@ func post(t *testing.T, url, path string, req any, hdr map[string]string) (int, 
 	if err != nil {
 		t.Fatalf("marshal: %v", err)
 	}
-	hreq, err := http.NewRequest(http.MethodPost, url+path, bytes.NewReader(payload))
+	return postRaw(t, url, path, string(payload), hdr)
+}
+
+// postRaw sends raw body bytes to a node and returns status, body and
+// the response headers.
+func postRaw(t *testing.T, url, path, payload string, hdr map[string]string) (int, []byte, http.Header) {
+	t.Helper()
+	hreq, err := http.NewRequest(http.MethodPost, url+path, strings.NewReader(payload))
 	if err != nil {
 		t.Fatalf("request: %v", err)
 	}
@@ -139,6 +146,20 @@ func post(t *testing.T, url, path string, req any, hdr map[string]string) (int, 
 		t.Fatalf("read body: %v", err)
 	}
 	return resp.StatusCode, body, resp.Header
+}
+
+// keyOf is a request's content address, keyed as the router keys it.
+func keyOf(t *testing.T, endpoint string, req any) string {
+	t.Helper()
+	body, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := serve.Parse(endpoint, body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p.Key
 }
 
 // singleNodeBody computes a request's reference bytes on a fresh
@@ -203,10 +224,7 @@ func TestClusterByteEquivalence(t *testing.T) {
 func TestPeerCacheReplay(t *testing.T) {
 	tc := startCluster(t, 2, nil, nil)
 	req := serve.EstimateRequest{Layer: 0, N: 48}
-	key, err := serve.EstimateKey(req)
-	if err != nil {
-		t.Fatal(err)
-	}
+	key := keyOf(t, "estimate", req)
 	// Find the owner and the non-owner of this key.
 	ownerURL := tc.nodes[0].owner(key)
 	nonOwner := tc.urls[0]
@@ -357,23 +375,35 @@ func TestVersionMismatch(t *testing.T) {
 	}
 }
 
-// TestBadRequestRouted: canonicalization failures answer 400 at the
-// entry node without any peer traffic.
+// TestBadRequestRouted: request errors answer 400 at the entry node
+// without any peer traffic, and with the status a bare serve.Server
+// answers for the same bytes — the strict decode (unknown field, data
+// after the object, the body-size cap) included.
 func TestBadRequestRouted(t *testing.T) {
 	tc := startCluster(t, 2, nil, nil)
+	single := serve.New(serve.Options{Workers: 2})
+	defer single.Close()
+	ht := httptest.NewServer(single.Handler())
+	defer ht.Close()
 	cases := []struct {
-		path string
-		req  any
+		path, body string
 	}{
-		{"/v1/estimate", serve.EstimateRequest{Layer: 9}},
-		{"/v1/batch", serve.BatchRequest{Layer: 7}},
-		{"/v1/sweep", serve.SweepRequest{Layers: []int{99}}},
-		{"/v1/config", serve.ConfigRequest{Workload: "nope", Layer: 1, Org: "x", AddrMap: "near"}},
+		{"/v1/estimate", `{"layer":9}`},
+		{"/v1/batch", `{"layer":7}`},
+		{"/v1/sweep", `{"layers":[99]}`},
+		{"/v1/config", `{"workload":"nope","layer":1,"org":"x","addr_map":"near"}`},
+		{"/v1/sweep", `{"arb":"rr"}`},
+		{"/v1/estimate", `{"layer":0}{"x":1}`},
+		{"/v1/config", `{"workload":"arith-loop","layer":1,"org":"halfword","addr_map":"near"}]`},
+		{"/v1/estimate", `{"layer":0` + strings.Repeat(" ", serve.MaxBodyBytes) + `}`},
 	}
 	for _, c := range cases {
-		status, body, _ := post(t, tc.urls[0], c.path, c.req, nil)
+		status, body, _ := postRaw(t, tc.urls[0], c.path, c.body, nil)
 		if status != http.StatusBadRequest {
-			t.Errorf("%s invalid request: status %d, want 400: %s", c.path, status, body)
+			t.Errorf("%s %.40q via cluster: status %d, want 400: %.200s", c.path, c.body, status, body)
+		}
+		if ref, refBody, _ := postRaw(t, ht.URL, c.path, c.body, nil); ref != status {
+			t.Errorf("%s %.40q: cluster answers %d, a single node %d: %.200s", c.path, c.body, status, ref, refBody)
 		}
 	}
 }
@@ -459,10 +489,7 @@ func TestMetriczClusterSection(t *testing.T) {
 	tc := startCluster(t, 2, nil, nil)
 	// Drive one peer fetch so the cluster counter line renders.
 	req := serve.EstimateRequest{Layer: 0, N: 40}
-	key, err := serve.EstimateKey(req)
-	if err != nil {
-		t.Fatal(err)
-	}
+	key := keyOf(t, "estimate", req)
 	ownerURL := tc.nodes[0].owner(key)
 	nonOwner := tc.urls[0]
 	if nonOwner == ownerURL {
@@ -486,8 +513,9 @@ func TestMetriczClusterSection(t *testing.T) {
 }
 
 // TestTruncatedPeerBodyFallsBack: a peer answering 200 with a cut-off
-// NDJSON body must not poison the requester — the truncation is
-// detected, the bytes are discarded and the node computes locally.
+// body — an NDJSON stream or a single JSON document — must not poison
+// the requester: the truncation is detected, the bytes are discarded
+// and the node computes locally.
 func TestTruncatedPeerBodyFallsBack(t *testing.T) {
 	// A fake "owner" that always answers truncated bytes.
 	var mu sync.Mutex
@@ -512,34 +540,38 @@ func TestTruncatedPeerBodyFallsBack(t *testing.T) {
 	ht := httptest.NewServer(n.Handler())
 	defer ht.Close()
 
-	// Pick a batch request whose key the fake peer owns, so the fetch
-	// path is exercised deterministically regardless of port numbers.
-	var req serve.BatchRequest
-	found := false
-	for nn := 16; nn < 64 && !found; nn++ {
-		cand := serve.BatchRequest{Layer: 0, Runs: 3, N: nn}
-		key, err := serve.BatchKey(cand)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if n.owner(key) == fake.URL {
-			req, found = cand, true
-		}
+	cases := []struct {
+		endpoint string
+		req      func(n int) any
+	}{
+		{"batch", func(n int) any { return serve.BatchRequest{Layer: 0, Runs: 3, N: n} }},
+		{"estimate", func(n int) any { return serve.EstimateRequest{Layer: 1, N: n} }},
 	}
-	if !found {
-		t.Fatal("no candidate key owned by the fake peer (rendezvous spread broken)")
-	}
-	want := singleNodeBody(t, "/v1/batch", req)
-	mu.Lock()
-	truncated = want[:len(want)/2]
-	mu.Unlock()
+	for _, c := range cases {
+		// Pick a request whose key the fake peer owns, so the fetch path
+		// is exercised deterministically regardless of port numbers.
+		var req any
+		for nn := 16; nn < 64 && req == nil; nn++ {
+			if cand := c.req(nn); n.owner(keyOf(t, c.endpoint, cand)) == fake.URL {
+				req = cand
+			}
+		}
+		if req == nil {
+			t.Fatalf("%s: no candidate key owned by the fake peer (rendezvous spread broken)", c.endpoint)
+		}
+		path := "/v1/" + c.endpoint
+		want := singleNodeBody(t, path, req)
+		mu.Lock()
+		truncated = want[:len(want)/2]
+		mu.Unlock()
 
-	status, got, _ := post(t, ht.URL, "/v1/batch", req, nil)
-	if status != http.StatusOK {
-		t.Fatalf("batch via truncating peer: status %d: %s", status, got)
-	}
-	if !bytes.Equal(got, want) {
-		t.Errorf("local fallback after truncated peer body produced wrong bytes")
+		status, got, _ := post(t, ht.URL, path, req, nil)
+		if status != http.StatusOK {
+			t.Fatalf("%s via truncating peer: status %d: %s", c.endpoint, status, got)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s: local fallback after truncated peer body produced wrong bytes", c.endpoint)
+		}
 	}
 	if snap := srv.Stats(); snap.PeerErrors == 0 {
 		t.Errorf("truncated peer body recorded no PeerErrors")

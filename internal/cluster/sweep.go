@@ -5,66 +5,22 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/explore"
-	"repro/internal/metrics"
 	"repro/internal/serve"
 )
 
-// handleSweep routes /v1/sweep. Async sweeps stay node-local (the job
-// registry is not replicated). Synchronous sweeps go through the same
-// two-tier cache as the keyed endpoints; an exhaustive sweep that ends
-// up coordinated here is then distributed — split into configurations
-// and work-stolen across the live node set — while the multi-fidelity
-// fidelities compute locally (their pruning decisions are global, not
-// per-configuration).
-func (n *Node) handleSweep(w http.ResponseWriter, r *http.Request) {
-	body, ok := n.readRequest(w, r)
-	if !ok {
-		return
-	}
-	var req serve.SweepRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		n.reg().Request("sweep")
-		respondError(w, http.StatusBadRequest, fmt.Errorf("serve: bad request body: %w", err))
-		return
-	}
-	key, configs, err := serve.ExpandSweep(req)
-	if err != nil {
-		n.reg().Request("sweep")
-		respondError(w, http.StatusBadRequest, err)
-		return
-	}
-	if req.Async {
-		n.delegate(w, r, body)
-		return
-	}
-	if cached, ok := n.srv.CacheGet(key); ok {
-		n.reg().Request("sweep")
-		n.reg().Outcome("sweep", metrics.ServeHit, 0)
-		n.writeBody(w, "sweep", key, "hit", n.opts.Self, cached)
-		return
-	}
-	forwarded := r.Header.Get(forwardHeader) != ""
-	if !forwarded {
-		if owner := n.owner(key); owner != n.opts.Self {
-			if n.tryPeerFetch(w, r.Context(), "sweep", "/v1/sweep", key, owner, body) {
-				return
-			}
-			// Owner unreachable: coordinate here instead.
-		}
-	}
+// distributes reports whether a sweep that missed every cache tier is
+// fanned out from here. Async sweeps never reach this point, and the
+// multi-fidelity sweeps compute locally: their pruning decisions are
+// global, not per-configuration.
+func (n *Node) distributes(req *serve.SweepRequest) bool {
 	exhaustive := req.Fidelity == "" || req.Fidelity == string(explore.FidelityExhaustive)
-	if n.opts.DisableDistribution || !exhaustive || len(n.alivePeers()) == 0 {
-		n.delegate(w, r, body)
-		return
-	}
-	n.distributedSweep(w, r, key, req, configs)
+	return exhaustive && !n.opts.DisableDistribution && len(n.alivePeers()) > 0
 }
 
 // distributedSweep coordinates an exhaustive sweep's fan-out. The
@@ -72,23 +28,18 @@ func (n *Node) handleSweep(w http.ResponseWriter, r *http.Request) {
 // singleflight/queue machinery, so concurrent identical sweeps dedup
 // onto one fan-out, backpressure still answers 429/503, and the
 // assembled body lands in the local cache tier like any other result.
-func (n *Node) distributedSweep(w http.ResponseWriter, r *http.Request, key string,
-	req serve.SweepRequest, configs []serve.ConfigRequest) {
+func (n *Node) distributedSweep(w http.ResponseWriter, r *http.Request, rt serve.Route,
+	req serve.Request, sweep serve.SweepRequest) {
 	start := time.Now()
-	n.reg().Request("sweep")
-	body, outcome, status, err := n.srv.Do(r.Context(), "sweep", key, req.DeadlineMs,
-		func(ctx context.Context) ([]byte, error) {
-			return n.sweepBody(ctx, key, req, configs)
-		})
-	if status == http.StatusTooManyRequests || status == http.StatusServiceUnavailable {
-		n.reg().Rejected(status)
-	}
+	n.reg().Request(rt.Name)
+	body, outcome, status, err := n.srv.Do(r.Context(), rt.Name, req.Key, req.DeadlineMs,
+		func(ctx context.Context) ([]byte, error) { return n.sweepBody(ctx, sweep) })
 	if err != nil {
-		respondError(w, status, err)
+		serve.RespondError(w, status, err)
 		return
 	}
-	n.reg().Outcome("sweep", outcome, uint64(time.Since(start).Microseconds()))
-	n.writeBody(w, "sweep", key, outcome.String(), n.opts.Self, body)
+	n.reg().Outcome(rt.Name, outcome, uint64(time.Since(start).Microseconds()))
+	n.writeBody(w, rt, req.Key, outcome.String(), n.opts.Self, body)
 }
 
 // sweepBody computes an exhaustive sweep's bytes by work stealing: the
@@ -103,8 +54,11 @@ func (n *Node) distributedSweep(w http.ResponseWriter, r *http.Request, key stri
 // compute. Any deterministic per-configuration failure aborts the
 // fan-out and falls back to a full local compute, whose error
 // rendering (errors in the trailer) is again byte-identical.
-func (n *Node) sweepBody(ctx context.Context, key string, req serve.SweepRequest,
-	configs []serve.ConfigRequest) ([]byte, error) {
+func (n *Node) sweepBody(ctx context.Context, req serve.SweepRequest) ([]byte, error) {
+	key, configs, err := serve.ExpandSweep(req)
+	if err != nil {
+		return nil, err
+	}
 	rows := make([][]byte, len(configs))
 	queue := make(chan int, len(configs))
 	for i := range configs {
@@ -227,30 +181,18 @@ func (n *Node) sweepBody(ctx context.Context, key string, req serve.SweepRequest
 // again. Everything else — network errors, truncated rows, 5xx —
 // retires the lane and the configuration is requeued for others.
 func (n *Node) fetchConfig(ctx context.Context, peer string, cfg serve.ConfigRequest) (body []byte, retryable bool, err error) {
+	unit, _ := serve.RouteFor("config")
 	payload, err := json.Marshal(cfg)
 	if err != nil {
 		return nil, false, err
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, peer+"/v1/config", bytes.NewReader(payload))
-	if err != nil {
-		return nil, false, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set(forwardHeader, "1")
-	req.Header.Set(versionHeader, VersionTag())
-	req.Header.Set(nodeHeader, n.opts.Self)
-	resp, err := n.client.Do(req)
-	if err != nil {
-		return nil, false, err
-	}
-	defer resp.Body.Close()
-	peerBody, err := io.ReadAll(resp.Body)
+	resp, peerBody, err := n.forward(ctx, peer, "/v1/"+unit.Name, payload)
 	if err != nil {
 		return nil, false, err
 	}
 	switch {
 	case resp.StatusCode == http.StatusOK:
-		if err := validateStream("config", peerBody); err != nil {
+		if err := unit.Check(peerBody); err != nil {
 			return nil, false, err
 		}
 		n.reg().PeerFetch()

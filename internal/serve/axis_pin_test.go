@@ -63,7 +63,7 @@ func axisPinRequests() []SweepRequest {
 func TestAxisKeysPinned(t *testing.T) {
 	h := sha256.New()
 	for _, req := range axisPinRequests() {
-		key, err := SweepKey(req)
+		key, err := keyOf("sweep", req)
 		if err != nil {
 			t.Fatalf("%+v: %v", req, err)
 		}
@@ -86,7 +86,7 @@ func TestAxisKeysPinned(t *testing.T) {
 		}
 		fmt.Fprintf(h, "expand %s %d\n", key, len(cfgs))
 		for _, c := range cfgs {
-			ck, err := ConfigKey(c)
+			ck, err := keyOf("config", c)
 			if err != nil {
 				t.Fatalf("%+v: %v", c, err)
 			}
@@ -146,14 +146,14 @@ func TestAxisElementsResolveAlone(t *testing.T) {
 		}
 		return key
 	}
-	plain := mustKey(SweepKey(SweepRequest{Layers: []int{1}}))
+	plain := mustKey(keyOf("sweep", SweepRequest{Layers: []int{1}}))
 	_, plainCfgs, err := ExpandSweep(SweepRequest{Layers: []int{1}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, ax := range explore.Axes {
 		list := ax.Name + "s"
-		if got := mustKey(SweepKey(sweep(list, ""))); got != plain {
+		if got := mustKey(keyOf("sweep", sweep(list, ""))); got != plain {
 			t.Errorf("%s [\"\"]: key %s, want the omitted-list key %s", list, got, plain)
 		}
 		v := ax.Vocab[len(ax.Vocab)-1]
@@ -165,17 +165,17 @@ func TestAxisElementsResolveAlone(t *testing.T) {
 			t.Errorf("%s [\"\", %q]: %d configs, want %d (the off value dropped?)", list, v, len(cfgs), 2*len(plainCfgs))
 		}
 		for _, bad := range []string{v + ",", "," + v, "none," + v} {
-			if _, err := SweepKey(sweep(list, bad)); err == nil {
+			if _, err := keyOf("sweep", sweep(list, bad)); err == nil {
 				t.Errorf("%s [%q] accepted", list, bad)
 			}
-			if _, err := ConfigKey(config(ax.Name, bad)); err == nil {
+			if _, err := keyOf("config", config(ax.Name, bad)); err == nil {
 				t.Errorf("config %s %q accepted", ax.Name, bad)
 			}
 		}
-		if got, want := mustKey(ConfigKey(config(ax.Name, " "+v))), mustKey(ConfigKey(config(ax.Name, v))); got != want {
+		if got, want := mustKey(keyOf("config", config(ax.Name, " "+v))), mustKey(keyOf("config", config(ax.Name, v))); got != want {
 			t.Errorf("config %s %q: key %s, want %q's key %s", ax.Name, " "+v, got, v, want)
 		}
-		if got, want := mustKey(SweepKey(sweep(list, " "+v))), mustKey(SweepKey(sweep(list, v))); got != want {
+		if got, want := mustKey(keyOf("sweep", sweep(list, " "+v))), mustKey(keyOf("sweep", sweep(list, v))); got != want {
 			t.Errorf("%s [%q]: key %s, want [%q]'s key %s", list, " "+v, got, v, want)
 		}
 	}

@@ -10,7 +10,6 @@ import (
 	"io"
 	"net/http"
 	"strings"
-	"time"
 
 	"repro/internal/batch"
 	"repro/internal/bench"
@@ -175,7 +174,7 @@ func (c canonBatch) key() string {
 // the NDJSON body: one BatchRow per run, then a BatchTrailer. Like the
 // other computes, the body is a pure function of the canonical request
 // minus the width — which is exactly the cache-key contract.
-func computeBatch(ctx context.Context, key string, c canonBatch) ([]byte, error) {
+func (s *Server) computeBatch(ctx context.Context, key string, c canonBatch) ([]byte, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -235,36 +234,6 @@ func ParseBatchBody(body []byte) ([]BatchRow, BatchTrailer, error) {
 		}
 		rows = append(rows, row)
 	}
-}
-
-func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	s.reg.Request("batch")
-	var req BatchRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		respondError(w, http.StatusBadRequest, fmt.Errorf("serve: bad request body: %w", err))
-		return
-	}
-	c, err := canonicalizeBatch(req)
-	if err != nil {
-		respondError(w, http.StatusBadRequest, err)
-		return
-	}
-	key := c.key()
-	body, outcome, status, err := s.schedule(r.Context(), "batch", key, req.DeadlineMs,
-		func(ctx context.Context) ([]byte, error) { return computeBatch(ctx, key, c) })
-	if status == http.StatusTooManyRequests || status == http.StatusServiceUnavailable {
-		s.reg.Rejected(status)
-	}
-	if err != nil {
-		respondError(w, status, err)
-		return
-	}
-	s.reg.Outcome("batch", outcome, uint64(time.Since(start).Microseconds()))
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.Header().Set("X-Cache", outcome.String())
-	w.Header().Set("X-Key", key)
-	w.Write(body)
 }
 
 // Batch posts one batched-campaign request and decodes the NDJSON

@@ -7,8 +7,6 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"net/http"
-	"time"
 
 	"repro/internal/calib"
 	"repro/internal/explore"
@@ -102,7 +100,7 @@ func (c canonConfig) key() string {
 // computeConfig evaluates one configuration through the sweep engine
 // and renders its NDJSON row — byte-identical to the line the same
 // configuration contributes inside a full sweep body.
-func computeConfig(ctx context.Context, c canonConfig) ([]byte, error) {
+func (s *Server) computeConfig(ctx context.Context, _ string, c canonConfig) ([]byte, error) {
 	opts := explore.SweepOpts{Workers: 1}
 	for _, ax := range explore.Axes {
 		if v := *ax.Field(&c.Config); v != "" {
@@ -127,36 +125,6 @@ func computeConfig(ctx context.Context, c canonConfig) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-func (s *Server) handleConfig(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	s.reg.Request("config")
-	var req ConfigRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		respondError(w, http.StatusBadRequest, fmt.Errorf("serve: bad request body: %w", err))
-		return
-	}
-	c, err := canonicalizeConfig(req)
-	if err != nil {
-		respondError(w, http.StatusBadRequest, err)
-		return
-	}
-	key := c.key()
-	body, outcome, status, err := s.schedule(r.Context(), "config", key, req.DeadlineMs,
-		func(ctx context.Context) ([]byte, error) { return computeConfig(ctx, c) })
-	if status == http.StatusTooManyRequests || status == http.StatusServiceUnavailable {
-		s.reg.Rejected(status)
-	}
-	if err != nil {
-		respondError(w, status, err)
-		return
-	}
-	s.reg.Outcome("config", outcome, uint64(time.Since(start).Microseconds()))
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.Header().Set("X-Cache", outcome.String())
-	w.Header().Set("X-Key", key)
-	w.Write(body)
-}
-
 // ConfigBodyInline computes (or replays) one configuration row on the
 // caller's goroutine through the singleflight cache — the self lane of
 // the cluster's work-stealing loop. The returned bytes are the same
@@ -166,55 +134,14 @@ func (s *Server) ConfigBodyInline(ctx context.Context, req ConfigRequest) ([]byt
 	if err != nil {
 		return nil, err
 	}
-	body, outcome, err := s.DoInline(ctx, c.key(),
-		func(cctx context.Context) ([]byte, error) { return computeConfig(cctx, c) })
+	key := c.key()
+	body, outcome, err := s.DoInline(ctx, key,
+		func(cctx context.Context) ([]byte, error) { return s.computeConfig(cctx, key, c) })
 	if err != nil {
 		return nil, err
 	}
 	s.reg.Outcome("config", outcome, 0)
 	return body, nil
-}
-
-// Exported content-address helpers: the cluster router computes a
-// request's key to drive the two-tier cache and consistent-hash
-// ownership without re-implementing canonicalization. Each returns the
-// same 400-class error its endpoint would answer for an invalid
-// request.
-
-// EstimateKey canonicalizes req and returns its content address.
-func EstimateKey(req EstimateRequest) (string, error) {
-	c, err := canonicalizeEstimate(req)
-	if err != nil {
-		return "", err
-	}
-	return c.key(), nil
-}
-
-// SweepKey canonicalizes req and returns its content address.
-func SweepKey(req SweepRequest) (string, error) {
-	c, err := canonicalizeSweep(req)
-	if err != nil {
-		return "", err
-	}
-	return c.key(), nil
-}
-
-// BatchKey canonicalizes req and returns its content address.
-func BatchKey(req BatchRequest) (string, error) {
-	c, err := canonicalizeBatch(req)
-	if err != nil {
-		return "", err
-	}
-	return c.key(), nil
-}
-
-// ConfigKey canonicalizes req and returns its content address.
-func ConfigKey(req ConfigRequest) (string, error) {
-	c, err := canonicalizeConfig(req)
-	if err != nil {
-		return "", err
-	}
-	return c.key(), nil
 }
 
 // ExpandSweep canonicalizes a sweep request and enumerates its cross

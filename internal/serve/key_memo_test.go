@@ -66,7 +66,7 @@ func TestEstimateKeyMemoMatchesScratch(t *testing.T) {
 		t.Fatalf("estimate key matrix digest %s, want %s", got, matrix)
 	}
 	const defaultKey = "aad154e3bbe2b02a8dd7c2b57a8aade181461e413ebc6db1b05d3008676fab7c"
-	if got, err := EstimateKey(EstimateRequest{}); err != nil || got != defaultKey {
+	if got, err := keyOf("estimate", EstimateRequest{}); err != nil || got != defaultKey {
 		t.Fatalf("default estimate key %s (%v), want %s", got, err, defaultKey)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"net/http"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -15,10 +16,14 @@ import (
 // TestStatusMapping pins the protocol's HTTP status contract for
 // deterministic request errors: every canonicalization or decode
 // failure answers 400 — never 500 — because the request itself is bad
-// and retrying (anywhere) cannot help. The cluster's routing layer
-// branches on exactly these codes.
+// and retrying (anywhere) cannot help. The decode is strict: an unknown
+// field, data after the request object and a body over MaxBodyBytes are
+// all 400s. The cluster's routing layer branches on exactly these
+// codes.
 func TestStatusMapping(t *testing.T) {
 	_, hs, _ := newTestServer(t, Options{Workers: 2})
+	// A valid estimate padded past the cap with insignificant whitespace.
+	oversizeBody := `{"layer":0` + strings.Repeat(" ", MaxBodyBytes) + `}`
 	cases := []struct {
 		name string
 		path string
@@ -48,6 +53,10 @@ func TestStatusMapping(t *testing.T) {
 		{"config tear with arb", "/v1/config", `{"workload":"arith-loop","layer":1,"org":"halfword","addr_map":"near","arb":"rr","journal":"word-eager"}`, http.StatusBadRequest},
 		{"config arb list", "/v1/config", `{"workload":"arith-loop","layer":1,"org":"halfword","addr_map":"near","arb":"rr,"}`, http.StatusBadRequest},
 		{"config tear list", "/v1/config", `{"workload":"arith-loop","layer":1,"org":"halfword","addr_map":"near","tear":"tear-mid,"}`, http.StatusBadRequest},
+		{"sweep unknown field", "/v1/sweep", `{"arb":"rr"}`, http.StatusBadRequest},
+		{"estimate trailing object", "/v1/estimate", `{"layer":0}{"x":1}`, http.StatusBadRequest},
+		{"config trailing bracket", "/v1/config", `{"workload":"arith-loop","layer":1,"org":"halfword","addr_map":"near"}]`, http.StatusBadRequest},
+		{"estimate over size cap", "/v1/estimate", oversizeBody, http.StatusBadRequest},
 	}
 	for _, c := range cases {
 		resp, err := http.Post(hs.URL+c.path, "application/json", bytes.NewReader([]byte(c.body)))
@@ -156,7 +165,7 @@ func TestTruncatedBodyTyped(t *testing.T) {
 }
 
 // endpointProbe returns a valid request for a compute endpoint label.
-// A new endpoint registered in computeRoutes must add a case here —
+// A new row of the route table must add a case here —
 // that is the point: the per-endpoint accounting test below covers the
 // whole route set by construction.
 func endpointProbe(t *testing.T, ep string) (path string, req any, key string) {
@@ -165,28 +174,28 @@ func endpointProbe(t *testing.T, ep string) (path string, req any, key string) {
 	switch ep {
 	case "estimate":
 		r := EstimateRequest{Layer: 0, N: 24}
-		k, err := EstimateKey(r)
+		k, err := keyOf("estimate", r)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return "/v1/estimate", r, k
 	case "sweep":
 		r := SweepRequest{Layers: []int{1}, Orgs: []string{org}, AddrMaps: []string{"near"}, Workloads: []string{"arith-loop"}}
-		k, err := SweepKey(r)
+		k, err := keyOf("sweep", r)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return "/v1/sweep", r, k
 	case "batch":
 		r := BatchRequest{Layer: 0, Runs: 2, N: 16}
-		k, err := BatchKey(r)
+		k, err := keyOf("batch", r)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return "/v1/batch", r, k
 	case "config":
 		r := ConfigRequest{Workload: "arith-loop", Layer: 1, Org: org, AddrMap: "near"}
-		k, err := ConfigKey(r)
+		k, err := keyOf("config", r)
 		if err != nil {
 			t.Fatal(err)
 		}

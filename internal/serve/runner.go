@@ -19,7 +19,7 @@ import (
 // pure function of the canonical request — it is: the runner is
 // deterministic and json.Marshal renders identical structs to
 // identical bytes.
-func computeEstimate(ctx context.Context, key string, c canonEstimate) ([]byte, error) {
+func (s *Server) computeEstimate(ctx context.Context, key string, c canonEstimate) ([]byte, error) {
 	// The corpus runs are short (milliseconds); honoring the deadline
 	// at entry keeps expired work from occupying a worker at all.
 	if err := ctx.Err(); err != nil {

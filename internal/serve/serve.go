@@ -29,7 +29,6 @@ import (
 	"runtime"
 	"sort"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -141,8 +140,8 @@ func New(opts Options) *Server {
 		jobs:  make(map[string]*Job),
 	}
 	s.mux = http.NewServeMux()
-	for path, h := range s.computeRoutes() {
-		s.mux.HandleFunc(path, h)
+	for i := range routes {
+		s.mux.HandleFunc("POST /v1/"+routes[i].Name, s.handle(&routes[i]))
 	}
 	s.mux.HandleFunc("GET /v1/jobs/{id}", s.handleJob)
 	s.mux.HandleFunc("GET /v1/jobs/{id}/result", s.handleJobResult)
@@ -155,26 +154,13 @@ func New(opts Options) *Server {
 	return s
 }
 
-// computeRoutes maps every cache-backed /v1 route to its handler. The
-// route set is the contract the per-endpoint /metricz accounting is
-// tested against: a new compute endpoint registered here automatically
-// joins ComputeEndpoints and must report its outcomes with that label.
-func (s *Server) computeRoutes() map[string]http.HandlerFunc {
-	return map[string]http.HandlerFunc{
-		"POST /v1/estimate": s.handleEstimate,
-		"POST /v1/sweep":    s.handleSweep,
-		"POST /v1/batch":    s.handleBatch,
-		"POST /v1/config":   s.handleConfig,
-	}
-}
-
-// ComputeEndpoints returns the metric labels of every registered
-// cache-backed /v1 route, sorted — the vocabulary of the per-endpoint
-// requests/hit/dedup/miss accounting on /metricz.
+// ComputeEndpoints returns the metric labels of every compute route,
+// sorted: the route table's names, and the vocabulary of the
+// per-endpoint requests/hit/dedup/miss accounting on /metricz.
 func (s *Server) ComputeEndpoints() []string {
 	var out []string
-	for path := range s.computeRoutes() {
-		out = append(out, strings.TrimPrefix(path, "POST /v1/"))
+	for _, rt := range routes {
+		out = append(out, rt.Name)
 	}
 	sort.Strings(out)
 	return out
@@ -295,7 +281,8 @@ func statusFor(err error) int {
 // an in-flight compute (ServeDedup) or leads a fresh one (ServeMiss)
 // scheduled on the bounded queue, and in both cases blocks until the
 // entry completes or the client context is done. A non-zero status
-// return means the request was refused by backpressure.
+// return is the HTTP status to answer; backpressure (429, 503) is
+// counted on /metricz here.
 func (s *Server) schedule(ctx context.Context, kind, key string, deadlineMs int64,
 	run func(context.Context) ([]byte, error)) (body []byte, outcome metrics.ServeOutcome, status int, err error) {
 	e, leader, cached := s.cache.join(key)
@@ -305,30 +292,45 @@ func (s *Server) schedule(ctx context.Context, kind, key string, deadlineMs int6
 	outcome = metrics.ServeDedup
 	if leader {
 		outcome = metrics.ServeMiss
-		cctx, cancel := context.WithTimeout(context.Background(), s.deadline(deadlineMs))
-		s.cache.setCancel(e, cancel)
-		t := &task{kind: kind, e: e, ctx: cctx, stop: cancel, run: run}
-		if st := s.enqueue(t); st != 0 {
-			cancel()
-			cause := errOverloaded
-			if st == http.StatusServiceUnavailable {
-				cause = errDraining
-			}
-			s.cache.abandon(e, cause)
-			s.cache.leave(e)
-			return nil, outcome, st, cause
+		if status, err = s.admit(kind, e, deadlineMs, run); status != 0 {
+			return nil, outcome, status, err
 		}
 	}
 	defer s.cache.leave(e)
 	select {
 	case <-e.done:
 		if e.err != nil {
-			return nil, outcome, statusFor(e.err), e.err
+			status = statusFor(e.err)
+			s.reg.Rejected(status) // counts 429 and 503 only
+			return nil, outcome, status, e.err
 		}
 		return e.body, outcome, 0, nil
 	case <-ctx.Done():
 		return nil, outcome, http.StatusRequestTimeout, ctx.Err()
 	}
+}
+
+// admit puts the compute that leads entry e on the bounded queue. A
+// refusal abandons e, failing every joined waiter with the cause, counts
+// the rejection and returns the status to answer (429 overloaded, 503
+// draining).
+func (s *Server) admit(kind string, e *entry, deadlineMs int64,
+	run func(context.Context) ([]byte, error)) (int, error) {
+	cctx, cancel := context.WithTimeout(context.Background(), s.deadline(deadlineMs))
+	s.cache.setCancel(e, cancel)
+	st := s.enqueue(&task{kind: kind, e: e, ctx: cctx, stop: cancel, run: run})
+	if st == 0 {
+		return 0, nil
+	}
+	cancel()
+	cause := errOverloaded
+	if st == http.StatusServiceUnavailable {
+		cause = errDraining
+	}
+	s.cache.abandon(e, cause)
+	s.cache.leave(e)
+	s.reg.Rejected(st)
+	return st, cause
 }
 
 // Do exposes the singleflight/queue machinery to wrapping layers: the
@@ -370,82 +372,17 @@ func (s *Server) DoInline(ctx context.Context, key string,
 	}
 }
 
-// respondError writes a JSON error body with the given status, adding
+// RespondError writes a JSON error body with the given status, adding
 // Retry-After on the backpressure statuses so well-behaved clients
-// pace themselves.
-func respondError(w http.ResponseWriter, status int, err error) {
+// pace themselves. The cluster router answers its errors through it
+// too, so both layers render errors identically.
+func RespondError(w http.ResponseWriter, status int, err error) {
 	if status == http.StatusTooManyRequests || status == http.StatusServiceUnavailable {
 		w.Header().Set("Retry-After", "1")
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	json.NewEncoder(w).Encode(map[string]string{"error": err.Error()})
-}
-
-func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	s.reg.Request("estimate")
-	var req EstimateRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		respondError(w, http.StatusBadRequest, fmt.Errorf("serve: bad request body: %w", err))
-		return
-	}
-	c, err := canonicalizeEstimate(req)
-	if err != nil {
-		respondError(w, http.StatusBadRequest, err)
-		return
-	}
-	key := c.key()
-	body, outcome, status, err := s.schedule(r.Context(), "estimate", key, req.DeadlineMs,
-		func(ctx context.Context) ([]byte, error) { return computeEstimate(ctx, key, c) })
-	if status == http.StatusTooManyRequests || status == http.StatusServiceUnavailable {
-		s.reg.Rejected(status)
-	}
-	if err != nil {
-		respondError(w, status, err)
-		return
-	}
-	s.reg.Outcome("estimate", outcome, uint64(time.Since(start).Microseconds()))
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("X-Cache", outcome.String())
-	w.Header().Set("X-Key", key)
-	w.Write(body)
-}
-
-func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	s.reg.Request("sweep")
-	var req SweepRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		respondError(w, http.StatusBadRequest, fmt.Errorf("serve: bad request body: %w", err))
-		return
-	}
-	c, err := canonicalizeSweep(req)
-	if err != nil {
-		respondError(w, http.StatusBadRequest, err)
-		return
-	}
-	key := c.key()
-	run := func(ctx context.Context) ([]byte, error) {
-		return s.computeSweep(ctx, key, c)
-	}
-	if req.Async {
-		s.startJob(w, "sweep", key, req.DeadlineMs, run)
-		return
-	}
-	body, outcome, status, err := s.schedule(r.Context(), "sweep", key, req.DeadlineMs, run)
-	if status == http.StatusTooManyRequests || status == http.StatusServiceUnavailable {
-		s.reg.Rejected(status)
-	}
-	if err != nil {
-		respondError(w, status, err)
-		return
-	}
-	s.reg.Outcome("sweep", outcome, uint64(time.Since(start).Microseconds()))
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.Header().Set("X-Cache", outcome.String())
-	w.Header().Set("X-Key", key)
-	w.Write(body)
 }
 
 // startJob answers an async sweep: admission happens now (so
@@ -480,20 +417,9 @@ func (s *Server) startJob(w http.ResponseWriter, kind, key string, deadlineMs in
 		finish(cached, nil)
 	} else {
 		if leader {
-			cctx, cancel := context.WithTimeout(context.Background(), s.deadline(deadlineMs))
-			s.cache.setCancel(e, cancel)
-			t := &task{kind: kind, e: e, ctx: cctx, stop: cancel, run: run}
-			if st := s.enqueue(t); st != 0 {
-				cancel()
-				cause := errOverloaded
-				if st == http.StatusServiceUnavailable {
-					cause = errDraining
-				}
-				s.cache.abandon(e, cause)
-				s.cache.leave(e)
-				s.reg.Rejected(st)
+			if st, cause := s.admit(kind, e, deadlineMs, run); st != 0 {
 				finish(nil, cause)
-				respondError(w, st, cause)
+				RespondError(w, st, cause)
 				return
 			}
 			s.reg.Outcome(kind, metrics.ServeMiss, 0)
@@ -523,7 +449,7 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	s.reg.Request("jobs")
 	job := s.lookupJob(r.PathValue("id"))
 	if job == nil {
-		respondError(w, http.StatusNotFound, fmt.Errorf("serve: unknown job %q", r.PathValue("id")))
+		RespondError(w, http.StatusNotFound, fmt.Errorf("serve: unknown job %q", r.PathValue("id")))
 		return
 	}
 	s.jobMu.Lock()
@@ -537,7 +463,7 @@ func (s *Server) handleJobResult(w http.ResponseWriter, r *http.Request) {
 	s.reg.Request("jobs")
 	job := s.lookupJob(r.PathValue("id"))
 	if job == nil {
-		respondError(w, http.StatusNotFound, fmt.Errorf("serve: unknown job %q", r.PathValue("id")))
+		RespondError(w, http.StatusNotFound, fmt.Errorf("serve: unknown job %q", r.PathValue("id")))
 		return
 	}
 	s.jobMu.Lock()
@@ -554,9 +480,9 @@ func (s *Server) handleJobResult(w http.ResponseWriter, r *http.Request) {
 		if code == 0 {
 			code = http.StatusInternalServerError
 		}
-		respondError(w, code, errors.New(errMsg))
+		RespondError(w, code, errors.New(errMsg))
 	default:
-		respondError(w, http.StatusConflict, fmt.Errorf("serve: job %s still pending", job.ID))
+		RespondError(w, http.StatusConflict, fmt.Errorf("serve: job %s still pending", job.ID))
 	}
 }
 

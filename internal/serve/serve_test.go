@@ -55,6 +55,17 @@ func readAll(t *testing.T, resp *http.Response) []byte {
 	return buf.Bytes()
 }
 
+// keyOf keys a typed request the way every key is taken: marshalled,
+// then through Parse's strict decode, canonicalization and key.
+func keyOf(endpoint string, req any) (string, error) {
+	body, err := json.Marshal(req)
+	if err != nil {
+		return "", err
+	}
+	p, err := Parse(endpoint, body)
+	return p.Key, err
+}
+
 // The headline contract: cache-hit responses are byte-identical to the
 // fresh compute, and the energy figure matches a direct run of the
 // estimator bit for bit — across all three abstraction layers, clean

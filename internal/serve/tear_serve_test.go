@@ -201,7 +201,7 @@ func TestSweepKeyTearAxes(t *testing.T) {
 	}
 
 	ck := func(r ConfigRequest) string {
-		key, err := ConfigKey(r)
+		key, err := keyOf("config", r)
 		if err != nil {
 			t.Fatalf("config key %+v: %v", r, err)
 		}

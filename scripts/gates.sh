@@ -12,7 +12,8 @@ RACE_PKGS="./internal/explore/... ./internal/sim/... ./internal/fault/... ./inte
 ./internal/dma/... ./internal/crypto/... ./internal/tear/... ./internal/journal/..."
 
 # package:target pairs under internal/.
-FUZZ_TARGETS="fault:FuzzPlanParse fault:FuzzWithoutReadErrors checker:FuzzCheckerRules arb:FuzzArbiterGrant"
+FUZZ_TARGETS="fault:FuzzPlanParse fault:FuzzWithoutReadErrors checker:FuzzCheckerRules arb:FuzzArbiterGrant
+serve:FuzzRequestBodies"
 
 case "${1:-}" in
 race)
