@@ -54,6 +54,7 @@ func benchLayer(b *testing.B, layer int, energy bool) {
 	b.Helper()
 	char := platform.DefaultCharTable()
 	const n = 4096
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()

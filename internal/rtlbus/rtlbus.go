@@ -52,20 +52,23 @@ type Bus struct {
 	m     *ecbus.Map
 	cycle uint64 // cycle currently being executed (set on falling edge)
 
-	// Address unit.
-	addrQ     []*ecbus.Transaction
+	// Address unit. The unit queues are fixed rings: steady-state bus
+	// operation allocates nothing.
+	addrQ     ecbus.Ring[*ecbus.Transaction]
 	addrCnt   int  // cycles already spent on the head's address phase
 	addrWaits int  // total wait states for the head (sampled at start)
 	addrErr   bool // head fails decode/rights
 	addrNew   bool // head not yet started
 
 	// Data units (per direction).
-	readQ  []*ecbus.Transaction
-	writeQ []*ecbus.Transaction
+	readQ  ecbus.Ring[*ecbus.Transaction]
+	writeQ ecbus.Ring[*ecbus.Transaction]
 	rBeat  beatState
 	wBeat  beatState
 
-	outstanding [ecbus.NumCategories]int
+	// outstanding counts accepted transactions per category and tells
+	// Access when a cycle-0 stamp is ambiguous (see isQueued).
+	outstanding ecbus.Outstanding
 
 	// Wire state driven on the falling edge, observed in the Post phase.
 	wires ecbus.Bundle
@@ -122,8 +125,8 @@ func (b *Bus) hint(now uint64) uint64 {
 		return now // a pulse wire must fall this cycle
 	}
 	next := sim.NoEvent
-	if len(b.addrQ) > 0 {
-		tr := b.addrQ[0]
+	if !b.addrQ.Empty() {
+		tr := *b.addrQ.Front()
 		switch {
 		case tr.IssueCycle > now:
 			next = tr.IssueCycle
@@ -133,7 +136,7 @@ func (b *Bus) hint(now uint64) uint64 {
 			next = now + uint64(b.addrWaits-b.addrCnt)
 		}
 	}
-	if len(b.readQ) > 0 {
+	if !b.readQ.Empty() {
 		if !b.rBeat.fresh || b.rBeat.cnt >= b.rBeat.waits {
 			return now // phase start or beat delivery tick
 		}
@@ -141,7 +144,7 @@ func (b *Bus) hint(now uint64) uint64 {
 			next = c
 		}
 	}
-	if len(b.writeQ) > 0 {
+	if !b.writeQ.Empty() {
 		if !b.wBeat.fresh || b.wBeat.cnt < b.wBeat.waits {
 			// Write countdown ticks drive the write data bus; the first
 			// such tick may change SigWData, so only a started countdown
@@ -164,14 +167,14 @@ func (b *Bus) hint(now uint64) uint64 {
 // as n pure-countdown ticks would have.
 func (b *Bus) onSkip(n uint64) {
 	b.cycle += n
-	if len(b.addrQ) > 0 && b.addrNew && b.addrCnt < b.addrWaits {
+	if !b.addrQ.Empty() && b.addrNew && b.addrCnt < b.addrWaits {
 		b.addrCnt += int(n)
 		b.stats.AddrCycles += n // each skipped tick had an active address phase
 	}
-	if len(b.readQ) > 0 && b.rBeat.fresh && b.rBeat.cnt < b.rBeat.waits {
+	if !b.readQ.Empty() && b.rBeat.fresh && b.rBeat.cnt < b.rBeat.waits {
 		b.rBeat.cnt += int(n)
 	}
-	if len(b.writeQ) > 0 && b.wBeat.fresh && b.wBeat.cnt > 0 && b.wBeat.cnt < b.wBeat.waits {
+	if !b.writeQ.Empty() && b.wBeat.fresh && b.wBeat.cnt > 0 && b.wBeat.cnt < b.wBeat.waits {
 		b.wBeat.cnt += int(n)
 	}
 }
@@ -188,11 +191,11 @@ func (b *Bus) Access(tr *ecbus.Transaction) ecbus.BusState {
 		}
 		return ecbus.StateOK
 	}
-	if tr.IssueCycle != 0 || b.isQueued(tr) {
+	if tr.IssueCycle != 0 || b.outstanding.Ambiguous() && b.isQueued(tr) {
 		return ecbus.StateWait
 	}
 	cat := tr.Category()
-	if b.outstanding[cat] >= ecbus.MaxOutstanding {
+	if b.outstanding.Full(cat) {
 		b.stats.Rejected++
 		b.mx.TxRejected()
 		return ecbus.StateWait
@@ -205,30 +208,26 @@ func (b *Bus) Access(tr *ecbus.Transaction) ecbus.BusState {
 		b.mx.TxRetired(tr, -1, true)
 		return ecbus.StateError
 	}
-	b.outstanding[cat]++
-	tr.IssueCycle = b.cycle + 1 // accepted for the cycle now being issued
-	b.addrQ = append(b.addrQ, tr)
+	n := b.outstanding.Accept(tr, b.cycle+1) // accepted for the cycle now being issued
+	b.addrQ.Push(tr)
 	b.stats.Accepted++
-	b.mx.TxAccepted(cat, b.outstanding[cat])
+	b.mx.TxAccepted(cat, n)
 	return ecbus.StateRequest
 }
 
-// isQueued reports whether tr is anywhere in the bus pipelines. Needed
-// because IssueCycle==0 is also the zero value for a cycle-0 submission.
+// isQueued reports whether tr is anywhere in the bus pipelines. A
+// request accepted on the rising edge of cycle 0, before the first
+// falling edge, is stamped IssueCycle 0 — the zero value of a fresh
+// request — so only while such a request is in flight does Access need
+// this search to tell the two apart; otherwise IssueCycle alone decides.
 func (b *Bus) isQueued(tr *ecbus.Transaction) bool {
-	for _, q := range [][]*ecbus.Transaction{b.addrQ, b.readQ, b.writeQ} {
-		for _, t := range q {
-			if t == tr {
-				return true
-			}
-		}
-	}
-	return false
+	is := func(t **ecbus.Transaction) bool { return *t == tr }
+	return b.addrQ.Any(is) || b.readQ.Any(is) || b.writeQ.Any(is)
 }
 
 // Idle reports whether no transaction is in flight.
 func (b *Bus) Idle() bool {
-	return len(b.addrQ) == 0 && len(b.readQ) == 0 && len(b.writeQ) == 0
+	return b.addrQ.Empty() && b.readQ.Empty() && b.writeQ.Empty()
 }
 
 // Stats returns a copy of the activity counters.
@@ -263,10 +262,10 @@ func (b *Bus) tick(cycle uint64) {
 
 // addrUnit advances the serialized address phase.
 func (b *Bus) addrUnit(cycle uint64) {
-	if len(b.addrQ) == 0 {
+	if b.addrQ.Empty() {
 		return
 	}
-	tr := b.addrQ[0]
+	tr := *b.addrQ.Front()
 	if tr.IssueCycle > cycle {
 		return // accepted later this cycle by a master that runs after us
 	}
@@ -287,16 +286,16 @@ func (b *Bus) addrUnit(cycle uint64) {
 	// Phase completes this cycle.
 	b.wires.SetBool(ecbus.SigARdy, true)
 	tr.AddrCycle = cycle
-	b.addrQ = b.addrQ[1:]
+	b.addrQ.Pop()
 	b.addrNew = false
 	if b.addrErr {
 		b.completeError(tr, cycle)
 		return
 	}
 	if tr.Kind.IsRead() {
-		b.readQ = append(b.readQ, tr)
+		b.readQ.Push(tr)
 	} else {
-		b.writeQ = append(b.writeQ, tr)
+		b.writeQ.Push(tr)
 	}
 }
 
@@ -348,7 +347,7 @@ func (b *Bus) completeError(tr *ecbus.Transaction, cycle uint64) {
 	} else {
 		b.wires.SetBool(ecbus.SigWBErr, true)
 	}
-	b.outstanding[tr.Category()]--
+	b.outstanding.Retire(tr)
 	b.stats.Errors++
 	if b.mx != nil {
 		idx := b.m.Index(tr.Addr)
@@ -359,10 +358,10 @@ func (b *Bus) completeError(tr *ecbus.Transaction, cycle uint64) {
 
 // readUnit serves one read data beat per cycle.
 func (b *Bus) readUnit(cycle uint64) {
-	if len(b.readQ) == 0 {
+	if b.readQ.Empty() {
 		return
 	}
-	tr := b.readQ[0]
+	tr := *b.readQ.Front()
 	if !b.rBeat.fresh {
 		sl := b.m.Decode(tr.Addr)
 		b.rBeat = beatState{waits: sl.Config().ReadWait, fresh: true}
@@ -410,9 +409,9 @@ func (b *Bus) readUnit(cycle uint64) {
 func (b *Bus) finishRead(tr *ecbus.Transaction, cycle uint64, err bool) {
 	tr.Done, tr.Err = true, err
 	tr.DataCycle = cycle
-	b.readQ = b.readQ[1:]
+	b.readQ.Pop()
 	b.rBeat = beatState{}
-	b.outstanding[tr.Category()]--
+	b.outstanding.Retire(tr)
 	if err {
 		b.stats.Errors++
 	} else {
@@ -429,10 +428,10 @@ func (b *Bus) finishRead(tr *ecbus.Transaction, cycle uint64, err bool) {
 
 // writeUnit serves one write data beat per cycle.
 func (b *Bus) writeUnit(cycle uint64) {
-	if len(b.writeQ) == 0 {
+	if b.writeQ.Empty() {
 		return
 	}
-	tr := b.writeQ[0]
+	tr := *b.writeQ.Front()
 	if !b.wBeat.fresh {
 		sl := b.m.Decode(tr.Addr)
 		b.wBeat = beatState{waits: sl.Config().WriteWait, fresh: true}
@@ -479,9 +478,9 @@ func (b *Bus) writeUnit(cycle uint64) {
 func (b *Bus) finishWrite(tr *ecbus.Transaction, cycle uint64, err bool) {
 	tr.Done, tr.Err = true, err
 	tr.DataCycle = cycle
-	b.writeQ = b.writeQ[1:]
+	b.writeQ.Pop()
 	b.wBeat = beatState{}
-	b.outstanding[tr.Category()]--
+	b.outstanding.Retire(tr)
 	if err {
 		b.stats.Errors++
 	} else {

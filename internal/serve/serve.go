@@ -471,7 +471,8 @@ func (s *Server) handleJobResult(w http.ResponseWriter, r *http.Request) {
 	s.jobMu.Unlock()
 	switch status {
 	case "done":
-		w.Header().Set("Content-Type", "application/x-ndjson")
+		rt, _ := RouteFor(job.Kind)
+		w.Header().Set("Content-Type", rt.ContentType)
 		w.Header().Set("X-Key", job.Key)
 		w.Write(body)
 	case "failed":

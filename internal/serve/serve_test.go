@@ -615,7 +615,7 @@ func TestSweepFidelityKnob(t *testing.T) {
 // Async jobs: 202 + handle, poll to done, and the job result is the
 // same cached body a synchronous request gets.
 func TestAsyncSweepJob(t *testing.T) {
-	_, _, client := newTestServer(t, Options{Workers: 2})
+	_, hs, client := newTestServer(t, Options{Workers: 2})
 	req := SweepRequest{
 		Layers:    []int{1},
 		Orgs:      []string{"packed-word"},
@@ -636,6 +636,14 @@ func TestAsyncSweepJob(t *testing.T) {
 	rows, trailer, err := client.JobResult(context.Background(), job.ID)
 	if err != nil {
 		t.Fatal(err)
+	}
+	resp, err := http.Get(hs.URL + "/v1/jobs/" + job.ID + "/result")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if rt, _ := RouteFor(job.Kind); resp.Header.Get("Content-Type") != rt.ContentType || rt.ContentType != ndjson {
+		t.Fatalf("job result Content-Type %q, want the %s row's %q", resp.Header.Get("Content-Type"), job.Kind, rt.ContentType)
 	}
 	if trailer.Key != job.Key || len(rows) != trailer.Rows || len(rows) == 0 {
 		t.Fatalf("job result inconsistent: %d rows, trailer %+v", len(rows), trailer)

@@ -47,64 +47,24 @@ type entry struct {
 	beatCnt int
 }
 
-// qCap is the ring-buffer capacity of each request queue. The EC
-// protocol caps outstanding transactions at ecbus.MaxOutstanding per
-// category (3 categories, 12 total in flight), so 16 — the next power of
-// two — statically bounds every queue.
-const qCap = 16
-
-// ring is a fixed-capacity FIFO of value-type entries: steady-state bus
-// operation allocates nothing.
-type ring struct {
-	buf  [qCap]entry
-	head int
-	n    int
-}
-
-func (r *ring) empty() bool { return r.n == 0 }
-
-// front returns the head entry; valid until the next popFront.
-func (r *ring) front() *entry { return &r.buf[r.head] }
-
-func (r *ring) pushBack(e entry) {
-	if r.n == qCap {
-		panic("tlm1: request queue overflow (protocol cap exceeded)")
-	}
-	r.buf[(r.head+r.n)&(qCap-1)] = e
-	r.n++
-}
-
-// popFront removes the head entry, zeroing its slot so transaction and
-// slave references are not retained.
-func (r *ring) popFront() {
-	r.buf[r.head] = entry{}
-	r.head = (r.head + 1) & (qCap - 1)
-	r.n--
-}
-
-func (r *ring) contains(tr *ecbus.Transaction) bool {
-	for i := 0; i < r.n; i++ {
-		if r.buf[(r.head+i)&(qCap-1)].tr == tr {
-			return true
-		}
-	}
-	return false
-}
-
 // Bus is the layer-1 EC bus model (bus interface unit view plus bus
 // controller with address decoder).
 type Bus struct {
 	m     *ecbus.Map
 	cycle uint64
 
-	requestQ ring // accepted, address phase pending
-	readQ    ring // address done, read beats pending
-	writeQ   ring // address done, write beats pending
+	// Fixed rings of value-type entries: steady-state bus operation
+	// allocates nothing.
+	requestQ ecbus.Ring[entry] // accepted, address phase pending
+	readQ    ecbus.Ring[entry] // address done, read beats pending
+	writeQ   ecbus.Ring[entry] // address done, write beats pending
 
 	addrStarted bool
 	addrCnt     int
 
-	outstanding [ecbus.NumCategories]int
+	// outstanding counts accepted requests per category and tells
+	// Access when a cycle-0 stamp is ambiguous (see isQueued).
+	outstanding ecbus.Outstanding
 
 	power *PowerModel // nil when energy estimation is disabled
 
@@ -146,8 +106,8 @@ func (b *Bus) hint(now uint64) uint64 {
 		return now // a strobe must fall this cycle; its energy is priced then
 	}
 	next := sim.NoEvent
-	if !b.requestQ.empty() {
-		e := b.requestQ.front()
+	if !b.requestQ.Empty() {
+		e := b.requestQ.Front()
 		switch {
 		case e.tr.IssueCycle > now:
 			next = e.tr.IssueCycle
@@ -157,8 +117,8 @@ func (b *Bus) hint(now uint64) uint64 {
 			next = now + uint64(e.aw-b.addrCnt)
 		}
 	}
-	if !b.readQ.empty() {
-		e := b.readQ.front()
+	if !b.readQ.Empty() {
+		e := b.readQ.Front()
 		if e.beatCnt >= e.dw {
 			return now // beat delivery tick
 		}
@@ -166,8 +126,8 @@ func (b *Bus) hint(now uint64) uint64 {
 			next = c
 		}
 	}
-	if !b.writeQ.empty() {
-		e := b.writeQ.front()
+	if !b.writeQ.Empty() {
+		e := b.writeQ.Front()
 		if e.beatCnt >= e.dw {
 			return now
 		}
@@ -183,18 +143,18 @@ func (b *Bus) hint(now uint64) uint64 {
 // counters of each unit, and the power model's last-cycle energy.
 func (b *Bus) onSkip(n uint64) {
 	b.cycle += n
-	if !b.requestQ.empty() && b.addrStarted {
-		if e := b.requestQ.front(); b.addrCnt < e.aw {
+	if !b.requestQ.Empty() && b.addrStarted {
+		if e := b.requestQ.Front(); b.addrCnt < e.aw {
 			b.addrCnt += int(n)
 		}
 	}
-	if !b.readQ.empty() {
-		if e := b.readQ.front(); e.beatCnt < e.dw {
+	if !b.readQ.Empty() {
+		if e := b.readQ.Front(); e.beatCnt < e.dw {
 			e.beatCnt += int(n)
 		}
 	}
-	if !b.writeQ.empty() {
-		if e := b.writeQ.front(); e.beatCnt < e.dw {
+	if !b.writeQ.Empty() {
+		if e := b.writeQ.Front(); e.beatCnt < e.dw {
 			e.beatCnt += int(n)
 		}
 	}
@@ -244,7 +204,7 @@ func (b *Bus) Stats() Stats { return b.stats }
 
 // Idle reports whether no request is in flight.
 func (b *Bus) Idle() bool {
-	return b.requestQ.empty() && b.readQ.empty() && b.writeQ.empty()
+	return b.requestQ.Empty() && b.readQ.Empty() && b.writeQ.Empty()
 }
 
 // Access is the non-blocking master interface (both the instruction and
@@ -260,11 +220,11 @@ func (b *Bus) Access(tr *ecbus.Transaction) ecbus.BusState {
 		}
 		return ecbus.StateOK
 	}
-	if tr.IssueCycle != 0 || b.isQueued(tr) {
+	if tr.IssueCycle != 0 || b.outstanding.Ambiguous() && b.isQueued(tr) {
 		return ecbus.StateWait
 	}
 	cat := tr.Category()
-	if b.outstanding[cat] >= ecbus.MaxOutstanding {
+	if b.outstanding.Full(cat) {
 		b.stats.Rejected++
 		b.mx.TxRejected()
 		return ecbus.StateWait
@@ -275,16 +235,19 @@ func (b *Bus) Access(tr *ecbus.Transaction) ecbus.BusState {
 		b.mx.TxRetired(tr, -1, true)
 		return ecbus.StateError
 	}
-	b.outstanding[cat]++
-	tr.IssueCycle = b.cycle + 1
-	b.requestQ.pushBack(entry{tr: tr})
+	n := b.outstanding.Accept(tr, b.cycle+1)
+	b.requestQ.Push(entry{tr: tr})
 	b.stats.Accepted++
-	b.mx.TxAccepted(cat, b.outstanding[cat])
+	b.mx.TxAccepted(cat, n)
 	return ecbus.StateRequest
 }
 
+// isQueued reports whether tr is in any request queue; Access needs it
+// only while a request accepted before the first falling edge (stamped
+// IssueCycle 0) is in flight.
 func (b *Bus) isQueued(tr *ecbus.Transaction) bool {
-	return b.requestQ.contains(tr) || b.readQ.contains(tr) || b.writeQ.contains(tr)
+	is := func(e *entry) bool { return e.tr == tr }
+	return b.requestQ.Any(is) || b.readQ.Any(is) || b.writeQ.Any(is)
 }
 
 // busProcess is the falling-edge SC_METHOD equivalent.
@@ -334,10 +297,10 @@ func (b *Bus) getSlaveState(e *entry) {
 
 // addressPhase is the serialized address FSM.
 func (b *Bus) addressPhase(cycle uint64) {
-	if b.requestQ.empty() {
+	if b.requestQ.Empty() {
 		return
 	}
-	e := b.requestQ.front()
+	e := b.requestQ.Front()
 	if e.tr.IssueCycle > cycle {
 		return
 	}
@@ -359,7 +322,7 @@ func (b *Bus) addressPhase(cycle uint64) {
 	}
 	e.tr.AddrCycle = cycle
 	ent := *e // copy out before the slot is recycled
-	b.requestQ.popFront()
+	b.requestQ.Pop()
 	b.addrStarted = false
 	if b.power != nil {
 		b.power.addressAccepted()
@@ -368,16 +331,16 @@ func (b *Bus) addressPhase(cycle uint64) {
 	case ent.err:
 		b.completeError(&ent, cycle)
 	case ent.tr.Kind.IsRead():
-		b.readQ.pushBack(ent)
+		b.readQ.Push(ent)
 	default:
-		b.writeQ.pushBack(ent)
+		b.writeQ.Push(ent)
 	}
 }
 
 func (b *Bus) completeError(e *entry, cycle uint64) {
 	e.tr.Done, e.tr.Err = true, true
 	e.tr.DataCycle = cycle
-	b.outstanding[e.tr.Category()]--
+	b.outstanding.Retire(e.tr)
 	b.stats.Errors++
 	if b.power != nil {
 		b.power.driveError(e.tr.Kind)
@@ -392,10 +355,10 @@ func (b *Bus) completeError(e *entry, cycle uint64) {
 // readPhase serves one read beat per cycle from the head of the read
 // queue.
 func (b *Bus) readPhase(cycle uint64) {
-	if b.readQ.empty() {
+	if b.readQ.Empty() {
 		return
 	}
-	e := b.readQ.front()
+	e := b.readQ.Front()
 	if e.beatCnt < e.dw {
 		e.beatCnt++
 		b.mx.WaitCycle()
@@ -439,10 +402,10 @@ func (b *Bus) readPhase(cycle uint64) {
 func (b *Bus) finishRead(e *entry, cycle uint64, err bool) {
 	e.tr.Done, e.tr.Err = true, err
 	e.tr.DataCycle = cycle
-	b.outstanding[e.tr.Category()]--
+	b.outstanding.Retire(e.tr)
 	kind := e.tr.Kind
 	tr := e.tr
-	b.readQ.popFront() // invalidates e
+	b.readQ.Pop() // invalidates e
 	if err {
 		b.stats.Errors++
 		if b.power != nil {
@@ -463,10 +426,10 @@ func (b *Bus) finishRead(e *entry, cycle uint64, err bool) {
 // writePhase serves one write beat per cycle from the head of the write
 // queue.
 func (b *Bus) writePhase(cycle uint64) {
-	if b.writeQ.empty() {
+	if b.writeQ.Empty() {
 		return
 	}
-	e := b.writeQ.front()
+	e := b.writeQ.Front()
 	i := e.beat
 	if b.power != nil {
 		// The master drives the write data bus while the beat pends.
@@ -509,10 +472,10 @@ func (b *Bus) writePhase(cycle uint64) {
 func (b *Bus) finishWrite(e *entry, cycle uint64, err bool) {
 	e.tr.Done, e.tr.Err = true, err
 	e.tr.DataCycle = cycle
-	b.outstanding[e.tr.Category()]--
+	b.outstanding.Retire(e.tr)
 	kind := e.tr.Kind
 	tr := e.tr
-	b.writeQ.popFront() // invalidates e
+	b.writeQ.Pop() // invalidates e
 	if err {
 		b.stats.Errors++
 		if b.power != nil {

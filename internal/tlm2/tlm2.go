@@ -34,22 +34,12 @@ import (
 	"repro/internal/sim"
 )
 
-// reqState is the lifecycle position of a request in the shared list.
-type reqState int
-
-const (
-	stAddr reqState = iota
-	stData
-	stDone
-)
-
 // request is the entry of the shared request data structure.
 type request struct {
 	tr    *ecbus.Transaction
 	slave ecbus.Slave
 	err   bool
 
-	state   reqState
 	started bool   // address phase began (wait count re-sampled)
 	addrCnt int    // remaining address wait states
 	dataCnt int    // remaining data phase cycles after the first
@@ -64,17 +54,19 @@ type Bus struct {
 	cycle uint64
 
 	// The shared request data structure (paper Fig. 4), indexed by
-	// lifecycle position: requests enter addrQ at creation, move to the
-	// read or write queue when their address phase finishes, and leave
-	// when their data phase completes. Address phases complete in
-	// creation order and data phases in order per direction, so plain
-	// FIFOs realize the "oldest request in state X" selection without
-	// scanning.
-	addrQ  []*request
-	readQ  []*request
-	writeQ []*request
+	// lifecycle position: a request is created in a slot of addrQ, moves
+	// by value to the read or write ring when its address phase
+	// finishes, and leaves when its data phase completes. Address phases
+	// complete in creation order and data phases in order per direction,
+	// so fixed FIFO rings realize the "oldest request in state X"
+	// selection without scanning, and a request costs no allocation.
+	addrQ  ecbus.Ring[request]
+	readQ  ecbus.Ring[request]
+	writeQ ecbus.Ring[request]
 
-	outstanding [ecbus.NumCategories]int
+	// outstanding counts accepted requests per category and tells
+	// Access when a cycle-0 stamp is ambiguous (see isQueued).
+	outstanding ecbus.Outstanding
 
 	power *PowerModel
 	mx    *metrics.Registry
@@ -106,8 +98,8 @@ func New(k *sim.Kernel, m *ecbus.Map) *Bus {
 // skipped countdown cycles dissipate nothing by construction.
 func (b *Bus) hint(now uint64) uint64 {
 	next := sim.NoEvent
-	if len(b.addrQ) > 0 {
-		r := b.addrQ[0]
+	if !b.addrQ.Empty() {
+		r := b.addrQ.Front()
 		switch {
 		case r.tr.IssueCycle > now:
 			next = r.tr.IssueCycle
@@ -119,8 +111,8 @@ func (b *Bus) hint(now uint64) uint64 {
 			return now // completion tick
 		}
 	}
-	if len(b.readQ) > 0 {
-		r := b.readQ[0]
+	if !b.readQ.Empty() {
+		r := b.readQ.Front()
 		if r.joined >= now || r.dataCnt == 0 {
 			return now // no-op join tick or completion tick
 		}
@@ -128,8 +120,8 @@ func (b *Bus) hint(now uint64) uint64 {
 			next = c
 		}
 	}
-	if len(b.writeQ) > 0 {
-		r := b.writeQ[0]
+	if !b.writeQ.Empty() {
+		r := b.writeQ.Front()
 		if r.joined >= now || r.dataCnt == 0 {
 			return now
 		}
@@ -147,20 +139,20 @@ func (b *Bus) hint(now uint64) uint64 {
 func (b *Bus) onSkip(n uint64) {
 	first := b.cycle + 1 // first fast-forwarded cycle
 	b.cycle += n
-	if len(b.addrQ) > 0 {
-		if r := b.addrQ[0]; r.started && r.tr.IssueCycle <= first && r.addrCnt > 0 {
+	if !b.addrQ.Empty() {
+		if r := b.addrQ.Front(); r.started && r.tr.IssueCycle <= first && r.addrCnt > 0 {
 			r.addrCnt -= int(n)
 			b.mx.WaitCycles(n)
 		}
 	}
-	if len(b.readQ) > 0 {
-		if r := b.readQ[0]; r.joined < first && r.dataCnt > 0 {
+	if !b.readQ.Empty() {
+		if r := b.readQ.Front(); r.joined < first && r.dataCnt > 0 {
 			r.dataCnt -= int(n)
 			b.mx.WaitCycles(n)
 		}
 	}
-	if len(b.writeQ) > 0 {
-		if r := b.writeQ[0]; r.joined < first && r.dataCnt > 0 {
+	if !b.writeQ.Empty() {
+		if r := b.writeQ.Front(); r.joined < first && r.dataCnt > 0 {
 			r.dataCnt -= int(n)
 			b.mx.WaitCycles(n)
 		}
@@ -206,7 +198,7 @@ func (b *Bus) Stats() Stats { return b.stats }
 
 // Idle reports whether no request is in flight.
 func (b *Bus) Idle() bool {
-	return len(b.addrQ) == 0 && len(b.readQ) == 0 && len(b.writeQ) == 0
+	return b.addrQ.Empty() && b.readQ.Empty() && b.writeQ.Empty()
 }
 
 // Ticket tracks a pointer-interface request to completion.
@@ -256,14 +248,12 @@ func (b *Bus) Write(p []byte, nbytes int, addr uint64) *Ticket {
 }
 
 // bindReadback arranges for read data to land in the caller's buffer at
-// completion (pointer passing: no per-beat copies). The request was just
-// created, so it is the newest entry of the address queue.
+// completion (pointer passing: no per-beat copies). An accepted request
+// was just created, so it is the newest entry of the address queue; a
+// request that failed validation is not queued and binds nothing.
 func (b *Bus) bindReadback(tr *ecbus.Transaction, p []byte, nbytes int) {
-	for i := len(b.addrQ) - 1; i >= 0; i-- {
-		if b.addrQ[i].tr == tr {
-			b.addrQ[i].readback = p[:nbytes]
-			return
-		}
+	if r := b.addrQ.Back(); !b.addrQ.Empty() && r.tr == tr {
+		r.readback = p[:nbytes]
 	}
 }
 
@@ -304,11 +294,11 @@ func (b *Bus) Access(tr *ecbus.Transaction) ecbus.BusState {
 		}
 		return ecbus.StateOK
 	}
-	if tr.IssueCycle != 0 || b.isQueued(tr) {
+	if tr.IssueCycle != 0 || b.outstanding.Ambiguous() && b.isQueued(tr) {
 		return ecbus.StateWait
 	}
 	cat := tr.Category()
-	if b.outstanding[cat] >= ecbus.MaxOutstanding {
+	if b.outstanding.Full(cat) {
 		b.stats.Rejected++
 		b.mx.TxRejected()
 		return ecbus.StateWait
@@ -328,25 +318,20 @@ func (b *Bus) Access(tr *ecbus.Transaction) ecbus.BusState {
 		b.mx.TxRetired(tr, -1, true)
 		return ecbus.StateError
 	}
-	r := &request{tr: tr}
-	b.sampleSlaveState(r)
-	b.outstanding[cat]++
-	tr.IssueCycle = b.cycle + 1
-	b.addrQ = append(b.addrQ, r)
+	b.addrQ.Push(request{tr: tr})
+	b.sampleSlaveState(b.addrQ.Back())
+	n := b.outstanding.Accept(tr, b.cycle+1)
 	b.stats.Accepted++
-	b.mx.TxAccepted(cat, b.outstanding[cat])
+	b.mx.TxAccepted(cat, n)
 	return ecbus.StateRequest
 }
 
+// isQueued reports whether tr is in any request queue; Access needs it
+// only while a request accepted before the first falling edge (stamped
+// IssueCycle 0) is in flight.
 func (b *Bus) isQueued(tr *ecbus.Transaction) bool {
-	for _, q := range [][]*request{b.addrQ, b.readQ, b.writeQ} {
-		for _, r := range q {
-			if r.tr == tr {
-				return true
-			}
-		}
-	}
-	return false
+	is := func(r *request) bool { return r.tr == tr }
+	return b.addrQ.Any(is) || b.readQ.Any(is) || b.writeQ.Any(is)
 }
 
 // sampleSlaveState requests the slave's wait states and rights at
@@ -396,10 +381,10 @@ func (b *Bus) busProcess(cycle uint64) {
 
 // addressPhase serves the request at the head of the address queue.
 func (b *Bus) addressPhase(cycle uint64) {
-	if len(b.addrQ) == 0 {
+	if b.addrQ.Empty() {
 		return
 	}
-	r := b.addrQ[0]
+	r := b.addrQ.Front()
 	if r.tr.IssueCycle > cycle {
 		return
 	}
@@ -411,7 +396,6 @@ func (b *Bus) addressPhase(cycle uint64) {
 		b.mx.WaitCycle()
 		return
 	}
-	b.addrQ = b.addrQ[1:]
 	r.tr.AddrCycle = cycle
 	if b.power != nil {
 		b.power.addressPhaseEnergy(r.tr)
@@ -420,10 +404,9 @@ func (b *Bus) addressPhase(cycle uint64) {
 		b.sampleEnergy(metrics.PhaseAddress, r.tr.Addr)
 	}
 	if r.err {
-		r.state = stDone
 		r.tr.Done, r.tr.Err = true, true
 		r.tr.DataCycle = cycle
-		b.outstanding[r.tr.Category()]--
+		b.outstanding.Retire(r.tr)
 		b.stats.Errors++
 		if b.power != nil {
 			b.power.errorEnergy(r.tr.Kind)
@@ -432,25 +415,26 @@ func (b *Bus) addressPhase(cycle uint64) {
 			b.sampleEnergy(metrics.PhaseError, r.tr.Addr)
 			b.mx.TxRetired(r.tr, b.m.Index(r.tr.Addr), true)
 		}
+		b.addrQ.Pop()
 		return
 	}
-	r.state = stData
 	r.joined = cycle
 	if r.tr.Kind.IsRead() {
-		b.readQ = append(b.readQ, r)
+		b.readQ.Push(*r)
 	} else {
-		b.writeQ = append(b.writeQ, r)
+		b.writeQ.Push(*r)
 	}
+	b.addrQ.Pop()
 }
 
 // dataPhase serves the request at the head of one direction queue. A
 // request that entered its data phase this cycle starts counting next
 // cycle (no same-cycle address+data completion at layer 2).
-func (b *Bus) dataPhase(cycle uint64, q *[]*request) {
-	if len(*q) == 0 {
+func (b *Bus) dataPhase(cycle uint64, q *ecbus.Ring[request]) {
+	if q.Empty() {
 		return
 	}
-	r := (*q)[0]
+	r := q.Front()
 	if r.joined == cycle {
 		return
 	}
@@ -459,8 +443,8 @@ func (b *Bus) dataPhase(cycle uint64, q *[]*request) {
 		b.mx.WaitCycle()
 		return
 	}
-	*q = (*q)[1:]
 	b.completeData(r, cycle)
+	q.Pop()
 }
 
 // completeData finishes a request's data phase: the block transfer is
@@ -506,7 +490,6 @@ func (b *Bus) completeData(r *request, cycle uint64) {
 	if !ok && b.power != nil {
 		b.power.errorEnergy(tr.Kind)
 	}
-	r.state = stDone
 	tr.Done, tr.Err = true, !ok
 	tr.DataCycle = cycle
 	if b.mx != nil {
@@ -516,7 +499,7 @@ func (b *Bus) completeData(r *request, cycle uint64) {
 		b.mx.Beats(delivered)
 		b.mx.TxRetired(tr, b.m.Index(tr.Addr), !ok)
 	}
-	b.outstanding[tr.Category()]--
+	b.outstanding.Retire(tr)
 	if ok {
 		b.stats.Completed++
 	} else {
