@@ -40,6 +40,14 @@ const (
 	OrgNVM
 )
 
+// String returns the organization's table label.
+func (o Organization) String() string {
+	if o == OrgNVM {
+		return "NVM"
+	}
+	return "SRAM"
+}
+
 // NVMWriteWait is the per-word programming wait of the NVM
 // organization's data memory.
 const NVMWriteWait = 256
@@ -187,38 +195,42 @@ const BatchCampaignRuns = 48
 
 // BatchTable measures the serial path against the batched engine on a
 // whole-corpus campaign — the Table-3-style before/after of batching —
-// and verifies per-run bit-equality between the two.
+// against both memory organizations, and verifies per-run bit-equality
+// between the two.
 func BatchTable(width int) (string, error) {
 	const n, seed = 256, 42
 	runs := BatchCampaignRuns
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "Batched corpus estimation: %d runs x %d transactions, lane width %d\n",
 		runs, n, width)
-	fmt.Fprintf(&sb, "%-18s %12s %13s %9s %7s\n", "Model", "serial[ms]", "batched[ms]", "speedup", "equal")
+	fmt.Fprintf(&sb, "%-24s %12s %13s %9s %7s\n", "Model", "serial[ms]", "batched[ms]", "speedup", "equal")
 	names := []string{"Gate-level model", "Layer one model"}
 	corpus := CampaignRuns(seed, runs, n)
-	for layer := 0; layer <= 1; layer++ {
-		// Both passes consume a pristine clone of the same corpus, built
-		// outside the timed window: the comparison times estimation, not
-		// stimulus generation (identical on both sides by construction).
-		serialRuns, batchedRuns := CloneRuns(corpus), CloneRuns(corpus)
-		t0 := time.Now()
-		serial, err := CampaignEstimateSerialRuns(layer, serialRuns, fault.Plan{})
-		if err != nil {
-			return "", err
+	for _, org := range []Organization{OrgSRAM, OrgNVM} {
+		for layer := 0; layer <= 1; layer++ {
+			// Both passes consume a pristine clone of the same corpus,
+			// built outside the timed window: the comparison times
+			// estimation, not stimulus generation (identical on both
+			// sides by construction).
+			serialRuns, batchedRuns := CloneRuns(corpus), CloneRuns(corpus)
+			t0 := time.Now()
+			serial, err := CampaignEstimateSerialRunsOrg(layer, serialRuns, fault.Plan{}, org)
+			if err != nil {
+				return "", err
+			}
+			serMs := float64(time.Since(t0).Microseconds()) / 1e3
+			t1 := time.Now()
+			batched, err := CampaignEstimateRunsOrg(layer, batchedRuns, fault.Plan{}, width, org)
+			if err != nil {
+				return "", err
+			}
+			batMs := float64(time.Since(t1).Microseconds()) / 1e3
+			if !CampaignEqual(serial, batched) {
+				return "", fmt.Errorf("bench: layer-%d %v batched campaign diverged from serial", layer, org)
+			}
+			fmt.Fprintf(&sb, "%-24s %12.2f %13.2f %8.1fx %7v\n",
+				names[layer]+" ("+org.String()+")", serMs, batMs, serMs/batMs, true)
 		}
-		serMs := float64(time.Since(t0).Microseconds()) / 1e3
-		t1 := time.Now()
-		batched, err := CampaignEstimateRuns(layer, batchedRuns, fault.Plan{}, width)
-		if err != nil {
-			return "", err
-		}
-		batMs := float64(time.Since(t1).Microseconds()) / 1e3
-		if !CampaignEqual(serial, batched) {
-			return "", fmt.Errorf("bench: layer-%d batched campaign diverged from serial", layer)
-		}
-		fmt.Fprintf(&sb, "%-18s %12.2f %13.2f %8.1fx %7v\n",
-			names[layer], serMs, batMs, serMs/batMs, true)
 	}
 	return sb.String(), nil
 }

@@ -32,6 +32,39 @@ type Initiator interface {
 	Access(tr *ecbus.Transaction) ecbus.BusState
 }
 
+// Refuser is an Initiator whose refusals are stable: Access refuses a
+// request only because its category is full, the refusal has no effect
+// but being counted, and it cannot turn into an acceptance before a
+// transaction on the bus completes. The bus executes the cycle after
+// every such completion whatever the hints say, so a refused master may
+// sleep until then; Refused books the n refusals it would have made on
+// the cycles the kernel skipped. The exact bus models (rtlbus, tlm1,
+// tlm2) are Refusers. An arbitrated port is not: its refusal queues the
+// request, and the grant arrives without any completion.
+//
+// A wrapper that hands every refusal to the bus it wraps unchanged, and
+// adds no effect of its own to it, exposes that bus through
+// Unwrap() Initiator, so a master behind the wrapper finds the Refuser.
+type Refuser interface {
+	Initiator
+	Refused(n uint64)
+}
+
+// refuserOf returns the Refuser that answers bus's refusals, looking
+// through pass-through wrappers, or nil.
+func refuserOf(bus Initiator) Refuser {
+	for {
+		if r, ok := bus.(Refuser); ok {
+			return r
+		}
+		w, ok := bus.(interface{ Unwrap() Initiator })
+		if !ok {
+			return nil
+		}
+		bus = w.Unwrap()
+	}
+}
+
 // EnergyMeter is the power interface common to the layer-1 and layer-2
 // models: "a method which returns the dissipated energy since the last
 // method call" plus the running total.
@@ -82,6 +115,12 @@ type ScriptMaster struct {
 	next     int
 	inflight []*ecbus.Transaction
 
+	// refuser books the refusals of skipped cycles (nil: bus refusals
+	// are not stable, and the master asks again every cycle); refused is
+	// the transaction the last tick's Access refused, if any.
+	refuser Refuser
+	refused *ecbus.Transaction
+
 	// MaxInFlight limits pipelining; the EC categories independently cap
 	// outstanding transactions at 4 each, so 12 means "as pipelined as
 	// the protocol allows". 1 serializes completely.
@@ -112,30 +151,35 @@ func NewScriptMaster(k *sim.Kernel, bus Initiator, items []Item) *ScriptMaster {
 		MaxInFlight: 3 * ecbus.MaxOutstanding,
 		inflight:    make([]*ecbus.Transaction, 0, 3*ecbus.MaxOutstanding),
 		completed:   make([]*ecbus.Transaction, 0, len(items)),
+		refuser:     refuserOf(bus),
 	}
-	k.AtHinted(sim.Rising, "script-master", m.tick, m.hint, nil)
+	k.AtHinted(sim.Rising, "script-master", m.tick, m.hint, m.onSkip)
 	return m
 }
 
 // hint reports the earliest future cycle the master needs to run. Ticks
-// where the master can issue a request, must retry a rejected one, or
-// can harvest a finished transaction execute normally; ticks where it
-// would only poll unfinished transactions (a side-effect-free Access
-// returning StateWait) are skippable.
+// where the master can issue a request or harvest a finished
+// transaction execute normally. Ticks where it would only poll
+// unfinished transactions (a side-effect-free Access returning
+// StateWait) are skippable, and so are ticks that would only re-present
+// the request a Refuser just refused: that refusal stands until a
+// transaction completes, and the bus wakes the cycle after. A
+// backed-off retry or a different item falling due still wakes the
+// master.
 func (m *ScriptMaster) hint(now uint64) uint64 {
 	next := sim.NoEvent
 	if len(m.retryQ) > 0 && len(m.inflight) < m.MaxInFlight {
-		if nb := m.retryQ[0].NotBefore; nb <= now {
+		if it := m.retryQ[0]; it.NotBefore > now {
+			next = it.NotBefore
+		} else if it.Tr != m.refused {
 			return now // a backed-off transaction is due for re-issue
-		} else if nb < next {
-			next = nb
 		}
 	}
 	if m.next < len(m.items) && len(m.inflight) < m.MaxInFlight {
-		if nb := m.items[m.next].NotBefore; nb <= now {
-			return now // can issue (or must retry a rejection) this cycle
-		} else if nb < next {
-			next = nb
+		if it := m.items[m.next]; it.NotBefore > now {
+			next = min(next, it.NotBefore)
+		} else if it.Tr != m.refused {
+			return now // can issue this cycle
 		}
 	}
 	for _, tr := range m.inflight {
@@ -144,6 +188,14 @@ func (m *ScriptMaster) hint(now uint64) uint64 {
 		}
 	}
 	return next
+}
+
+// onSkip books the refusals the skipped ticks would have drawn: each
+// would have re-presented the refused request to a still-full bus.
+func (m *ScriptMaster) onSkip(n uint64) {
+	if m.refused != nil {
+		m.refuser.Refused(n)
+	}
 }
 
 // Serialized makes the master wait for each transaction to finish before
@@ -169,6 +221,7 @@ func (m *ScriptMaster) Errors() int { return m.errors }
 func (m *ScriptMaster) TotalRetries() int { return m.totalRetries }
 
 func (m *ScriptMaster) tick(cycle uint64) {
+	m.refused = nil
 	// Poll in-flight transactions; the bus answers Wait until done.
 	keep := m.inflight[:0]
 	for _, tr := range m.inflight {
@@ -198,7 +251,8 @@ func (m *ScriptMaster) tick(cycle uint64) {
 			m.retryQ = m.retryQ[1:]
 			m.finish(it.Tr, st, cycle)
 		default:
-			return // bus full: retry next cycle
+			m.refuse(it.Tr) // bus full: retry later (see hint)
+			return
 		}
 	}
 
@@ -218,9 +272,18 @@ func (m *ScriptMaster) tick(cycle uint64) {
 			m.finish(it.Tr, st, cycle)
 			m.next++
 		default:
-			// Bus full: retry next cycle, preserve program order.
+			// Bus full: retry later (see hint), preserve program order.
+			m.refuse(it.Tr)
 			return
 		}
+	}
+}
+
+// refuse notes the request the bus just refused, so the master can
+// sleep until a completion if the refusal is stable.
+func (m *ScriptMaster) refuse(tr *ecbus.Transaction) {
+	if m.refuser != nil {
+		m.refused = tr
 	}
 }
 

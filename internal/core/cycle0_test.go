@@ -95,15 +95,7 @@ func TestCycle0Requests(t *testing.T) {
 					errored.IssueCycle, lastData)
 			}
 
-			var ref goldenCapture
-			withReference(t, func() {
-				ref = goldenRunOn(t, layer, corpus(), char, testMap, retry)
-			})
-			opt := goldenRunOn(t, layer, corpus(), char, testMap, retry)
-			if ref.timing != opt.timing || ref.energy != opt.energy || ref.retries != opt.retries {
-				t.Errorf("optimized path diverged from the reference path:\nref %s%s\nopt %s%s",
-					ref.timing, ref.energy, opt.timing, opt.energy)
-			}
+			checkGolden(t, layer, corpus(), char, testMap, retry)
 		})
 	}
 }

@@ -36,38 +36,9 @@ func TestGoldenFaultEquivalence(t *testing.T) {
 		for layer := 0; layer <= 2; layer++ {
 			t.Run(fmt.Sprintf("%s/layer%d", planName, layer), func(t *testing.T) {
 				mp := func() *ecbus.Map { return faultMap(plan) }
-				var ref goldenCapture
-				withReference(t, func() {
-					ref = goldenRunOn(t, layer, core.CloneItems(base), char, mp, eqRetry)
-				})
-				opt := goldenRunOn(t, layer, core.CloneItems(base), char, mp, eqRetry)
-
-				if !ref.done || !opt.done {
-					t.Fatalf("incomplete run: ref=%v opt=%v", ref.done, opt.done)
-				}
+				ref := checkGolden(t, layer, base, char, mp, eqRetry)
 				if ref.errors == 0 && ref.retries == 0 {
 					t.Fatal("plan injected nothing — fault golden property not exercised")
-				}
-				if ref.cycles != opt.cycles {
-					t.Errorf("cycles: ref %d, opt %d (opt skipped %d)", ref.cycles, opt.cycles, opt.skipped)
-				}
-				if ref.errors != opt.errors {
-					t.Errorf("errors: ref %d, opt %d", ref.errors, opt.errors)
-				}
-				if ref.retries != opt.retries {
-					t.Errorf("retries: ref %d, opt %d", ref.retries, opt.retries)
-				}
-				if ref.timing != opt.timing {
-					t.Errorf("transaction timing diverged:\nref:\n%s\nopt:\n%s", ref.timing, opt.timing)
-				}
-				if ref.energy != opt.energy {
-					t.Errorf("energy bits diverged:\nref: %s\nopt: %s", ref.energy, opt.energy)
-				}
-				if ref.trace != opt.trace {
-					t.Errorf("trace bytes diverged")
-				}
-				if ref.skipped != 0 {
-					t.Errorf("reference path skipped %d cycles; must execute every cycle", ref.skipped)
 				}
 			})
 		}

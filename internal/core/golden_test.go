@@ -6,9 +6,12 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/bench"
 	"repro/internal/core"
 	"repro/internal/ecbus"
+	"repro/internal/fault"
 	"repro/internal/gatepower"
+	"repro/internal/mem"
 	"repro/internal/metrics"
 	"repro/internal/rtlbus"
 	"repro/internal/sim"
@@ -27,14 +30,78 @@ import (
 
 // goldenCapture is everything observable from one run.
 type goldenCapture struct {
-	cycles  uint64
-	done    bool
-	errors  int
-	retries int
-	timing  string // per-transaction timing fields, in completion order
-	energy  string // every energy figure as hex float bits
-	trace   string // trace.Save bytes of the recorded transaction stream
-	skipped uint64 // diagnostics only, NOT compared
+	cycles   uint64
+	done     bool
+	errors   int
+	retries  int
+	timing   string // per-transaction timing fields, in completion order
+	energy   string // every energy figure as hex float bits
+	trace    string // trace.Save bytes of the recorded transaction stream
+	stats    string // the bus's Stats, rejections included
+	counts   string // the registry's transaction counters ("" unmetered)
+	rejected uint64 // the bus's Stats.Rejected, for the exercised checks
+	skipped  uint64 // diagnostics only, NOT compared
+}
+
+// compareGolden requires a reference and an optimized capture of one
+// run to be identical in everything but the skipped-cycle diagnostic.
+func compareGolden(t *testing.T, ref, opt goldenCapture) {
+	t.Helper()
+	if !ref.done || !opt.done {
+		t.Fatalf("incomplete run: ref=%v opt=%v", ref.done, opt.done)
+	}
+	if ref.cycles != opt.cycles {
+		t.Errorf("cycles: ref %d, opt %d (opt skipped %d)", ref.cycles, opt.cycles, opt.skipped)
+	}
+	if ref.errors != opt.errors {
+		t.Errorf("errors: ref %d, opt %d", ref.errors, opt.errors)
+	}
+	if ref.retries != opt.retries {
+		t.Errorf("retries: ref %d, opt %d", ref.retries, opt.retries)
+	}
+	if ref.timing != opt.timing {
+		t.Errorf("transaction timing diverged:\nref:\n%s\nopt:\n%s", ref.timing, opt.timing)
+	}
+	if ref.energy != opt.energy {
+		t.Errorf("energy bits diverged:\nref: %s\nopt: %s", ref.energy, opt.energy)
+	}
+	if ref.trace != opt.trace {
+		t.Errorf("trace bytes diverged")
+	}
+	if ref.stats != opt.stats {
+		t.Errorf("bus stats diverged:\nref: %s\nopt: %s", ref.stats, opt.stats)
+	}
+	if ref.counts != opt.counts {
+		t.Errorf("registry counts diverged:\nref: %s\nopt: %s", ref.counts, opt.counts)
+	}
+	if ref.skipped != 0 {
+		t.Errorf("reference path skipped %d cycles; must execute every cycle", ref.skipped)
+	}
+}
+
+// checkGolden runs items on the reference and the optimized path, once
+// plain and once with a registry attached, requires each pair of
+// captures to be identical, and returns the plain reference capture.
+func checkGolden(t *testing.T, layer int, items []core.Item, char gatepower.CharTable,
+	mp func() *ecbus.Map, retry core.RetryPolicy) goldenCapture {
+	t.Helper()
+	var first goldenCapture
+	for _, metered := range []bool{false, true} {
+		run := func() goldenCapture {
+			var reg *metrics.Registry
+			if metered {
+				reg = metrics.New(fmt.Sprintf("L%d", layer))
+			}
+			return goldenRunMetered(t, layer, core.CloneItems(items), char, mp, retry, reg)
+		}
+		var ref goldenCapture
+		withReference(t, func() { ref = run() })
+		compareGolden(t, ref, run())
+		if !metered {
+			first = ref
+		}
+	}
+	return first
 }
 
 func f64bits(v float64) string { return fmt.Sprintf("%016x", math.Float64bits(v)) }
@@ -67,6 +134,7 @@ func goldenRunMetered(t *testing.T, layer int, items []core.Item, char gatepower
 	var bus core.Initiator
 	var energy func(sb *strings.Builder)
 	var total func() float64
+	var stats func() (string, uint64) // the bus's Stats and its Rejected count
 	switch layer {
 	case 0:
 		b := rtlbus.New(k, mp())
@@ -76,6 +144,7 @@ func goldenRunMetered(t *testing.T, layer int, items []core.Item, char gatepower
 			b.AttachMetrics(k, reg, est.TotalEnergy)
 		}
 		bus = b
+		stats = func() (string, uint64) { st := b.Stats(); return fmt.Sprintf("%+v", st), st.Rejected }
 		total = est.TotalEnergy
 		energy = func(sb *strings.Builder) {
 			sb.WriteString(f64bits(est.TotalEnergy()))
@@ -96,6 +165,7 @@ func goldenRunMetered(t *testing.T, layer int, items []core.Item, char gatepower
 			b.AttachMetrics(reg)
 		}
 		bus = b
+		stats = func() (string, uint64) { st := b.Stats(); return fmt.Sprintf("%+v", st), st.Rejected }
 		total = b.Power().TotalEnergy
 		energy = func(sb *strings.Builder) {
 			p := b.Power()
@@ -109,6 +179,7 @@ func goldenRunMetered(t *testing.T, layer int, items []core.Item, char gatepower
 			b.AttachMetrics(reg)
 		}
 		bus = b
+		stats = func() (string, uint64) { st := b.Stats(); return fmt.Sprintf("%+v", st), st.Rejected }
 		total = b.Power().TotalEnergy
 		energy = func(sb *strings.Builder) {
 			p := b.Power()
@@ -133,6 +204,12 @@ func goldenRunMetered(t *testing.T, layer int, items []core.Item, char gatepower
 	cap.errors = m.Errors()
 	cap.retries = m.TotalRetries()
 	cap.skipped = k.SkippedCycles()
+	cap.stats, cap.rejected = stats()
+	if reg != nil {
+		snap := reg.Snapshot()
+		cap.counts = fmt.Sprintf("accepted=%d completed=%d errored=%d rejected=%d",
+			snap.Accepted, snap.Completed, snap.Errored, snap.Rejected)
+	}
 
 	var tb strings.Builder
 	for _, tr := range m.Completed() {
@@ -162,14 +239,34 @@ func withReference(t *testing.T, fn func()) {
 	fn()
 }
 
-func goldenCorpora() map[string][]core.Item {
-	c := map[string][]core.Item{
-		"verification": core.VerificationCorpus(lay),
-		"perf":         core.PerfCorpus(lay, 256),
-		"char":         core.CharCorpus(lay, 120),
+// goldenCase is one corpus of the golden matrix and the map it runs on.
+type goldenCase struct {
+	items []core.Item
+	mp    func() *ecbus.Map
+}
+
+// nvmMap is the NVM card organization of the campaigns: the fast RAM
+// and a data memory with a 256-cycle programming wait per written word.
+// Its writes fill the write category for hundreds of cycles, so a
+// master spends most of the run refused by a full bus.
+func nvmMap() *ecbus.Map { return nvmFaultMap(fault.Plan{}) }
+
+func nvmFaultMap(plan fault.Plan) *ecbus.Map {
+	return ecbus.MustMap(
+		fault.Wrap(mem.NewRAM("fast", lay.Fast, 0x1000, 0, 0), plan),
+		fault.Wrap(mem.NewNVRAM("nvm", lay.Slow, 0x1000, 1, 2, bench.NVMWriteWait), plan),
+	)
+}
+
+func goldenCorpora() map[string]goldenCase {
+	c := map[string]goldenCase{
+		"verification": {core.VerificationCorpus(lay), testMap},
+		"perf":         {core.PerfCorpus(lay, 256), testMap},
+		"char":         {core.CharCorpus(lay, 120), testMap},
+		"nvm":          {core.RandomCorpus(5, 200, lay), nvmMap},
 	}
 	for seed := uint64(1); seed <= 4; seed++ {
-		c[fmt.Sprintf("random-%d", seed)] = core.RandomCorpus(seed, 200, lay)
+		c[fmt.Sprintf("random-%d", seed)] = goldenCase{core.RandomCorpus(seed, 200, lay), testMap}
 	}
 	return c
 }
@@ -178,36 +275,10 @@ func goldenCorpora() map[string][]core.Item {
 // in both modes and requires byte-identical captures.
 func TestGoldenEquivalence(t *testing.T) {
 	char := characterize(t)
-	for name, items := range goldenCorpora() {
+	for name, gc := range goldenCorpora() {
 		for layer := 0; layer <= 2; layer++ {
 			t.Run(fmt.Sprintf("%s/layer%d", name, layer), func(t *testing.T) {
-				var ref goldenCapture
-				withReference(t, func() {
-					ref = goldenRun(t, layer, core.CloneItems(items), char)
-				})
-				opt := goldenRun(t, layer, core.CloneItems(items), char)
-
-				if !ref.done || !opt.done {
-					t.Fatalf("incomplete run: ref=%v opt=%v", ref.done, opt.done)
-				}
-				if ref.cycles != opt.cycles {
-					t.Errorf("cycles: ref %d, opt %d (opt skipped %d)", ref.cycles, opt.cycles, opt.skipped)
-				}
-				if ref.errors != opt.errors {
-					t.Errorf("errors: ref %d, opt %d", ref.errors, opt.errors)
-				}
-				if ref.timing != opt.timing {
-					t.Errorf("transaction timing diverged:\nref:\n%s\nopt:\n%s", ref.timing, opt.timing)
-				}
-				if ref.energy != opt.energy {
-					t.Errorf("energy bits diverged:\nref: %s\nopt: %s", ref.energy, opt.energy)
-				}
-				if ref.trace != opt.trace {
-					t.Errorf("trace bytes diverged")
-				}
-				if ref.skipped != 0 {
-					t.Errorf("reference path skipped %d cycles; must execute every cycle", ref.skipped)
-				}
+				checkGolden(t, layer, gc.items, char, gc.mp, core.RetryPolicy{})
 			})
 		}
 	}
@@ -245,13 +316,25 @@ func TestGoldenVCDEquivalence(t *testing.T) {
 // TestGoldenIdleSkipActuallySkips guards the performance property: on a
 // corpus with idle gaps and wait states, the optimized path must
 // fast-forward a nonzero number of cycles (otherwise the equivalence
-// above is vacuous for the skip machinery).
+// above is vacuous for the skip machinery). On the NVM corpus, whose
+// master is refused by a full write category through most of each
+// programming wait, it must sleep through at least 90% of the cycles:
+// the refused master stops re-asking until a write completes.
 func TestGoldenIdleSkipActuallySkips(t *testing.T) {
 	char := characterize(t)
 	for layer := 0; layer <= 2; layer++ {
 		c := goldenRun(t, layer, core.VerificationCorpus(lay), char)
 		if c.skipped == 0 {
 			t.Errorf("layer %d: no cycles skipped on the verification corpus", layer)
+		}
+		nvm := goldenCorpora()["nvm"]
+		c = goldenRunOn(t, layer, nvm.items, char, nvm.mp, core.RetryPolicy{})
+		if frac := float64(c.skipped) / float64(c.cycles); frac < 0.9 {
+			t.Errorf("layer %d: skipped %.3f of the NVM corpus's %d cycles, want >= 0.9",
+				layer, frac, c.cycles)
+		}
+		if c.rejected == 0 {
+			t.Errorf("layer %d: the NVM corpus drew no refusal, so no master slept on a full bus", layer)
 		}
 	}
 }

@@ -140,7 +140,7 @@ func TestLayer2TimingErrorRandom(t *testing.T) {
 // characterize runs the characterization corpus through the layer-0
 // model under the gate-level estimator and extracts the per-transition
 // table (paper §3.3, "Power Characterization").
-func characterize(t *testing.T) gatepower.CharTable {
+func characterize(t testing.TB) gatepower.CharTable {
 	t.Helper()
 	k := sim.New(0)
 	b := rtlbus.New(k, testMap())

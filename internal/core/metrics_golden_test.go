@@ -46,6 +46,9 @@ func compareCaptures(t *testing.T, plain, metered goldenCapture) {
 	if plain.trace != metered.trace {
 		t.Errorf("trace bytes diverged")
 	}
+	if plain.stats != metered.stats {
+		t.Errorf("bus stats diverged:\nplain:   %s\nmetered: %s", plain.stats, metered.stats)
+	}
 	if plain.skipped != metered.skipped {
 		t.Errorf("skipped cycles: plain %d, metered %d", plain.skipped, metered.skipped)
 	}
@@ -56,13 +59,13 @@ func compareCaptures(t *testing.T, plain, metered goldenCapture) {
 // tools use.
 func TestGoldenMetricsNeutral(t *testing.T) {
 	char := characterize(t)
-	for name, items := range goldenCorpora() {
+	for name, gc := range goldenCorpora() {
 		for layer := 0; layer <= 2; layer++ {
 			t.Run(fmt.Sprintf("%s/layer%d", name, layer), func(t *testing.T) {
-				plain := goldenRun(t, layer, core.CloneItems(items), char)
+				plain := goldenRunOn(t, layer, core.CloneItems(gc.items), char, gc.mp, core.RetryPolicy{})
 				reg, ring := newLoadedRegistry(layer)
-				metered := goldenRunMetered(t, layer, core.CloneItems(items), char,
-					testMap, core.RetryPolicy{}, reg)
+				metered := goldenRunMetered(t, layer, core.CloneItems(gc.items), char,
+					gc.mp, core.RetryPolicy{}, reg)
 				compareCaptures(t, plain, metered)
 
 				// The registry must actually have observed the run, or the

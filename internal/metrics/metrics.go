@@ -278,13 +278,14 @@ func (r *Registry) TxAccepted(cat ecbus.Category, occupancy int) {
 	}
 }
 
-// TxRejected records a transaction the bus refused to accept this
-// cycle (queue full); the master will re-present it.
-func (r *Registry) TxRejected() {
+// TxRejected records n refusals of a transaction the bus could not
+// accept (queue full); the master re-presents it each cycle, and a
+// master sleeping through skipped cycles books their refusals at once.
+func (r *Registry) TxRejected(n uint64) {
 	if r == nil {
 		return
 	}
-	r.rejected++
+	r.rejected += n
 }
 
 // TxRetired records one completed attempt of a transaction: counters,

@@ -73,7 +73,7 @@ func TestRegistryCountersAndSpans(t *testing.T) {
 	bad.IssueCycle, bad.DataCycle = 20, 22
 	r.TxAccepted(ecbus.CatWrite, 2)
 	r.TxRetired(bad, -1, true)
-	r.TxRejected()
+	r.TxRejected(1)
 	r.Retries(3)
 	r.Beat()
 	r.Beats(4)
@@ -184,7 +184,7 @@ func TestNilRegistrySafe(t *testing.T) {
 	}
 	r.BindSlaves("a")
 	r.TxAccepted(0, 1)
-	r.TxRejected()
+	r.TxRejected(1)
 	r.TxRetired(nil, 0, false)
 	r.Retries(1)
 	r.Beat()

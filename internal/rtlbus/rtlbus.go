@@ -117,8 +117,12 @@ func New(k *sim.Kernel, m *ecbus.Map) *Bus {
 // now whenever this cycle's tick changes wire state: a pulse wire left
 // high must fall, a phase starts or completes, or a data beat delivers.
 // During a pure countdown the wires are re-driven with identical values,
-// so those cycles are skippable.
+// so those cycles are skippable. It also returns now on a wake cycle
+// (ecbus.Outstanding.Wake), when a refused master retries.
 func (b *Bus) hint(now uint64) uint64 {
+	if b.outstanding.Wake(now) {
+		return now
+	}
 	w := &b.wires
 	if w.Bool(ecbus.SigARdy) || w.Bool(ecbus.SigRdVal) || w.Bool(ecbus.SigWDRdy) ||
 		w.Bool(ecbus.SigRBErr) || w.Bool(ecbus.SigWBErr) {
@@ -196,8 +200,7 @@ func (b *Bus) Access(tr *ecbus.Transaction) ecbus.BusState {
 	}
 	cat := tr.Category()
 	if b.outstanding.Full(cat) {
-		b.stats.Rejected++
-		b.mx.TxRejected()
+		b.Refused(1)
 		return ecbus.StateWait
 	}
 	if err := tr.Validate(); err != nil {
@@ -213,6 +216,15 @@ func (b *Bus) Access(tr *ecbus.Transaction) ecbus.BusState {
 	b.stats.Accepted++
 	b.mx.TxAccepted(cat, n)
 	return ecbus.StateRequest
+}
+
+// Refused counts n refusals of a request whose category is full: the
+// one Access just made, or those a stalled master (core.Refuser) would
+// have made on cycles the kernel skipped.
+func (b *Bus) Refused(n uint64) {
+	b.outstanding.Refuse()
+	b.stats.Rejected += n
+	b.mx.TxRejected(n)
 }
 
 // isQueued reports whether tr is anywhere in the bus pipelines. A

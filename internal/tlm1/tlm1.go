@@ -99,9 +99,12 @@ func New(k *sim.Kernel, m *ecbus.Map) *Bus {
 // hint reports the earliest future cycle with bus activity: the
 // completion tick of the head address phase or data beat. It returns now
 // whenever this cycle's tick does externally visible work — a phase
-// start, a completion, or clearing a strobe signal left high by the
-// previous cycle.
+// start, a completion, clearing a strobe signal left high by the
+// previous cycle, or a wake cycle (ecbus.Outstanding.Wake).
 func (b *Bus) hint(now uint64) uint64 {
+	if b.outstanding.Wake(now) {
+		return now
+	}
 	if b.power != nil && b.power.strobesHigh() {
 		return now // a strobe must fall this cycle; its energy is priced then
 	}
@@ -225,8 +228,7 @@ func (b *Bus) Access(tr *ecbus.Transaction) ecbus.BusState {
 	}
 	cat := tr.Category()
 	if b.outstanding.Full(cat) {
-		b.stats.Rejected++
-		b.mx.TxRejected()
+		b.Refused(1)
 		return ecbus.StateWait
 	}
 	if err := tr.Validate(); err != nil {
@@ -240,6 +242,15 @@ func (b *Bus) Access(tr *ecbus.Transaction) ecbus.BusState {
 	b.stats.Accepted++
 	b.mx.TxAccepted(cat, n)
 	return ecbus.StateRequest
+}
+
+// Refused counts n refusals of a request whose category is full: the
+// one Access just made, or those a stalled master (core.Refuser) would
+// have made on cycles the kernel skipped.
+func (b *Bus) Refused(n uint64) {
+	b.outstanding.Refuse()
+	b.stats.Rejected += n
+	b.mx.TxRejected(n)
 }
 
 // isQueued reports whether tr is in any request queue; Access needs it

@@ -95,8 +95,12 @@ func New(k *sim.Kernel, m *ecbus.Map) *Bus {
 // completions (which move requests, book energy and touch slaves) must
 // execute, while pure countdown ticks only decrement a counter and can
 // be fast-forwarded. The layer-2 power model books energy per phase, so
-// skipped countdown cycles dissipate nothing by construction.
+// skipped countdown cycles dissipate nothing by construction. A wake
+// cycle (ecbus.Outstanding.Wake) executes too.
 func (b *Bus) hint(now uint64) uint64 {
+	if b.outstanding.Wake(now) {
+		return now
+	}
 	next := sim.NoEvent
 	if !b.addrQ.Empty() {
 		r := b.addrQ.Front()
@@ -299,8 +303,7 @@ func (b *Bus) Access(tr *ecbus.Transaction) ecbus.BusState {
 	}
 	cat := tr.Category()
 	if b.outstanding.Full(cat) {
-		b.stats.Rejected++
-		b.mx.TxRejected()
+		b.Refused(1)
 		return ecbus.StateWait
 	}
 	if tr.Burst && len(tr.Data) != ecbus.BurstLen {
@@ -324,6 +327,15 @@ func (b *Bus) Access(tr *ecbus.Transaction) ecbus.BusState {
 	b.stats.Accepted++
 	b.mx.TxAccepted(cat, n)
 	return ecbus.StateRequest
+}
+
+// Refused counts n refusals of a request whose category is full: the
+// one Access just made, or those a stalled master (core.Refuser) would
+// have made on cycles the kernel skipped.
+func (b *Bus) Refused(n uint64) {
+	b.outstanding.Refuse()
+	b.stats.Rejected += n
+	b.mx.TxRejected(n)
 }
 
 // isQueued reports whether tr is in any request queue; Access needs it

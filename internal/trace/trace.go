@@ -30,7 +30,9 @@ type Record struct {
 
 // Recorder wraps a bus initiator and captures every accepted
 // transaction. It is transparent: masters drive it exactly like the
-// underlying bus.
+// underlying bus. A refusal passes through unrecorded, so Unwrap
+// exposes the bus: a master behind the Recorder sleeps through a full
+// bus (core.Refuser) exactly as it would on the bus itself.
 type Recorder struct {
 	inner core.Initiator
 	recs  []Record
@@ -58,6 +60,9 @@ func (r *Recorder) Access(tr *ecbus.Transaction) ecbus.BusState {
 	}
 	return st
 }
+
+// Unwrap returns the wrapped initiator.
+func (r *Recorder) Unwrap() core.Initiator { return r.inner }
 
 // Records returns the captured transactions in acceptance order.
 func (r *Recorder) Records() []Record { return r.recs }

@@ -71,7 +71,7 @@ func TestDisabledMetricsZeroCost(t *testing.T) {
 		reg.WaitCycle()
 		reg.WaitCycles(2)
 		reg.Retries(1)
-		reg.TxRejected()
+		reg.TxRejected(1)
 		reg.TxAccepted(0, 1)
 		reg.Finalize(2.0)
 		reg.RecordKernel(1, 2, 3, 4)

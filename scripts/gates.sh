@@ -13,7 +13,7 @@ RACE_PKGS="./internal/explore/... ./internal/sim/... ./internal/fault/... ./inte
 
 # package:target pairs under internal/.
 FUZZ_TARGETS="fault:FuzzPlanParse fault:FuzzWithoutReadErrors checker:FuzzCheckerRules arb:FuzzArbiterGrant
-serve:FuzzRequestBodies"
+serve:FuzzRequestBodies core:FuzzGoldenEquivalence"
 
 case "${1:-}" in
 race)
