@@ -19,7 +19,6 @@ import (
 	"testing"
 
 	"repro/internal/bench"
-	"repro/internal/coding"
 	"repro/internal/core"
 	"repro/internal/cpu"
 	"repro/internal/ecbus"
@@ -28,7 +27,6 @@ import (
 	"repro/internal/gatepower"
 	"repro/internal/javacard"
 	"repro/internal/journal"
-	"repro/internal/logic"
 	"repro/internal/mem"
 	"repro/internal/platform"
 	"repro/internal/rtlbus"
@@ -36,7 +34,6 @@ import (
 	"repro/internal/tear"
 	"repro/internal/tlm1"
 	"repro/internal/tlm2"
-	"repro/internal/tlm3"
 )
 
 var lay = core.Layout{Fast: 0, Slow: 0x10000}
@@ -290,39 +287,6 @@ func benchICache(b *testing.B, icache bool) {
 
 func BenchmarkAblation_ICacheOn(b *testing.B)  { benchICache(b, true) }
 func BenchmarkAblation_ICacheOff(b *testing.B) { benchICache(b, false) }
-
-// Ablation: bus-invert coding of the write-data wires (related work [5])
-// — encoding throughput and the savings metric per iteration.
-func BenchmarkAblation_BusInvertCoding(b *testing.B) {
-	r := logic.NewLFSR(17)
-	seq := make([]uint64, 4096)
-	for i := range seq {
-		seq[i] = r.NextN(32)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res := coding.Evaluate(seq, &coding.BusInvert{Bits: 32}, 32, 1e-13)
-		if res.EncT >= res.RawT {
-			b.Fatal("no savings on random data")
-		}
-	}
-	b.SetBytes(int64(len(seq) * 8))
-}
-
-// Message-layer throughput: untimed layer-3 transfers per second, the
-// speed ceiling of the hierarchy.
-func BenchmarkLayer3MessageBus(b *testing.B) {
-	m := ecbus.MustMap(mem.NewRAM("ram", 0, 0x4000, 0, 0))
-	bus := tlm3.New(m)
-	payload := make([]byte, 256)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := bus.Write(uint64(i%32)*256, payload); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.SetBytes(int64(len(payload)))
-}
 
 // Idle-cycle fast-forward: a sparse workload (transactions separated by
 // long quiet gaps) where the kernel jumps between events instead of

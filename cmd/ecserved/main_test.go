@@ -2,7 +2,10 @@ package main
 
 import (
 	"bufio"
-	"context"
+	"bytes"
+	"encoding/json"
+	"io"
+	"net/http"
 	"os/exec"
 	"path/filepath"
 	"strings"
@@ -64,13 +67,14 @@ func TestServerSmoke(t *testing.T) {
 		}
 	}()
 
-	client := &serve.Client{BaseURL: base}
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
+	hc := &http.Client{Timeout: 30 * time.Second}
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		if err := client.Healthz(ctx); err == nil {
-			break
+		if resp, err := hc.Get(base + "/healthz"); err == nil {
+			resp.Body.Close()
+			if resp.StatusCode == http.StatusOK {
+				break
+			}
 		}
 		if time.Now().After(deadline) {
 			t.Fatal("daemon never became healthy")
@@ -78,13 +82,29 @@ func TestServerSmoke(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 
-	req := serve.EstimateRequest{Layer: 1, Corpus: "perf", N: 64, Fault: "flaky"}
-	got, verdict, err := client.Estimate(ctx, req)
+	req, err := json.Marshal(serve.EstimateRequest{Layer: 1, Corpus: "perf", N: 64, Fault: "flaky"})
 	if err != nil {
 		t.Fatal(err)
 	}
+	estimate := func() ([]byte, string) {
+		resp, err := hc.Post(base+"/v1/estimate", "application/json", bytes.NewReader(req))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("estimate: status %d, %v: %s", resp.StatusCode, err, body)
+		}
+		return body, resp.Header.Get("X-Cache")
+	}
+	first, verdict := estimate()
 	if verdict != "miss" {
 		t.Fatalf("first estimate verdict %q, want miss", verdict)
+	}
+	var got serve.EstimateResponse
+	if err := json.Unmarshal(first, &got); err != nil {
+		t.Fatal(err)
 	}
 
 	plan, err := fault.Parse("flaky")
@@ -103,12 +123,9 @@ func TestServerSmoke(t *testing.T) {
 	}
 
 	// Same request again is a cache hit with the identical payload.
-	again, verdict, err := client.Estimate(ctx, req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if verdict != "hit" || again != got {
-		t.Fatalf("repeat estimate: verdict %q, equal=%v", verdict, again == got)
+	again, verdict := estimate()
+	if verdict != "hit" || !bytes.Equal(again, first) {
+		t.Fatalf("repeat estimate: verdict %q, byte-identical=%v", verdict, bytes.Equal(again, first))
 	}
 
 	// SIGTERM drains cleanly: exit code 0.

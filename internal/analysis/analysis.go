@@ -32,20 +32,6 @@ func Mean(xs []float64) float64 {
 	return s / float64(len(xs))
 }
 
-// Std returns the population standard deviation of xs.
-func Std(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	m := Mean(xs)
-	var s float64
-	for _, x := range xs {
-		d := x - m
-		s += d * d
-	}
-	return math.Sqrt(s / float64(len(xs)))
-}
-
 // Autocorr returns the normalized autocorrelation of the trace at the
 // given lag — SPA's structure detector: a periodic round pattern gives a
 // high value at lag = cycles-per-round.

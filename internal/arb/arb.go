@@ -86,9 +86,6 @@ func New(policy Policy, n int) *Arbiter {
 	return &Arbiter{policy: policy, n: n, last: n - 1}
 }
 
-// Policy returns the arbiter's policy.
-func (a *Arbiter) Policy() Policy { return a.policy }
-
 // Masters returns the number of master ports.
 func (a *Arbiter) Masters() int { return a.n }
 

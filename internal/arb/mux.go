@@ -91,9 +91,6 @@ func (m *Mux) Bind(bus Initiator) *Mux {
 // internally if it needs more).
 func (m *Mux) Observe(o Observer) { m.obs = o }
 
-// Policy returns the arbitration policy.
-func (m *Mux) Policy() Policy { return m.a.Policy() }
-
 // Masters returns the number of ports.
 func (m *Mux) Masters() int { return m.n }
 

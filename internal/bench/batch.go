@@ -143,15 +143,9 @@ func CampaignEstimate(layer int, seed uint64, runs, n int, plan fault.Plan, widt
 	return CampaignEstimateRuns(layer, CampaignRuns(seed, runs, n), plan, width)
 }
 
-// CampaignEstimateSerialRuns is the serial reference for a pre-built
-// campaign: one kernel-driven run at a time, exactly the pre-batching
-// path.
-func CampaignEstimateSerialRuns(layer int, runs []batch.Run, plan fault.Plan) ([]CorpusEstimate, error) {
-	return CampaignEstimateSerialRunsOrg(layer, runs, plan, OrgSRAM)
-}
-
-// CampaignEstimateSerialRunsOrg is the serial reference against an
-// explicit memory organization.
+// CampaignEstimateSerialRunsOrg is the serial reference for a pre-built
+// campaign against an explicit memory organization: one kernel-driven
+// run at a time, exactly the pre-batching path.
 func CampaignEstimateSerialRunsOrg(layer int, runs []batch.Run, plan fault.Plan, org Organization) ([]CorpusEstimate, error) {
 	var char gatepower.CharTable
 	if layer > 0 {
@@ -166,12 +160,6 @@ func CampaignEstimateSerialRunsOrg(layer int, runs []batch.Run, plan fault.Plan,
 		out = append(out, CorpusEstimate{Layer: layer, Cycles: row.Cycles, EnergyJ: row.energyJ, Errors: row.Errors, Retries: row.Retries})
 	}
 	return out, nil
-}
-
-// CampaignEstimateSerial is CampaignEstimateSerialRuns over the
-// deterministic campaign corpus for (seed, runs, n).
-func CampaignEstimateSerial(layer int, seed uint64, runs, n int, plan fault.Plan) ([]CorpusEstimate, error) {
-	return CampaignEstimateSerialRuns(layer, CampaignRuns(seed, runs, n), plan)
 }
 
 // CampaignEqual reports whether two campaign results are bit-identical,

@@ -80,7 +80,7 @@ func TestGoldenCampaignBatchedMatchesSerial(t *testing.T) {
 	plans := []fault.Plan{{}, mustPlan(t, "grind")}
 	for layer := 0; layer <= 1; layer++ {
 		for pi, plan := range plans {
-			serial, err := CampaignEstimateSerial(layer, seed, runs, n, plan)
+			serial, err := CampaignEstimateSerialRunsOrg(layer, CampaignRuns(seed, runs, n), plan, OrgSRAM)
 			if err != nil {
 				t.Fatalf("serial campaign: %v", err)
 			}

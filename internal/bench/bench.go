@@ -392,20 +392,10 @@ func FaultTable(planName string) ([]FaultRow, string, error) {
 	return rows, sb.String(), nil
 }
 
-// Exploration reproduces the §4.3 case-study table over the full sweep
-// with default sweep options (one worker per CPU).
-func Exploration() (string, error) {
-	return ExplorationWith(explore.SweepOpts{})
-}
-
-// ExplorationWith is Exploration with caller-tuned sweep options, so
+// ExplorationLayers reproduces the §4.3 case-study table over the full
+// sweep at a caller-chosen layer list (explore.SweepLayers vocabulary,
+// validated by the sweep), with caller-tuned sweep options so
 // cmd/ecbench can set the worker count and stream rows as they land.
-func ExplorationWith(opts explore.SweepOpts) (string, error) {
-	return ExplorationLayers(opts, []int{1, 2})
-}
-
-// ExplorationLayers is ExplorationWith over a caller-chosen layer list
-// (explore.SweepLayers vocabulary, validated by the sweep).
 func ExplorationLayers(opts explore.SweepOpts, layers []int) (string, error) {
 	results, err := explore.SweepWith(opts, layers, javacard.Organizations, explore.AddrMaps, javacard.Workloads())
 	if err != nil {

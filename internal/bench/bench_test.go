@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/explore"
 )
 
 func TestTable1ReproducesPaperShape(t *testing.T) {
@@ -113,7 +114,7 @@ func TestFigure6Text(t *testing.T) {
 }
 
 func TestExplorationTable(t *testing.T) {
-	text, err := Exploration()
+	text, err := ExplorationLayers(explore.SweepOpts{}, []int{1, 2})
 	if err != nil {
 		t.Fatal(err)
 	}

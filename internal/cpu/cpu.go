@@ -109,9 +109,6 @@ func (c *CPU) SetReg(r int, v uint32) {
 	}
 }
 
-// PC returns the address of the next instruction to execute.
-func (c *CPU) PC() uint64 { return c.pc }
-
 // Halted reports whether the CPU stopped (BREAK, Halt or fault).
 func (c *CPU) Halted() bool { return c.st == stHalted }
 

@@ -77,15 +77,6 @@ func (id SignalID) Bits() int {
 	return Signals[id].Bits
 }
 
-// TotalWires returns the number of physical wires in the bundle.
-func TotalWires() int {
-	n := 0
-	for _, s := range Signals {
-		n += s.Bits
-	}
-	return n
-}
-
 // signalMask holds the width mask of every signal group, precomputed so
 // the per-cycle Set path never rebuilds it.
 var signalMask = func() (m [NumSignals]uint64) {
@@ -118,18 +109,6 @@ func MaskOf(id SignalID) uint64 { return signalMask[id] }
 type Bundle struct {
 	v     [NumSignals]uint64
 	dirty uint32
-}
-
-// Normalize masks every group to its width and returns the bundle.
-// Groups whose value changes are marked dirty.
-func (b *Bundle) Normalize() *Bundle {
-	for i := range b.v {
-		if m := b.v[i] & signalMask[i]; m != b.v[i] {
-			b.v[i] = m
-			b.dirty |= 1 << uint(i)
-		}
-	}
-	return b
 }
 
 // Set assigns value v (masked to the group width) to signal id, marking

@@ -108,9 +108,6 @@ func countRunUncached(ctx context.Context, cfg Config, p prepared) (tlm3.Feature
 	if err := s.run(ctx); err != nil {
 		return tlm3.Features{}, countStats{}, err
 	}
-	if s.mux != nil {
-		s.count.RecordArb(s.mux.TotalGrants(), s.mux.Contentions())
-	}
 	st := countStats{steps: s.vm.Steps, cycles: s.count.Cycles()}
 	st.tx, st.retries = s.traffic()
 	return s.count.Features(), st, nil

@@ -282,9 +282,6 @@ func (in *Injector) Inner() ecbus.Slave { return in.inner }
 // no stretch) — so callers may bypass it entirely.
 func (in *Injector) Passthrough() (ecbus.Slave, bool) { return in.inner, in.passive }
 
-// Plan returns the active plan.
-func (in *Injector) Plan() Plan { return in.plan }
-
 // Stats returns a copy of the injection counters.
 func (in *Injector) Stats() Stats { return in.stats }
 

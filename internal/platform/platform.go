@@ -102,8 +102,7 @@ type Platform struct {
 
 	CPU *cpu.CPU // attached by LoadProgram
 
-	meters    []*SlaveMeter
-	injectors []*fault.Injector
+	meters []*SlaveMeter
 
 	// Layer-specific energy hooks (nil when Energy is off).
 	gate *gatepower.Estimator
@@ -142,9 +141,7 @@ func New(cfg Config) *Platform {
 		// The injector sits outermost: a suppressed faulty write never
 		// reaches the meter (the array was not accessed), while an
 		// error-flagged read still meters the access it corrupted.
-		in := fault.Wrap(m, plan)
-		p.injectors = append(p.injectors, in)
-		return in
+		return fault.Wrap(m, plan)
 	}
 	// Memories take the full plan; peripherals have reads with side
 	// effects (UART RX pops the FIFO, the TRNG advances its state), so
@@ -268,24 +265,6 @@ func (p *Platform) EnergyBreakdown() map[string]float64 {
 	return out
 }
 
-// FaultStats aggregates the injection counters of all fault injectors
-// (zero when no fault plan is configured).
-func (p *Platform) FaultStats() fault.Stats {
-	var s fault.Stats
-	for _, in := range p.injectors {
-		st := in.Stats()
-		s.ReadErrors += st.ReadErrors
-		s.WriteErrors += st.WriteErrors
-		s.Corruptions += st.Corruptions
-		s.ExtraWaits += st.ExtraWaits
-		s.Stretched += st.Stretched
-	}
-	return s
-}
-
-// GateEstimator exposes the layer-0 estimator (nil on other layers).
-func (p *Platform) GateEstimator() *gatepower.Estimator { return p.gate }
-
 // Wires exposes the layer-0 wire bundle (nil on other layers), for VCD
 // dumping and custom probes.
 func (p *Platform) Wires() *ecbus.Bundle {
@@ -297,6 +276,3 @@ func (p *Platform) Wires() *ecbus.Bundle {
 
 // TL1Power exposes the layer-1 power model (nil otherwise).
 func (p *Platform) TL1Power() *tlm1.PowerModel { return p.tl1 }
-
-// TL2Power exposes the layer-2 power model (nil otherwise).
-func (p *Platform) TL2Power() *tlm2.PowerModel { return p.tl2 }

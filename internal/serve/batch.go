@@ -7,8 +7,6 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"io"
-	"net/http"
 	"strings"
 
 	"repro/internal/batch"
@@ -234,23 +232,4 @@ func ParseBatchBody(body []byte) ([]BatchRow, BatchTrailer, error) {
 		}
 		rows = append(rows, row)
 	}
-}
-
-// Batch posts one batched-campaign request and decodes the NDJSON
-// stream. The returned cache string is the server's X-Cache verdict.
-func (c *Client) Batch(ctx context.Context, req BatchRequest) ([]BatchRow, BatchTrailer, string, error) {
-	resp, err := c.post(ctx, "/v1/batch", req)
-	if err != nil {
-		return nil, BatchTrailer{}, "", err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, BatchTrailer{}, "", apiError(resp)
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, BatchTrailer{}, "", err
-	}
-	rows, trailer, err := ParseBatchBody(body)
-	return rows, trailer, resp.Header.Get("X-Cache"), err
 }

@@ -1,19 +1,19 @@
 package serve
 
 import (
-	"context"
+	"net/http"
 	"net/http/httptest"
 	"testing"
 )
 
-// newBatchTestServer spins up a small server/client pair for the batch
-// endpoint tests.
-func newBatchTestServer(t *testing.T) (*Server, *Client) {
+// newBatchTestServer spins up a small server for the batch endpoint
+// tests and returns its /v1/batch URL.
+func newBatchTestServer(t *testing.T) string {
 	t.Helper()
 	s := New(Options{Workers: 2})
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(func() { ts.Close(); s.Close() })
-	return s, &Client{BaseURL: ts.URL}
+	return ts.URL + "/v1/batch"
 }
 
 // TestBatchWidthInvariantCache pins the /v1/batch width-invariance
@@ -21,11 +21,12 @@ func newBatchTestServer(t *testing.T) (*Server, *Client) {
 // entry, the second is a HIT, and the decoded per-run results (down to
 // the energy bit patterns) are identical.
 func TestBatchWidthInvariantCache(t *testing.T) {
-	_, c := newBatchTestServer(t)
-	ctx := context.Background()
+	url := newBatchTestServer(t)
 
 	req := BatchRequest{Layer: 1, Seed: 7, Runs: 8, N: 24, Fault: "grind", Width: 1}
-	rows1, tr1, verdict1, err := c.Batch(ctx, req)
+	resp := postJSON(t, url, req)
+	verdict1 := resp.Header.Get("X-Cache")
+	rows1, tr1, err := ParseBatchBody(readAll(t, resp))
 	if err != nil {
 		t.Fatalf("batch width 1: %v", err)
 	}
@@ -37,7 +38,9 @@ func TestBatchWidthInvariantCache(t *testing.T) {
 	}
 
 	req.Width = 64 // wider than runs: capped, same campaign, same key
-	rows2, tr2, verdict2, err := c.Batch(ctx, req)
+	resp = postJSON(t, url, req)
+	verdict2 := resp.Header.Get("X-Cache")
+	rows2, tr2, err := ParseBatchBody(readAll(t, resp))
 	if err != nil {
 		t.Fatalf("batch width 64: %v", err)
 	}
@@ -55,7 +58,9 @@ func TestBatchWidthInvariantCache(t *testing.T) {
 
 	// A different seed is a different campaign: fresh compute.
 	req.Seed = 8
-	_, tr3, verdict3, err := c.Batch(ctx, req)
+	resp = postJSON(t, url, req)
+	verdict3 := resp.Header.Get("X-Cache")
+	_, tr3, err := ParseBatchBody(readAll(t, resp))
 	if err != nil {
 		t.Fatalf("batch seed 8: %v", err)
 	}
@@ -75,8 +80,7 @@ func TestBatchWidthInvariantCache(t *testing.T) {
 
 // TestBatchRequestValidation pins the 400 surface of /v1/batch.
 func TestBatchRequestValidation(t *testing.T) {
-	_, c := newBatchTestServer(t)
-	ctx := context.Background()
+	url := newBatchTestServer(t)
 	bad := []BatchRequest{
 		{Layer: 2},                       // TL2 is not batched
 		{Layer: -1},                      // negative layer
@@ -86,11 +90,13 @@ func TestBatchRequestValidation(t *testing.T) {
 		{Layer: 0, Fault: "no-such-one"}, // unknown plan
 	}
 	for i, req := range bad {
-		if _, _, _, err := c.Batch(ctx, req); err == nil {
-			t.Fatalf("bad request %d (%+v) accepted", i, req)
+		resp := postJSON(t, url, req)
+		if body := readAll(t, resp); resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("bad request %d (%+v): status %d, want 400: %s", i, req, resp.StatusCode, body)
 		}
 	}
-	if _, tr, _, err := c.Batch(ctx, BatchRequest{Layer: 0, Runs: 4, N: 8}); err != nil || tr.Rows != 4 {
-		t.Fatalf("valid minimal request failed: %v, trailer %+v", err, tr)
+	resp := postJSON(t, url, BatchRequest{Layer: 0, Runs: 4, N: 8})
+	if _, tr, err := ParseBatchBody(readAll(t, resp)); resp.StatusCode != http.StatusOK || err != nil || tr.Rows != 4 {
+		t.Fatalf("valid minimal request failed: status %d, %v, trailer %+v", resp.StatusCode, err, tr)
 	}
 }

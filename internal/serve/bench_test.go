@@ -1,8 +1,11 @@
 package serve
 
 import (
-	"context"
+	"bytes"
+	"encoding/json"
 	"fmt"
+	"io"
+	"net/http"
 	"net/http/httptest"
 	"runtime"
 	"sync"
@@ -14,7 +17,8 @@ import (
 // and a map lookup; deduped concurrent requests share one compute
 // between 16 clients. The EXPERIMENTS appendix quotes these figures.
 
-func newBenchServer(b *testing.B, opts Options) (*Server, *Client) {
+// newBenchServer starts a server and returns its /v1/estimate URL.
+func newBenchServer(b *testing.B, opts Options) (*Server, string) {
 	b.Helper()
 	s := New(opts)
 	hs := httptest.NewServer(s.Handler())
@@ -22,7 +26,29 @@ func newBenchServer(b *testing.B, opts Options) (*Server, *Client) {
 		hs.Close()
 		s.Close()
 	})
-	return s, &Client{BaseURL: hs.URL}
+	return s, hs.URL + "/v1/estimate"
+}
+
+// estimate posts req to url and returns the X-Cache verdict. A failed
+// post or a non-200 is reported with b.Error, so the concurrent dedup
+// burst may call it too.
+func estimate(b *testing.B, url string, req EstimateRequest) string {
+	body, err := json.Marshal(req)
+	if err != nil {
+		b.Error(err)
+		return ""
+	}
+	resp, err := http.Post(url, "application/json", bytes.NewReader(body))
+	if err != nil {
+		b.Error(err)
+		return ""
+	}
+	defer resp.Body.Close()
+	io.Copy(io.Discard, resp.Body)
+	if resp.StatusCode != http.StatusOK {
+		b.Errorf("estimate status %d", resp.StatusCode)
+	}
+	return resp.Header.Get("X-Cache")
 }
 
 // benchReq builds the benchmark workload point. A nonzero seed in an
@@ -38,13 +64,10 @@ func benchReq(seed int) EstimateRequest {
 }
 
 func BenchmarkServeEstimateCold(b *testing.B) {
-	_, client := newBenchServer(b, Options{Workers: runtime.GOMAXPROCS(0), CacheEntries: b.N + 1})
-	ctx := context.Background()
+	_, url := newBenchServer(b, Options{Workers: runtime.GOMAXPROCS(0), CacheEntries: b.N + 1})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, verdict, err := client.Estimate(ctx, benchReq(i+1)); err != nil {
-			b.Fatal(err)
-		} else if verdict != "miss" {
+		if verdict := estimate(b, url, benchReq(i+1)); verdict != "miss" {
 			b.Fatalf("iteration %d verdict %q, want miss", i, verdict)
 		}
 	}
@@ -55,18 +78,13 @@ func BenchmarkServeEstimateCold(b *testing.B) {
 func BenchmarkServeEstimateHit(b *testing.B) {
 	for _, n := range []int{64, 2048} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			_, client := newBenchServer(b, Options{Workers: 2})
-			ctx := context.Background()
+			_, url := newBenchServer(b, Options{Workers: 2})
 			req := benchReq(0)
 			req.N = n
-			if _, _, err := client.Estimate(ctx, req); err != nil {
-				b.Fatal(err)
-			}
+			estimate(b, url, req)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, verdict, err := client.Estimate(ctx, req); err != nil {
-					b.Fatal(err)
-				} else if verdict != "hit" {
+				if verdict := estimate(b, url, req); verdict != "hit" {
 					b.Fatalf("iteration %d verdict %q, want hit", i, verdict)
 				}
 			}
@@ -78,8 +96,7 @@ func BenchmarkServeEstimateHit(b *testing.B) {
 // requests per iteration under a fresh key; the per-op time is the
 // wall-clock for the whole deduped burst (one compute, 16 responses).
 func BenchmarkServeEstimateDedup16(b *testing.B) {
-	s, client := newBenchServer(b, Options{Workers: 2, CacheEntries: b.N + 1})
-	ctx := context.Background()
+	s, url := newBenchServer(b, Options{Workers: 2, CacheEntries: b.N + 1})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var wg sync.WaitGroup
@@ -87,9 +104,7 @@ func BenchmarkServeEstimateDedup16(b *testing.B) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				if _, _, err := client.Estimate(ctx, benchReq(i+1)); err != nil {
-					b.Error(err)
-				}
+				estimate(b, url, benchReq(i+1))
 			}()
 		}
 		wg.Wait()

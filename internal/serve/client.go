@@ -10,8 +10,8 @@ import (
 	"strings"
 )
 
-// Client is the thin HTTP client for a remote estimation server, used
-// by jcexplore -remote and the serving smoke tests.
+// Client is the thin HTTP client for a remote estimation server. Its
+// one caller is jcexplore -remote, which runs synchronous sweeps.
 type Client struct {
 	// BaseURL is the server root, e.g. "http://127.0.0.1:8372".
 	BaseURL string
@@ -52,24 +52,6 @@ func (c *Client) post(ctx context.Context, path string, req any) (*http.Response
 	return c.http().Do(hr)
 }
 
-// Estimate posts one estimation request. The returned cache string is
-// the server's X-Cache verdict ("hit", "dedup" or "miss").
-func (c *Client) Estimate(ctx context.Context, req EstimateRequest) (EstimateResponse, string, error) {
-	resp, err := c.post(ctx, "/v1/estimate", req)
-	if err != nil {
-		return EstimateResponse{}, "", err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return EstimateResponse{}, "", apiError(resp)
-	}
-	defer resp.Body.Close()
-	var out EstimateResponse
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return EstimateResponse{}, "", fmt.Errorf("serve: bad estimate response: %w", err)
-	}
-	return out, resp.Header.Get("X-Cache"), nil
-}
-
 // Sweep posts one synchronous sweep request and decodes the NDJSON
 // stream.
 func (c *Client) Sweep(ctx context.Context, req SweepRequest) ([]SweepRow, SweepTrailer, error) {
@@ -87,78 +69,4 @@ func (c *Client) Sweep(ctx context.Context, req SweepRequest) ([]SweepRow, Sweep
 		return nil, SweepTrailer{}, err
 	}
 	return ParseSweepBody(body)
-}
-
-// SweepAsync queues a sweep job and returns its handle.
-func (c *Client) SweepAsync(ctx context.Context, req SweepRequest) (Job, error) {
-	req.Async = true
-	resp, err := c.post(ctx, "/v1/sweep", req)
-	if err != nil {
-		return Job{}, err
-	}
-	if resp.StatusCode != http.StatusAccepted {
-		return Job{}, apiError(resp)
-	}
-	defer resp.Body.Close()
-	var job Job
-	if err := json.NewDecoder(resp.Body).Decode(&job); err != nil {
-		return Job{}, fmt.Errorf("serve: bad job response: %w", err)
-	}
-	return job, nil
-}
-
-// Job fetches a job's current status.
-func (c *Client) Job(ctx context.Context, id string) (Job, error) {
-	resp, err := c.get(ctx, "/v1/jobs/"+id)
-	if err != nil {
-		return Job{}, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return Job{}, apiError(resp)
-	}
-	defer resp.Body.Close()
-	var job Job
-	if err := json.NewDecoder(resp.Body).Decode(&job); err != nil {
-		return Job{}, fmt.Errorf("serve: bad job response: %w", err)
-	}
-	return job, nil
-}
-
-// JobResult fetches a completed job's NDJSON body.
-func (c *Client) JobResult(ctx context.Context, id string) ([]SweepRow, SweepTrailer, error) {
-	resp, err := c.get(ctx, "/v1/jobs/"+id+"/result")
-	if err != nil {
-		return nil, SweepTrailer{}, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, SweepTrailer{}, apiError(resp)
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, SweepTrailer{}, err
-	}
-	return ParseSweepBody(body)
-}
-
-// Healthz probes the server's health endpoint.
-func (c *Client) Healthz(ctx context.Context) error {
-	resp, err := c.get(ctx, "/healthz")
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	io.Copy(io.Discard, resp.Body)
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("serve: health: %s", resp.Status)
-	}
-	return nil
-}
-
-func (c *Client) get(ctx context.Context, path string) (*http.Response, error) {
-	hr, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+path, nil)
-	if err != nil {
-		return nil, err
-	}
-	return c.http().Do(hr)
 }

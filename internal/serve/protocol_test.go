@@ -208,13 +208,16 @@ func endpointProbe(t *testing.T, ep string) (path string, req any, key string) {
 // TestMetriczPerEndpointAccounting drives every registered compute
 // endpoint through all three cache outcomes and asserts the registry
 // accounts them under the endpoint's own label: requests=3 and exactly
-// one miss, one dedup, one hit each. ComputeEndpoints() is the route
-// registry itself, so an endpoint added without accounting fails here.
+// one miss, one dedup, one hit each. The endpoints come from the route
+// table itself, so an endpoint added without accounting fails here.
 func TestMetriczPerEndpointAccounting(t *testing.T) {
 	s, hs, _ := newTestServer(t, Options{Workers: 2, QueueDepth: 16})
-	eps := s.ComputeEndpoints()
+	var eps []string
+	for _, rt := range routes {
+		eps = append(eps, rt.Name)
+	}
 	if len(eps) < 4 {
-		t.Fatalf("ComputeEndpoints() = %v, want at least estimate/sweep/batch/config", eps)
+		t.Fatalf("routes = %v, want at least estimate/sweep/batch/config", eps)
 	}
 	gates := make(map[string]chan struct{}, len(eps))
 	for _, ep := range eps {

@@ -27,7 +27,6 @@ import (
 	"fmt"
 	"net/http"
 	"runtime"
-	"sort"
 	"strconv"
 	"sync"
 	"time"
@@ -152,18 +151,6 @@ func New(opts Options) *Server {
 		go s.worker()
 	}
 	return s
-}
-
-// ComputeEndpoints returns the metric labels of every compute route,
-// sorted: the route table's names, and the vocabulary of the
-// per-endpoint requests/hit/dedup/miss accounting on /metricz.
-func (s *Server) ComputeEndpoints() []string {
-	var out []string
-	for _, rt := range routes {
-		out = append(out, rt.Name)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Handler returns the server's HTTP handler.

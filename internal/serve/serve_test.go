@@ -71,7 +71,7 @@ func keyOf(endpoint string, req any) (string, error) {
 // estimator bit for bit — across all three abstraction layers, clean
 // and under a fault plan.
 func TestEstimateCacheBitEqualAllLayers(t *testing.T) {
-	_, hs, client := newTestServer(t, Options{Workers: 2})
+	_, hs, _ := newTestServer(t, Options{Workers: 2})
 	for _, layer := range []int{0, 1, 2} {
 		for _, plan := range []string{"", "flaky"} {
 			name := fmt.Sprintf("L%d/%s", layer, plan)
@@ -118,14 +118,6 @@ func TestEstimateCacheBitEqualAllLayers(t *testing.T) {
 			}
 			if resp.Cycles != direct.Cycles || resp.Errors != direct.Errors || resp.Retries != direct.Retries {
 				t.Fatalf("%s: served %+v != direct %+v", name, resp, direct)
-			}
-			// And the client sees the same thing through its own path.
-			cresp, verdict, err := client.Estimate(context.Background(), req)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if verdict != "hit" || cresp.EnergyBits != resp.EnergyBits {
-				t.Fatalf("%s: client got verdict=%q bits=%s", name, verdict, cresp.EnergyBits)
 			}
 		}
 	}
@@ -622,28 +614,41 @@ func TestAsyncSweepJob(t *testing.T) {
 		AddrMaps:  []string{"near"},
 		Workloads: []string{"arith-loop"},
 	}
-	job, err := client.SweepAsync(context.Background(), req)
-	if err != nil {
+	async := req
+	async.Async = true
+	resp := postJSON(t, hs.URL+"/v1/sweep", async)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("async sweep status %d, want 202", resp.StatusCode)
+	}
+	var job Job
+	if err := json.Unmarshal(readAll(t, resp), &job); err != nil {
 		t.Fatal(err)
 	}
 	if job.ID == "" || job.Key == "" {
 		t.Fatalf("bad job handle: %+v", job)
 	}
+	getJob := func(path string) *http.Response {
+		resp, err := http.Get(hs.URL + "/v1/jobs/" + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp
+	}
 	waitFor(t, "job completion", func() bool {
-		j, err := client.Job(context.Background(), job.ID)
-		return err == nil && j.Status == "done"
+		var j Job
+		resp := getJob(job.ID)
+		return resp.StatusCode == http.StatusOK && json.Unmarshal(readAll(t, resp), &j) == nil && j.Status == "done"
 	})
-	rows, trailer, err := client.JobResult(context.Background(), job.ID)
-	if err != nil {
-		t.Fatal(err)
+	resp = getJob(job.ID + "/result")
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("job result status %d", resp.StatusCode)
 	}
-	resp, err := http.Get(hs.URL + "/v1/jobs/" + job.ID + "/result")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
 	if rt, _ := RouteFor(job.Kind); resp.Header.Get("Content-Type") != rt.ContentType || rt.ContentType != ndjson {
 		t.Fatalf("job result Content-Type %q, want the %s row's %q", resp.Header.Get("Content-Type"), job.Kind, rt.ContentType)
+	}
+	rows, trailer, err := ParseSweepBody(readAll(t, resp))
+	if err != nil {
+		t.Fatal(err)
 	}
 	if trailer.Key != job.Key || len(rows) != trailer.Rows || len(rows) == 0 {
 		t.Fatalf("job result inconsistent: %d rows, trailer %+v", len(rows), trailer)
@@ -663,9 +668,9 @@ func TestAsyncSweepJob(t *testing.T) {
 		}
 	}
 
-	if _, err := client.Job(context.Background(), "job-nope"); err == nil ||
-		!strings.Contains(err.Error(), "unknown job") {
-		t.Fatalf("unknown job id not rejected: %v", err)
+	resp = getJob("job-nope")
+	if body := readAll(t, resp); resp.StatusCode != http.StatusNotFound || !strings.Contains(string(body), "unknown job") {
+		t.Fatalf("unknown job id not rejected: %d %s", resp.StatusCode, body)
 	}
 }
 
@@ -703,9 +708,13 @@ func TestRequestValidation(t *testing.T) {
 
 // /metricz renders the server registry; /healthz answers ok.
 func TestMetriczAndHealthz(t *testing.T) {
-	_, hs, client := newTestServer(t, Options{Workers: 1})
-	if err := client.Healthz(context.Background()); err != nil {
+	_, hs, _ := newTestServer(t, Options{Workers: 1})
+	health, err := http.Get(hs.URL + "/healthz")
+	if err != nil {
 		t.Fatal(err)
+	}
+	if readAll(t, health); health.StatusCode != http.StatusOK {
+		t.Fatalf("/healthz status %d", health.StatusCode)
 	}
 	postJSON(t, hs.URL+"/v1/estimate", EstimateRequest{Layer: 2, Corpus: "perf", N: 16}).Body.Close()
 	resp, err := http.Get(hs.URL + "/metricz")

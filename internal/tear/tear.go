@@ -153,6 +153,3 @@ func (m *Monitor) CutProgram() uint64 { return m.cutOp }
 
 // CutEnergyJ returns the meter total sampled at the latch.
 func (m *Monitor) CutEnergyJ() float64 { return m.cutJ }
-
-// Seed returns the plan's corruption seed.
-func (m *Monitor) Seed() uint64 { return m.plan.Seed }

@@ -1,3 +1,12 @@
+// Package tlm3 is transaction level layer 3 of the paper's bus-model
+// hierarchy (the layering it adopts from Haverinen et al., §2): untimed
+// and event-driven. The layer is an analytic screen. A Counter completes
+// every transaction in one Access call, with no kernel time and no
+// signal-level simulation, and tallies the traffic's Features. A model
+// fitted per organization (internal/calib) maps the feature vector to
+// the cycles and energy a timed layer would report, so a design sweep
+// can screen its whole space before confirming the survivors at layer
+// 1 or 2.
 package tlm3
 
 import (
@@ -67,9 +76,6 @@ type Counter struct {
 	lastAddr  uint64
 	lastRead  uint64
 	lastWrite uint64
-
-	arbGrants      uint64
-	arbContentions uint64
 }
 
 // NewCounter creates a counting bus over the address map.
@@ -83,23 +89,6 @@ func (c *Counter) Features() Features { return c.f }
 // cycle count for the observed traffic. The calibrated model maps this
 // tally (via the feature vector) onto a timed layer's true cycle count.
 func (c *Counter) Cycles() uint64 { return c.cycles }
-
-// RecordArb accumulates the arbitration event counts of a multi-master
-// counting run (committed grants and contention windows, from the
-// arbitration mux in front of the Counter). The counts are deliberately
-// kept outside the 10-element feature vector — the calibrated fit's
-// identity is pinned by FeatureNames — and are priced instead through
-// per-(organization, policy) coefficient groups.
-func (c *Counter) RecordArb(grants, contentions uint64) {
-	c.arbGrants += grants
-	c.arbContentions += contentions
-}
-
-// ArbGrants returns the accumulated committed-grant count.
-func (c *Counter) ArbGrants() uint64 { return c.arbGrants }
-
-// ArbContentions returns the accumulated contention-window count.
-func (c *Counter) ArbContentions() uint64 { return c.arbContentions }
 
 // Access completes tr immediately, counting its events. It never
 // returns a non-terminal state: masters built for the timed layers

@@ -12,6 +12,15 @@ import (
 	"repro/internal/tlm1"
 )
 
+// busMap is the two-slave test map: a zero-wait RAM and a wait-stated
+// one.
+func busMap() *ecbus.Map {
+	return ecbus.MustMap(
+		mem.NewRAM("ram", 0, 0x2000, 0, 0),
+		mem.NewRAM("slow", 0x10000, 0x1000, 1, 2),
+	)
+}
+
 // script builds a mixed traffic pattern: fetches, unaligned narrow
 // accesses, word singles and bursts, against both the fast and the
 // wait-stated slave.
