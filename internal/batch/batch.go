@@ -35,9 +35,11 @@
 // the corpus x layer matrix, clean and under fault plans. Exactness
 // holds because each lane replays the serial model's float operations
 // in the serial order: per-signal energies accumulate in dedicated
-// per-lane accumulators, per-cycle sums add signal terms in ascending
-// signal order, and idle fast-forwards integrate clock and leakage by
-// repeated addition exactly as gatepower.ObserveIdle does.
+// per-lane accumulators and per-cycle sums add signal terms in ascending
+// signal order. Clock and leakage depend on the cycle count alone, so
+// no lane accumulates them: a finished run reads both from the shared
+// gatepower.CycleSum tables the serial estimator reads, which hold the
+// bits of one addition per cycle from power-on.
 package batch
 
 import (
@@ -154,20 +156,18 @@ type Engine struct {
 
 	// Layer-0 constants (exact expression shapes of gatepower) and
 	// per-lane accumulators mirroring the estimator's per-signal ones.
-	bitE    [ecbus.NumSignals]float64
-	riseJ   [ecbus.NumSignals]float64 // bitE*KRise: the one-rise energy of a packed wire
-	fallJ   [ecbus.NumSignals]float64 // bitE*KFall
-	kRise   float64
-	kFall   float64
-	coupleK float64
-	glitchK float64
-	clockJ  float64
-	leakJ   float64
-	decJ    float64
-	sigE    [ecbus.NumSignals][MaxWidth]float64
-	decE    [MaxWidth]float64
-	clockE  [MaxWidth]float64
-	leakE   [MaxWidth]float64
+	bitE     [ecbus.NumSignals]float64
+	riseJ    [ecbus.NumSignals]float64 // bitE*KRise: the one-rise energy of a packed wire
+	fallJ    [ecbus.NumSignals]float64 // bitE*KFall
+	kRise    float64
+	kFall    float64
+	coupleK  float64
+	glitchK  float64
+	decJ     float64
+	clockSum *gatepower.CycleSum // clock and leakage: read once per run, at harvest
+	leakSum  *gatepower.CycleSum
+	sigE     [ecbus.NumSignals][MaxWidth]float64
+	decE     [MaxWidth]float64
 
 	// Layer-1 constants and accumulators.
 	perTransJ [ecbus.NumSignals]float64
@@ -237,8 +237,8 @@ func New(cfg Config) (*Engine, error) {
 	case 0:
 		e.kRise, e.kFall = cfg.Gate.KRise, cfg.Gate.KFall
 		e.coupleK, e.glitchK = cfg.Gate.CouplingK, cfg.Gate.GlitchWiresPerAddrBit
-		e.clockJ = cfg.Gate.ClockEnergyPerCycleJ()
-		e.leakJ = cfg.Gate.LeakagePerCycleJ
+		e.clockSum = gatepower.CycleSumOf(cfg.Gate.ClockEnergyPerCycleJ())
+		e.leakSum = gatepower.CycleSumOf(cfg.Gate.LeakagePerCycleJ)
 		e.decJ = cfg.Gate.DecoderWireEnergyJ()
 		for id := ecbus.SignalID(0); id < ecbus.NumSignals; id++ {
 			be := cfg.Gate.BitEnergy(id)
@@ -280,7 +280,7 @@ func (e *Engine) EstimateAll(runs []Run) ([]Result, error) {
 
 		// Wake the sleeping lanes whose next observable event is due.
 		// Their wait-state cycles were accounted when they fell asleep
-		// (clock, leakage, cycle counter), so no per-tick work remains;
+		// (the cycle counter), so no per-tick work remains;
 		// waking is one wheel-slot load plus the rare far-lane scan.
 		if e.sleeping != 0 {
 			slot := e.tick & (wheelSize - 1)
@@ -404,30 +404,16 @@ func (e *Engine) clearStrobes() {
 }
 
 // sleep advances a lane through its wait states at the moment it falls
-// asleep: the slept cycles' clock and leakage accumulate now by the
-// same repeated addition the per-tick path would have performed — on
-// the lane's private accumulators the addition sequence is identical,
-// so the bits are too — the cycle counter jumps to the eve of the wake
-// cycle, and the lane leaves the tick loop until its wake tick. Its
-// lattice wires stay frozen (clearStrobes holds them), so the
-// intervening ticks price zero transitions for it; a slept wait state
-// costs nothing at all per tick, where the serial models burn a full
-// kernel cycle (FSM poll + estimator observation finding no
+// asleep: the cycle counter jumps to the eve of the wake cycle — the
+// slept cycles' clock and leakage come with it, since harvest reads both
+// at the final cycle count — and the lane leaves the tick loop until its
+// wake tick. Its lattice wires stay frozen (clearStrobes holds them), so
+// the intervening ticks price zero transitions for it; a slept wait
+// state costs nothing at all per tick, where the serial models burn a
+// full kernel cycle (FSM poll + estimator observation finding no
 // transitions) or an idle-skip callback on it.
 func (e *Engine) sleep(ln *lane, li int, w uint64) {
 	k := w - ln.cyc - 1
-	if e.cfg.Layer == 0 {
-		// Local copies keep the repeated addition (the bit-exactness
-		// requirement) while sparing the per-iteration store/reload of
-		// the accumulator slots.
-		c, l := e.clockE[li], e.leakE[li]
-		cj, lj := e.clockJ, e.leakJ
-		for i := uint64(0); i < k; i++ {
-			c += cj
-			l += lj
-		}
-		e.clockE[li], e.leakE[li] = c, l
-	}
 	ln.cyc = w - 1
 	ln.wakeTick = e.tick + k + 1
 	bit := uint64(1) << uint(li)
@@ -457,10 +443,10 @@ func (e *Engine) sleep(ln *lane, li int, w uint64) {
 }
 
 // fastForward jumps the tick counter across ticks in which every live
-// lane is asleep: each slept lane's cycles, clock and leakage were
-// accounted when it fell asleep, its wires are frozen, and the strobe
-// clear holds sleeping lanes' bits — so the skipped ticks are pure
-// no-ops for the lattice and the accumulated bits.
+// lane is asleep: each slept lane's cycles were accounted when it fell
+// asleep, its wires are frozen, and the strobe clear holds sleeping
+// lanes' bits — so the skipped ticks are pure no-ops for the lattice
+// and the accumulated bits.
 func (e *Engine) fastForward() {
 	if e.active&^e.sleeping != 0 || e.sleeping == 0 {
 		return
@@ -506,22 +492,22 @@ func (e *Engine) nextWheelTick() uint64 {
 func (e *Engine) harvest(ln *lane, li int) Result {
 	r := Result{Cycles: ln.cyc + 1, Errors: ln.errors, Retries: ln.retries}
 	if e.cfg.Layer == 0 {
-		r.EnergyJ = e.laneEnergy0(li)
+		r.EnergyJ = e.laneEnergy0(li, r.Cycles)
 	} else {
 		r.EnergyJ = e.totalE[li]
 	}
 	return r
 }
 
-// laneEnergy0 totals one lane's layer-0 energy in the exact summation
-// order of gatepower's TotalEnergy: interface signals ascending, then
-// decoder select, decoder glitching, clock tree, leakage.
-func (e *Engine) laneEnergy0(li int) float64 {
+// laneEnergy0 totals one lane's layer-0 energy over its cycles in the
+// exact summation order of gatepower's TotalEnergy: interface signals
+// ascending, then decoder select, decoder glitching, clock tree, leakage.
+func (e *Engine) laneEnergy0(li int, cycles uint64) float64 {
 	var sum float64
 	for id := ecbus.SignalID(0); id < ecbus.SigSel; id++ {
 		sum += e.sigE[id][li]
 	}
-	return sum + e.sigE[ecbus.SigSel][li] + e.decE[li] + e.clockE[li] + e.leakE[li]
+	return sum + e.sigE[ecbus.SigSel][li] + e.decE[li] + e.clockSum.Sum(cycles) + e.leakSum.Sum(cycles)
 }
 
 // loadRun installs a pending run into a cleared lane. The lane's
@@ -560,7 +546,7 @@ func (e *Engine) clearLane(ln *lane, li int) {
 		e.old[id][li] = 0
 		e.sigE[id][li] = 0
 	}
-	e.decE[li], e.clockE[li], e.leakE[li] = 0, 0, 0
+	e.decE[li] = 0
 	e.eCycle[li], e.totalE[li] = 0, 0
 	e.sleeping &^= bit
 	*ln = lane{retryQ: ln.retryQ[:0],

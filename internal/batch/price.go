@@ -34,21 +34,15 @@ func (e *Engine) setVal(id ecbus.SignalID, li int, v uint64) {
 }
 
 // priceCycle0 is the batched gate-level observation (gatepower.Observe
-// across all lanes): clock and leakage tick for every live lane, then
-// each signal's transitions price in ascending signal order. Packed
+// across all lanes): each signal's transitions price in ascending
+// signal order; clock and leakage need no per-cycle work, since harvest
+// reads them at the lane's final cycle count. Packed
 // wires price from one XOR per lane word; multi-bit wires price only
 // changed lanes, with the serial path's exact float expressions, into
 // per-lane per-signal accumulators — so every lane replays its serial
 // run's float additions in the serial order.
 func (e *Engine) priceCycle0() {
 	act := e.active
-	// Clock and leakage charge the lanes that executed a cycle this
-	// tick; sleeping lanes prepaid theirs when they fell asleep.
-	for m := e.awake; m != 0; m &= m - 1 {
-		li := bits.TrailingZeros64(m)
-		e.clockE[li] += e.clockJ
-		e.leakE[li] += e.leakJ
-	}
 	// The two representations price from separate lists (ascending
 	// within each): every signal's energy lands in its own per-lane
 	// accumulator, so splitting the walk leaves each accumulator's

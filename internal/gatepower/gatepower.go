@@ -124,8 +124,8 @@ func (c *Config) bitEnergy(id ecbus.SignalID) float64 {
 func (c *Config) BitEnergy(id ecbus.SignalID) float64 { return c.bitEnergy(id) }
 
 // ClockEnergyPerCycleJ returns the per-cycle clock-tree energy, keeping
-// the exact float expression shape NewEstimator precomputes so repeated
-// addition elsewhere stays bit-identical to Observe's accumulation.
+// the exact float expression shape of the reference path's per-cycle
+// addition, so a CycleSum of it holds the reference path's bits.
 func (c *Config) ClockEnergyPerCycleJ() float64 {
 	return 2 * 0.5 * c.ClockCapFF * 1e-15 * c.VddVolts * c.VddVolts
 }
@@ -154,8 +154,13 @@ func (s SigStats) Transitions() uint64 { return s.Rises + s.Falls }
 // written this cycle, using per-signal constants precomputed at
 // construction. An estimator is therefore the bundle's single dirty-mask
 // consumer and must observe it every cycle (or be notified of skipped
-// idle cycles via ObserveIdle). The reference path (SetReferencePath)
-// performs the original full scan; both produce bit-identical energies.
+// idle cycles via ObserveIdle). Clock and leakage depend on the cycle
+// count alone, so this path only counts cycles; readers (TotalEnergy,
+// Breakdown) bring both sums up to date from the last read, or from the
+// shared CycleSum tables when that read lies more than sumStride cycles
+// back. The reference path (SetReferencePath) performs the original
+// full scan and adds clock and leakage once per cycle; both produce
+// bit-identical energies.
 type Estimator struct {
 	cfg       Config
 	prev      [ecbus.NumSignals]uint64 // previous cycle's wires; all-zero at reset, as on silicon
@@ -167,8 +172,11 @@ type Estimator struct {
 	sigBits  [ecbus.NumSignals]int     // width of id
 	clockJ   float64                   // clock-tree energy per cycle
 	decoderJ float64                   // decoder energy per glitching wire
+	clockSum *CycleSum                 // shared prefix table of clockJ
+	leakSum  *CycleSum                 // shared prefix table of LeakagePerCycleJ
 
 	cycles  uint64
+	summed  uint64 // optimized path: the cycle count clock and leakage are integrated to
 	perSig  [ecbus.NumSignals]SigStats
 	decoder float64 // glitch energy attributed to the decoder module
 	clock   float64
@@ -185,9 +193,11 @@ func NewEstimator(cfg Config) *Estimator {
 		e.sigBits[id] = ecbus.Signals[id].Bits
 	}
 	// Whole-cycle constants keep the exact float expression shapes of the
-	// per-cycle reference code so repeated addition stays bit-identical.
+	// per-cycle reference code so their sums stay bit-identical.
 	e.clockJ = cfg.ClockEnergyPerCycleJ()
 	e.decoderJ = cfg.DecoderWireEnergyJ()
+	e.clockSum = CycleSumOf(e.clockJ)
+	e.leakSum = CycleSumOf(cfg.LeakagePerCycleJ)
 	return e
 }
 
@@ -199,8 +209,6 @@ func (e *Estimator) Observe(b *ecbus.Bundle) {
 		return
 	}
 	e.cycles++
-	e.clock += e.clockJ
-	e.leakage += e.cfg.LeakagePerCycleJ
 	dirty := b.TakeDirty()
 	if dirty == 0 {
 		return // all idle: no wire was written to a new value
@@ -271,15 +279,39 @@ func (e *Estimator) observeReference(b *ecbus.Bundle) {
 }
 
 // ObserveIdle books n cycles during which no wire changed — the kernel's
-// idle-skip fast-forward path. Clock and leakage are integrated by
-// repeated addition, exactly as n individual Observe calls would, so the
-// accumulated floats stay bit-identical to the unskipped run.
+// idle-skip fast-forward path. The optimized path only counts them: the
+// next read integrates their clock and leakage with the same bits n
+// individual Observe calls would give. The reference path adds both
+// once per cycle.
 func (e *Estimator) ObserveIdle(n uint64) {
+	if !e.reference {
+		e.cycles += n
+		return
+	}
 	for i := uint64(0); i < n; i++ {
 		e.cycles++
 		e.clock += e.clockJ
 		e.leakage += e.cfg.LeakagePerCycleJ
 	}
+}
+
+// settle brings the optimized path's clock and leakage up to the cycle
+// count: by repeated addition from the last read when it lies within
+// sumStride cycles, else from the shared tables. Either way the bits
+// are those of one addition per cycle from power-on.
+func (e *Estimator) settle() {
+	if e.reference {
+		return
+	}
+	if d := e.cycles - e.summed; d > sumStride {
+		e.clock, e.leakage = e.clockSum.Sum(e.cycles), e.leakSum.Sum(e.cycles)
+	} else {
+		for ; d > 0; d-- {
+			e.clock += e.clockJ
+			e.leakage += e.cfg.LeakagePerCycleJ
+		}
+	}
+	e.summed = e.cycles
 }
 
 // Cycles returns the number of observed cycles.
@@ -301,6 +333,7 @@ func (e *Estimator) InterfaceEnergy() float64 {
 // TotalEnergy returns the full gate-level energy: interface wires,
 // decoder select and glitching, clock tree and leakage.
 func (e *Estimator) TotalEnergy() float64 {
+	e.settle()
 	return e.InterfaceEnergy() + e.perSig[ecbus.SigSel].EnergyJ + e.decoder + e.clock + e.leakage
 }
 
@@ -315,6 +348,7 @@ type Breakdown struct {
 
 // Breakdown returns a copy of the per-module accounting.
 func (e *Estimator) Breakdown() Breakdown {
+	e.settle()
 	return Breakdown{PerSignal: e.perSig, DecoderJ: e.decoder, ClockJ: e.clock, LeakageJ: e.leakage, Cycles: e.cycles}
 }
 
