@@ -61,6 +61,10 @@ func main() {
 	vcdOut := flag.String("vcd", "", "write the EC wires as VCD (layer 0 only)")
 	listing := flag.Bool("disasm", false, "print the program disassembly before running")
 	flag.Parse()
+	if *layer < 0 || *layer > 2 {
+		fmt.Fprintf(os.Stderr, "ecsim: -layer %d: valid layers are 0, 1 and 2\n", *layer)
+		os.Exit(2)
+	}
 
 	src := demo
 	if !*useDemo {

@@ -15,24 +15,11 @@ import (
 	"os"
 
 	"repro/internal/core"
-	"repro/internal/ecbus"
-	"repro/internal/gatepower"
-	"repro/internal/mem"
+	"repro/internal/platform"
 	"repro/internal/rtlbus"
 	"repro/internal/sim"
-	"repro/internal/tlm1"
-	"repro/internal/tlm2"
 	"repro/internal/trace"
 )
-
-var lay = core.Layout{Fast: 0, Slow: 0x10000}
-
-func newMap() *ecbus.Map {
-	return ecbus.MustMap(
-		mem.NewRAM("fast", lay.Fast, 0x1000, 0, 0),
-		mem.NewRAM("slow", lay.Slow, 0x1000, 1, 2),
-	)
-}
 
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "ectrace:", err)
@@ -65,11 +52,11 @@ func cmdRecord(args []string) {
 	fs.Parse(args)
 
 	k := sim.New(0)
-	b := rtlbus.New(k, newMap())
+	b := rtlbus.New(k, platform.RefMap())
 	rec := trace.NewRecorder(b)
-	items := core.VerificationCorpus(lay)
+	items := core.VerificationCorpus(platform.RefLayout)
 	if *seed != 0 {
-		items = core.RandomCorpus(*seed, *n, lay)
+		items = core.RandomCorpus(*seed, *n, platform.RefLayout)
 	}
 	m, cycles := core.RunScript(k, rec, items, 10_000_000)
 	if !m.Done() {
@@ -92,6 +79,10 @@ func cmdReplay(args []string) {
 	layer := fs.Int("layer", 1, "target layer: 1 or 2")
 	energy := fs.Bool("energy", true, "attach the layer's energy model")
 	fs.Parse(args)
+	if *layer != 1 && *layer != 2 {
+		fmt.Fprintf(os.Stderr, "ectrace: replay -layer %d: valid layers are 1 and 2\n", *layer)
+		os.Exit(2)
+	}
 	if fs.NArg() != 1 {
 		fatal(fmt.Errorf("replay needs a trace file"))
 	}
@@ -105,32 +96,8 @@ func cmdReplay(args []string) {
 		fatal(err)
 	}
 
-	// Characterize for the energy model.
-	kc := sim.New(0)
-	bc := rtlbus.New(kc, newMap())
-	est := gatepower.NewEstimator(gatepower.DefaultConfig())
-	kc.At(sim.Post, "gp", func(uint64) { est.Observe(bc.Wires()) })
-	core.RunScript(kc, bc, core.CharCorpus(lay, 400), 10_000_000)
-	char := est.Char()
-
 	k := sim.New(0)
-	var bus core.Initiator
-	var getE func() float64 = func() float64 { return 0 }
-	if *layer == 1 {
-		b := tlm1.New(k, newMap())
-		if *energy {
-			b.AttachPower(tlm1.NewPowerModel(char))
-			getE = b.Power().TotalEnergy
-		}
-		bus = b
-	} else {
-		b := tlm2.New(k, newMap())
-		if *energy {
-			b.AttachPower(tlm2.NewPowerModel(char))
-			getE = b.Power().TotalEnergy
-		}
-		bus = b
-	}
+	bus, total := platform.NewBus(k, platform.Layer(*layer), platform.RefMap(), *energy, platform.DefaultCharTable(), nil)
 	m, cycles := core.RunScript(k, bus, trace.Items(recs), 10_000_000)
 	if !m.Done() {
 		fatal(fmt.Errorf("replay did not complete"))
@@ -138,7 +105,7 @@ func cmdReplay(args []string) {
 	fmt.Printf("replayed %d transactions on layer %d: %d cycles, %d errors",
 		len(recs), *layer, cycles, m.Errors())
 	if *energy {
-		fmt.Printf(", %.3f pJ", getE()*1e12)
+		fmt.Printf(", %.3f pJ", total()*1e12)
 	}
 	fmt.Println()
 }
@@ -149,7 +116,7 @@ func cmdVCD(args []string) {
 	fs.Parse(args)
 
 	k := sim.New(0)
-	b := rtlbus.New(k, newMap())
+	b := rtlbus.New(k, platform.RefMap())
 	f, err := os.Create(*out)
 	if err != nil {
 		fatal(err)
@@ -157,7 +124,7 @@ func cmdVCD(args []string) {
 	defer f.Close()
 	v := trace.NewVCD(f)
 	k.At(sim.Post, "vcd", func(uint64) { v.Observe(b.Wires()) })
-	m, cycles := core.RunScript(k, b, core.VerificationCorpus(lay), 10_000_000)
+	m, cycles := core.RunScript(k, b, core.VerificationCorpus(platform.RefLayout), 10_000_000)
 	if !m.Done() {
 		fatal(fmt.Errorf("run did not complete"))
 	}

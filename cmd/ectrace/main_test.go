@@ -1,0 +1,58 @@
+package main
+
+import (
+	"bytes"
+	"errors"
+	"os/exec"
+	"path/filepath"
+	"strings"
+	"testing"
+)
+
+// TestReplayLayerFlagBoundary builds the command and execs it: replay
+// into a layer other than 1 or 2 must be refused with exit 2 and a
+// one-line error naming the value before the trace is read, while both
+// valid layers still replay a recorded trace to a clean exit.
+func TestReplayLayerFlagBoundary(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and execs the ectrace binary")
+	}
+	dir := t.TempDir()
+	bin := filepath.Join(dir, "ectrace")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	run := func(args ...string) (int, string) {
+		var stderr bytes.Buffer
+		cmd := exec.Command(bin, args...)
+		cmd.Stderr = &stderr
+		err := cmd.Run()
+		var exit *exec.ExitError
+		switch {
+		case err == nil:
+			return 0, stderr.String()
+		case errors.As(err, &exit):
+			return exit.ExitCode(), stderr.String()
+		}
+		t.Fatalf("%v: %v", args, err)
+		return 0, ""
+	}
+	tr := filepath.Join(dir, "run.trace")
+	if code, stderr := run("record", "-o", tr); code != 0 {
+		t.Fatalf("record: exit %d (stderr %q)", code, stderr)
+	}
+	for _, bad := range []string{"0", "3", "9", "-1"} {
+		code, stderr := run("replay", "-layer", bad, tr)
+		if code != 2 {
+			t.Errorf("replay -layer %s: exit %d, want 2 (stderr %q)", bad, code, stderr)
+		}
+		if !strings.Contains(stderr, "-layer "+bad) || strings.Contains(stderr, "panic:") {
+			t.Errorf("replay -layer %s: stderr %q should name the value and not panic", bad, stderr)
+		}
+	}
+	for _, good := range []string{"1", "2"} {
+		if code, stderr := run("replay", "-layer", good, tr); code != 0 {
+			t.Errorf("replay -layer %s: exit %d, want 0 (stderr %q)", good, code, stderr)
+		}
+	}
+}

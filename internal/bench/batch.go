@@ -19,6 +19,8 @@ import (
 	"repro/internal/gatepower"
 	"repro/internal/logic"
 	"repro/internal/mem"
+	"repro/internal/metrics"
+	"repro/internal/platform"
 )
 
 // Organization selects a campaign's card memory organization — the
@@ -53,24 +55,29 @@ func (o Organization) String() string {
 const NVMWriteWait = 256
 
 // newOrgFaultMap builds the fault-wrapped address map of an
-// organization; OrgSRAM is exactly the serial harness's newFaultMap.
+// organization.
 func newOrgFaultMap(org Organization, plan fault.Plan) *ecbus.Map {
 	if org == OrgNVM {
-		return ecbus.MustMap(
-			fault.Wrap(mem.NewRAM("fast", lay.Fast, 0x1000, 0, 0), plan),
-			fault.Wrap(mem.NewNVRAM("nvm", lay.Slow, 0x1000, 1, 2, NVMWriteWait), plan),
-		)
+		return faultMap(plan, nil,
+			mem.NewRAM("fast", lay.Fast, 0x1000, 0, 0),
+			mem.NewNVRAM("nvm", lay.Slow, 0x1000, 1, 2, NVMWriteWait))
 	}
-	return newFaultMap(plan)
+	return faultMap(plan, nil, platform.RefMap().Slaves()...)
 }
 
-// batchConfig assembles the engine configuration matching the serial
-// fault harness (runLayerFault): same fault-wrapped maps, same retry
-// policy, same energy models — the premise of the golden gate.
-func batchConfig(layer, width int, plan fault.Plan) batch.Config {
-	return orgBatchConfig(layer, width, plan, OrgSRAM)
+// faultMap maps the slaves, each wrapped in a fresh injector applying
+// plan and reporting to reg (nil: no metrics).
+func faultMap(plan fault.Plan, reg *metrics.Registry, slaves ...ecbus.Slave) *ecbus.Map {
+	wrapped := make([]ecbus.Slave, len(slaves))
+	for i, s := range slaves {
+		wrapped[i] = fault.Wrap(s, plan).AttachMetrics(reg)
+	}
+	return ecbus.MustMap(wrapped...)
 }
 
+// orgBatchConfig assembles the engine configuration matching the serial
+// fault harness: same fault-wrapped maps, same retry policy, same
+// energy models — the premise of the golden gate.
 func orgBatchConfig(layer, width int, plan fault.Plan, org Organization) batch.Config {
 	cfg := batch.Config{
 		Layer:  layer,
@@ -81,7 +88,7 @@ func orgBatchConfig(layer, width int, plan fault.Plan, org Organization) batch.C
 	if layer == 0 {
 		cfg.Gate = gatepower.DefaultConfig()
 	} else {
-		cfg.Char = sharedCharTable()
+		cfg.Char = CharTable()
 	}
 	return cfg
 }
@@ -109,18 +116,12 @@ func CloneRuns(runs []batch.Run) []batch.Run {
 	return out
 }
 
-// CampaignEstimateRuns pushes a pre-built campaign corpus through the
-// batched engine at the given lane width — the estimation step proper,
-// with corpus construction factored out so timing harnesses measure the
-// engine, not the stimulus generator. Per-run results are independent
-// of the width (the engine's golden gate), so any width returns the
-// same bits.
-func CampaignEstimateRuns(layer int, runs []batch.Run, plan fault.Plan, width int) ([]CorpusEstimate, error) {
-	return CampaignEstimateRunsOrg(layer, runs, plan, width, OrgSRAM)
-}
-
-// CampaignEstimateRunsOrg is CampaignEstimateRuns against an explicit
-// memory organization.
+// CampaignEstimateRunsOrg pushes a pre-built campaign corpus through
+// the batched engine at the given lane width against a memory
+// organization — the estimation step proper, with corpus construction
+// factored out so timing harnesses measure the engine, not the stimulus
+// generator. Per-run results are independent of the width (the
+// engine's golden gate), so any width returns the same bits.
 func CampaignEstimateRunsOrg(layer int, runs []batch.Run, plan fault.Plan, width int, org Organization) ([]CorpusEstimate, error) {
 	eng, err := batch.New(orgBatchConfig(layer, width, plan, org))
 	if err != nil {
@@ -137,10 +138,10 @@ func CampaignEstimateRunsOrg(layer int, runs []batch.Run, plan fault.Plan, width
 	return out, nil
 }
 
-// CampaignEstimate is CampaignEstimateRuns over the deterministic
-// campaign corpus for (seed, runs, n).
+// CampaignEstimate is CampaignEstimateRunsOrg over the deterministic
+// SRAM campaign corpus for (seed, runs, n).
 func CampaignEstimate(layer int, seed uint64, runs, n int, plan fault.Plan, width int) ([]CorpusEstimate, error) {
-	return CampaignEstimateRuns(layer, CampaignRuns(seed, runs, n), plan, width)
+	return CampaignEstimateRunsOrg(layer, CampaignRuns(seed, runs, n), plan, width, OrgSRAM)
 }
 
 // CampaignEstimateSerialRunsOrg is the serial reference for a pre-built
@@ -149,15 +150,15 @@ func CampaignEstimate(layer int, seed uint64, runs, n int, plan fault.Plan, widt
 func CampaignEstimateSerialRunsOrg(layer int, runs []batch.Run, plan fault.Plan, org Organization) ([]CorpusEstimate, error) {
 	var char gatepower.CharTable
 	if layer > 0 {
-		char = sharedCharTable()
+		char = CharTable()
 	}
 	out := make([]CorpusEstimate, 0, len(runs))
 	for _, run := range runs {
-		row, err := runLayerFaultMap(layer, run.Items, char, newOrgFaultMap(org, plan))
+		r, err := runCorpus(layer, run.Items, newOrgFaultMap(org, plan), true, char, FaultRetry, nil)
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, CorpusEstimate{Layer: layer, Cycles: row.Cycles, EnergyJ: row.energyJ, Errors: row.Errors, Retries: row.Retries})
+		out = append(out, r)
 	}
 	return out, nil
 }

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/fault"
-	"repro/internal/gatepower"
 )
 
 // estimatesEqual asserts bit-identity between two estimates.
@@ -47,16 +46,10 @@ func TestGoldenRunCorpusEstimateMatchesReference(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				var char gatepower.CharTable
-				if layer > 0 {
-					char = sharedCharTable()
-				}
-				row, err := runLayerFault(layer, items, char, plan)
+				want, err := runCorpus(layer, items, newOrgFaultMap(OrgSRAM, plan), true, CharTable(), FaultRetry, nil)
 				if err != nil {
 					t.Fatalf("kernel harness: %v", err)
 				}
-				want := CorpusEstimate{Layer: layer, Cycles: row.Cycles, EnergyJ: row.energyJ,
-					Errors: row.Errors, Retries: row.Retries}
 				ctx := corpus + "/" + name
 				estimatesEqual(t, "routed vs kernel "+ctx, got, want)
 

@@ -17,72 +17,51 @@ import (
 	"repro/internal/fault"
 	"repro/internal/gatepower"
 	"repro/internal/javacard"
-	"repro/internal/mem"
-	"repro/internal/rtlbus"
+	"repro/internal/metrics"
+	"repro/internal/platform"
 	"repro/internal/sim"
-	"repro/internal/tlm1"
 	"repro/internal/tlm2"
 )
 
 // lay is the reference two-slave layout of the accuracy experiments.
-var lay = core.Layout{Fast: 0, Slow: 0x10000}
+var lay = platform.RefLayout
 
-func newMap() *ecbus.Map {
-	return ecbus.MustMap(
-		mem.NewRAM("fast", lay.Fast, 0x1000, 0, 0),
-		mem.NewRAM("slow", lay.Slow, 0x1000, 1, 2),
-	)
+// runCorpus drives items into a fresh bus of the given layer over bmap
+// under the master retry policy retry — the one corpus runner behind
+// every table, the fault and metrics reports and the serial campaigns.
+// energy attaches the layer's energy model (priced by char at layers 1
+// and 2); a non-nil reg observes the kernel, the bus and the master,
+// and is finalized with the run's energy.
+func runCorpus(layer int, items []core.Item, bmap *ecbus.Map, energy bool, char gatepower.CharTable, retry core.RetryPolicy, reg *metrics.Registry) (CorpusEstimate, error) {
+	k := sim.New(0)
+	if reg != nil {
+		reg.SetMaster("script-master")
+		k.SetRunObserver(reg)
+	}
+	bus, total := platform.NewBus(k, platform.Layer(layer), bmap, energy, char, reg)
+	m := core.NewScriptMaster(k, bus, items)
+	m.Retry, m.Metrics = retry, reg
+	n, _ := k.RunUntil(10_000_000, m.Done)
+	if !m.Done() {
+		return CorpusEstimate{}, fmt.Errorf("bench: layer-%d run did not complete", layer)
+	}
+	e := total()
+	reg.Finalize(e)
+	return CorpusEstimate{Layer: layer, Cycles: n, EnergyJ: e, Errors: m.Errors(), Retries: m.TotalRetries()}, nil
 }
 
-// runLayer drives items into a fresh bus of the given layer; returns
+// runLayer runs items on a fresh reference map without retries; returns
 // cycles and the energy estimate (0 if energy off).
 func runLayer(layer int, items []core.Item, energy bool, char gatepower.CharTable) (uint64, float64) {
-	k := sim.New(0)
-	var bus core.Initiator
-	var get func() float64 = func() float64 { return 0 }
-	switch layer {
-	case 0:
-		b := rtlbus.New(k, newMap())
-		if energy {
-			est := gatepower.NewEstimator(gatepower.DefaultConfig())
-			k.AtObserver(sim.Post, "gp", func(uint64) { est.Observe(b.Wires()) }, est.ObserveIdle)
-			get = est.TotalEnergy
-		}
-		bus = b
-	case 1:
-		b := tlm1.New(k, newMap())
-		if energy {
-			b.AttachPower(tlm1.NewPowerModel(char))
-			get = b.Power().TotalEnergy
-		}
-		bus = b
-	default:
-		b := tlm2.New(k, newMap())
-		if energy {
-			b.AttachPower(tlm2.NewPowerModel(char))
-			get = b.Power().TotalEnergy
-		}
-		bus = b
+	r, err := runCorpus(layer, items, platform.RefMap(), energy, char, core.RetryPolicy{}, nil)
+	if err != nil {
+		panic(err)
 	}
-	m, n := core.RunScript(k, bus, items, 10_000_000)
-	if !m.Done() {
-		panic("bench: run did not complete")
-	}
-	return n, get()
+	return r.Cycles, r.EnergyJ
 }
 
-// CharTable characterizes once over the reference layout (paper §3.3).
-func CharTable() gatepower.CharTable {
-	k := sim.New(0)
-	b := rtlbus.New(k, newMap())
-	est := gatepower.NewEstimator(gatepower.DefaultConfig())
-	k.AtObserver(sim.Post, "gp", func(uint64) { est.Observe(b.Wires()) }, est.ObserveIdle)
-	m, _ := core.RunScript(k, b, core.CharCorpus(lay, 400), 10_000_000)
-	if !m.Done() {
-		panic("bench: characterization did not complete")
-	}
-	return est.Char()
-}
+// CharTable returns the shared characterization table (paper §3.3).
+func CharTable() gatepower.CharTable { return platform.DefaultCharTable() }
 
 // Table1Row is one abstraction level's timing result.
 type Table1Row struct {
@@ -233,7 +212,7 @@ func Table3(n int) ([]Table3Row, string) {
 func Figure6() string {
 	char := CharTable()
 	k := sim.New(0)
-	b := tlm2.New(k, newMap()).AttachPower(tlm2.NewPowerModel(char))
+	b := tlm2.New(k, platform.RefMap()).AttachPower(tlm2.NewPowerModel(char))
 
 	mk := func(id uint64, kind ecbus.Kind, addr uint64) core.Item {
 		tr, err := ecbus.NewSingle(id, kind, addr, ecbus.W32, uint32(id)*0x1111)
@@ -280,74 +259,18 @@ func Figure6() string {
 	return sb.String()
 }
 
-// newFaultMap is newMap with every slave wrapped in a fresh injector
-// applying plan.
-func newFaultMap(plan fault.Plan) *ecbus.Map {
-	return ecbus.MustMap(
-		fault.Wrap(mem.NewRAM("fast", lay.Fast, 0x1000, 0, 0), plan),
-		fault.Wrap(mem.NewRAM("slow", lay.Slow, 0x1000, 1, 2), plan),
-	)
-}
-
 // FaultRetry is the master retry policy used by the fault table runs.
 var FaultRetry = core.RetryPolicy{MaxRetries: 8, Backoff: 1}
 
 // FaultRow is one abstraction level's result under a fault plan.
 type FaultRow struct {
-	Level       string
-	Cycles      uint64
-	DCyclesPct  float64 // vs the same layer's clean run
-	EnergyPJ    float64
-	DEnergyPct  float64
-	Errors      int // transactions errored after exhausting retries
-	Retries     int // total re-issues
-	CheckerMsgs int // protocol violations flagged (layer 0 only)
-
-	// energyJ is the estimator's raw joule total, before the pJ scaling
-	// of the rendered table — the figure the serving layer caches and
-	// compares bit for bit.
-	energyJ float64
-}
-
-// runLayerFault drives the corpus into a fresh bus of the given layer
-// under a fault plan with the FaultRetry master policy.
-func runLayerFault(layer int, items []core.Item, char gatepower.CharTable, plan fault.Plan) (FaultRow, error) {
-	return runLayerFaultMap(layer, items, char, newFaultMap(plan))
-}
-
-// runLayerFaultMap is runLayerFault over an explicit address map — the
-// campaign organizations build their own fault-wrapped maps.
-func runLayerFaultMap(layer int, items []core.Item, char gatepower.CharTable, bmap *ecbus.Map) (FaultRow, error) {
-	k := sim.New(0)
-	var bus core.Initiator
-	get := func() float64 { return 0 }
-	switch layer {
-	case 0:
-		b := rtlbus.New(k, bmap)
-		est := gatepower.NewEstimator(gatepower.DefaultConfig())
-		k.AtObserver(sim.Post, "gp", func(uint64) { est.Observe(b.Wires()) }, est.ObserveIdle)
-		get = est.TotalEnergy
-		bus = b
-	case 1:
-		b := tlm1.New(k, bmap).AttachPower(tlm1.NewPowerModel(char))
-		get = b.Power().TotalEnergy
-		bus = b
-	default:
-		b := tlm2.New(k, bmap).AttachPower(tlm2.NewPowerModel(char))
-		get = b.Power().TotalEnergy
-		bus = b
-	}
-	m := core.NewScriptMaster(k, bus, items)
-	m.Retry = FaultRetry
-	n, _ := k.RunUntil(10_000_000, m.Done)
-	if !m.Done() {
-		return FaultRow{}, fmt.Errorf("bench: layer-%d fault run did not complete", layer)
-	}
-	e := get()
-	return FaultRow{
-		Cycles: n, EnergyPJ: e * 1e12, energyJ: e,
-		Errors: m.Errors(), Retries: m.TotalRetries(),
-	}, nil
+	Level      string
+	Cycles     uint64
+	DCyclesPct float64 // vs the same layer's clean run
+	EnergyPJ   float64
+	DEnergyPct float64
+	Errors     int // transactions errored after exhausting retries
+	Retries    int // total re-issues
 }
 
 // FaultTable runs the back-to-back Table-3 workload (256 transactions)
@@ -367,17 +290,17 @@ func FaultTable(planName string) ([]FaultRow, string, error) {
 	names := []string{"Gate-level model", "Layer one model", "Layer two model"}
 	rows := make([]FaultRow, 0, 3)
 	for layer := 0; layer <= 2; layer++ {
-		clean, err := runLayerFault(layer, items(), char, fault.Plan{})
+		clean, err := runCorpus(layer, items(), newOrgFaultMap(OrgSRAM, fault.Plan{}), true, char, FaultRetry, nil)
 		if err != nil {
 			return nil, "", err
 		}
-		r, err := runLayerFault(layer, items(), char, plan)
+		f, err := runCorpus(layer, items(), newOrgFaultMap(OrgSRAM, plan), true, char, FaultRetry, nil)
 		if err != nil {
 			return nil, "", err
 		}
-		r.Level = names[layer]
+		r := FaultRow{Level: names[layer], Cycles: f.Cycles, EnergyPJ: f.EnergyJ * 1e12, Errors: f.Errors, Retries: f.Retries}
 		r.DCyclesPct = 100 * (float64(r.Cycles)/float64(clean.Cycles) - 1)
-		r.DEnergyPct = 100 * (r.EnergyPJ/clean.EnergyPJ - 1)
+		r.DEnergyPct = 100 * (r.EnergyPJ/(clean.EnergyJ*1e12) - 1)
 		rows = append(rows, r)
 	}
 	var sb strings.Builder

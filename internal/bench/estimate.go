@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"slices"
 	"strings"
-	"sync"
 
 	"repro/internal/batch"
 	"repro/internal/core"
@@ -65,20 +64,6 @@ type CorpusEstimate struct {
 	Retries int
 }
 
-// sharedCharTable memoizes the characterization run: the table is a
-// pure function of the reference layout, so concurrent estimation
-// requests share one copy instead of re-simulating 400 transactions
-// per request.
-var (
-	charOnce   sync.Once
-	charCached gatepower.CharTable
-)
-
-func sharedCharTable() gatepower.CharTable {
-	charOnce.Do(func() { charCached = CharTable() })
-	return charCached
-}
-
 // RunCorpusEstimate drives the named corpus into a fresh bus of the
 // given layer (0 = gate level, 1 = TL1, 2 = TL2) under the fault plan
 // with the bench retry policy. It is safe to call concurrently: every
@@ -96,7 +81,7 @@ func RunCorpusEstimate(layer int, corpus string, n int, plan fault.Plan) (Corpus
 		// bit-identical to the kernel path by the golden gate, and the
 		// single code path the batched campaigns scale up from. The
 		// reference toggle forces the original kernel-driven run.
-		eng, err := batch.New(batchConfig(layer, 1, plan))
+		eng, err := batch.New(orgBatchConfig(layer, 1, plan, OrgSRAM))
 		if err != nil {
 			return CorpusEstimate{}, err
 		}
@@ -115,17 +100,7 @@ func RunCorpusEstimate(layer int, corpus string, n int, plan fault.Plan) (Corpus
 	}
 	var char gatepower.CharTable
 	if layer > 0 {
-		char = sharedCharTable()
+		char = CharTable()
 	}
-	row, err := runLayerFault(layer, items, char, plan)
-	if err != nil {
-		return CorpusEstimate{}, err
-	}
-	return CorpusEstimate{
-		Layer:   layer,
-		Cycles:  row.Cycles,
-		EnergyJ: row.energyJ,
-		Errors:  row.Errors,
-		Retries: row.Retries,
-	}, nil
+	return runCorpus(layer, items, newOrgFaultMap(OrgSRAM, plan), true, char, FaultRetry, nil)
 }

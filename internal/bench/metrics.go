@@ -5,61 +5,25 @@ import (
 	"strings"
 
 	"repro/internal/core"
-	"repro/internal/ecbus"
 	"repro/internal/fault"
 	"repro/internal/gatepower"
-	"repro/internal/mem"
 	"repro/internal/metrics"
-	"repro/internal/rtlbus"
-	"repro/internal/sim"
-	"repro/internal/tlm1"
-	"repro/internal/tlm2"
+	"repro/internal/platform"
 )
 
 // layerName renders the registry layer label for a bus model level.
 func layerName(layer int) string { return fmt.Sprintf("L%d", layer) }
 
-// runLayerMetered is runLayerFault with the observability layer
+// runMetered is the fault harness run with the observability layer
 // attached everywhere it plugs in: the bus, the energy meter, the fault
 // injectors, the script master and the kernel. It returns the run's
 // final metrics snapshot.
-func runLayerMetered(layer int, items []core.Item, char gatepower.CharTable, plan fault.Plan) (metrics.Snapshot, error) {
+func runMetered(layer int, items []core.Item, char gatepower.CharTable, plan fault.Plan) (metrics.Snapshot, error) {
 	reg := metrics.New(layerName(layer))
-	reg.SetMaster("script-master")
-
-	k := sim.New(0)
-	k.SetRunObserver(reg)
-	bmap := ecbus.MustMap(
-		fault.Wrap(mem.NewRAM("fast", lay.Fast, 0x1000, 0, 0), plan).AttachMetrics(reg),
-		fault.Wrap(mem.NewRAM("slow", lay.Slow, 0x1000, 1, 2), plan).AttachMetrics(reg),
-	)
-	var bus core.Initiator
-	get := func() float64 { return 0 }
-	switch layer {
-	case 0:
-		b := rtlbus.New(k, bmap)
-		est := gatepower.NewEstimator(gatepower.DefaultConfig())
-		k.AtObserver(sim.Post, "gp", func(uint64) { est.Observe(b.Wires()) }, est.ObserveIdle)
-		b.AttachMetrics(k, reg, est.TotalEnergy) // after the estimator's observer
-		get = est.TotalEnergy
-		bus = b
-	case 1:
-		b := tlm1.New(k, bmap).AttachPower(tlm1.NewPowerModel(char)).AttachMetrics(reg)
-		get = b.Power().TotalEnergy
-		bus = b
-	default:
-		b := tlm2.New(k, bmap).AttachPower(tlm2.NewPowerModel(char)).AttachMetrics(reg)
-		get = b.Power().TotalEnergy
-		bus = b
+	bmap := faultMap(plan, reg, platform.RefMap().Slaves()...)
+	if _, err := runCorpus(layer, items, bmap, true, char, FaultRetry, reg); err != nil {
+		return metrics.Snapshot{}, err
 	}
-	m := core.NewScriptMaster(k, bus, items)
-	m.Retry = FaultRetry
-	m.Metrics = reg
-	k.RunUntil(10_000_000, m.Done)
-	if !m.Done() {
-		return metrics.Snapshot{}, fmt.Errorf("bench: layer-%d metered run did not complete", layer)
-	}
-	reg.Finalize(get())
 	return reg.Snapshot(), nil
 }
 
@@ -78,7 +42,7 @@ func MetricsReport(planName string) (string, error) {
 	sb.WriteString("Metrics report: 256-transaction perf corpus\n\n")
 	clean := make([]metrics.Snapshot, 3)
 	for layer := 0; layer <= 2; layer++ {
-		s, err := runLayerMetered(layer, items(), char, fault.Plan{})
+		s, err := runMetered(layer, items(), char, fault.Plan{})
 		if err != nil {
 			return "", err
 		}
@@ -88,7 +52,7 @@ func MetricsReport(planName string) (string, error) {
 	}
 	if !plan.Empty() {
 		for layer := 0; layer <= 2; layer++ {
-			s, err := runLayerMetered(layer, items(), char, plan)
+			s, err := runMetered(layer, items(), char, plan)
 			if err != nil {
 				return "", err
 			}

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/calib"
 	"repro/internal/core"
+	"repro/internal/platform"
 	"repro/internal/sim"
 	"repro/internal/tlm3"
 )
@@ -39,7 +40,7 @@ const (
 // return is the counting bus's protocol-minimum cycle tally.
 func CountCorpus(items []core.Item) (tlm3.Features, uint64, error) {
 	k := sim.New(0)
-	c := tlm3.NewCounter(newMap())
+	c := tlm3.NewCounter(platform.RefMap())
 	m := core.NewScriptMaster(k, c, items)
 	k.RunUntil(10_000_000, m.Done)
 	if !m.Done() {
@@ -89,7 +90,7 @@ func ScreenModel() (*calib.Model, error) {
 }
 
 func fitScreenModel() (calib.Model, error) {
-	char := sharedCharTable()
+	char := CharTable()
 	var samples []calib.Sample
 	for i := 0; i < screenTrainSeeds; i++ {
 		seed := uint64(screenTrainBase + i)

@@ -27,7 +27,7 @@ func screenSuiteSeeds(t *testing.T) []uint64 {
 // a regression in the counting bus or the fit shows up as a failure,
 // not a silent accuracy loss.
 func TestScreenModelErrorBand(t *testing.T) {
-	char := sharedCharTable()
+	char := CharTable()
 	seeds := screenSuiteSeeds(t)
 
 	// Ceilings per layer. Energy screens tightly at every layer because

@@ -16,9 +16,8 @@ import (
 	"repro/internal/javacard"
 	"repro/internal/mem"
 	"repro/internal/metrics"
+	"repro/internal/platform"
 	"repro/internal/sim"
-	"repro/internal/tlm1"
-	"repro/internal/tlm2"
 	"repro/internal/tlm3"
 )
 
@@ -115,22 +114,11 @@ func newSystem(cfg Config, p prepared, layer int, char gatepower.CharTable, reg,
 	}
 
 	var bus core.Initiator
-	switch layer {
-	case 1:
-		b := tlm1.New(s.k, bmap).AttachPower(tlm1.NewPowerModel(char))
-		if busReg != nil {
-			b.AttachMetrics(busReg)
-		}
-		bus, s.energy = b, b.Power().TotalEnergy
-	case 2:
-		b := tlm2.New(s.k, bmap).AttachPower(tlm2.NewPowerModel(char))
-		if busReg != nil {
-			b.AttachMetrics(busReg)
-		}
-		bus, s.energy = b, b.Power().TotalEnergy
-	default: // 3; Valid has already refused any other layer
+	if layer == 3 { // Valid has already refused any layer but 1, 2 and 3
 		s.count = tlm3.NewCounter(bmap)
 		bus = s.count
+	} else {
+		bus, s.energy = platform.NewBus(s.k, platform.Layer(layer), bmap, true, char, busReg)
 	}
 	s.cpu = bus
 	if s.mux != nil {

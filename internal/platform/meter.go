@@ -1,15 +1,6 @@
 package platform
 
-import (
-	"sync"
-
-	"repro/internal/core"
-	"repro/internal/ecbus"
-	"repro/internal/gatepower"
-	"repro/internal/mem"
-	"repro/internal/rtlbus"
-	"repro/internal/sim"
-)
+import "repro/internal/ecbus"
 
 // SlaveMeter wraps a slave and accounts its internal access energy using
 // the slave's EnergyReporter characterization (zero for slaves without
@@ -56,33 +47,3 @@ func (m *SlaveMeter) Energy() float64 {
 
 // Inner returns the wrapped slave.
 func (m *SlaveMeter) Inner() ecbus.Slave { return m.inner }
-
-var (
-	charOnce sync.Once
-	charTab  gatepower.CharTable
-)
-
-// DefaultCharTable returns the repository's standard characterization
-// table: the characterization corpus (core.CharCorpus) run through the
-// layer-0 model of a fast/slow RAM pair under the default gate-level
-// configuration, computed once per process. This mirrors the paper's
-// flow: characterize once on the prototype database, then reuse the
-// table in every transaction-level model.
-func DefaultCharTable() gatepower.CharTable {
-	charOnce.Do(func() {
-		k := sim.New(0)
-		lay := core.Layout{Fast: 0, Slow: 0x10000}
-		b := rtlbus.New(k, ecbus.MustMap(
-			mem.NewRAM("fast", lay.Fast, 0x1000, 0, 0),
-			mem.NewRAM("slow", lay.Slow, 0x1000, 1, 2),
-		))
-		est := gatepower.NewEstimator(gatepower.DefaultConfig())
-		k.At(sim.Post, "gatepower", func(uint64) { est.Observe(b.Wires()) })
-		m, _ := core.RunScript(k, b, core.CharCorpus(lay, 400), 1_000_000)
-		if !m.Done() {
-			panic("platform: characterization run did not complete")
-		}
-		charTab = est.Char()
-	})
-	return charTab
-}

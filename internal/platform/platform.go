@@ -25,7 +25,6 @@ import (
 	"repro/internal/rtlbus"
 	"repro/internal/sim"
 	"repro/internal/tlm1"
-	"repro/internal/tlm2"
 )
 
 // Layer selects the bus abstraction level.
@@ -102,12 +101,8 @@ type Platform struct {
 
 	CPU *cpu.CPU // attached by LoadProgram
 
-	meters []*SlaveMeter
-
-	// Layer-specific energy hooks (nil when Energy is off).
-	gate *gatepower.Estimator
-	tl1  *tlm1.PowerModel
-	tl2  *tlm2.PowerModel
+	meters    []*SlaveMeter
+	busEnergy func() float64 // the bus model's energy reader (NewBus)
 }
 
 // New builds the platform at the configured layer.
@@ -155,36 +150,17 @@ func New(cfg Config) *Platform {
 		wrap(p.TRNG, perPlan), wrap(p.Int, perPlan), wrap(p.Crypto, perPlan),
 	)
 
-	switch cfg.Layer {
-	case Layer0:
-		b := rtlbus.New(k, m)
-		p.Bus = b
-		if cfg.Energy {
-			p.gate = gatepower.NewEstimator(gatepower.DefaultConfig())
-			k.At(sim.Post, "gatepower", func(uint64) { p.gate.Observe(b.Wires()) })
-		}
-	case Layer1:
-		b := tlm1.New(k, m)
-		if cfg.Energy {
-			p.tl1 = tlm1.NewPowerModel(charTable(cfg))
-			b.AttachPower(p.tl1)
-		}
-		p.Bus = b
-	case Layer2:
-		b := tlm2.New(k, m)
-		if cfg.Energy {
-			p.tl2 = tlm2.NewPowerModel(charTable(cfg))
-			b.AttachPower(p.tl2)
-		}
-		p.Bus = b
-	default:
-		panic(fmt.Sprintf("platform: unknown layer %d", int(cfg.Layer)))
-	}
+	p.Bus, p.busEnergy = NewBus(k, cfg.Layer, m, cfg.Energy, charTable(cfg), nil)
 	return p
 }
 
+// charTable is the table pricing cfg's transaction-level energy model;
+// layer-0 and energy-off builds need none, so they never characterize.
 func charTable(cfg Config) gatepower.CharTable {
-	if cfg.Char != nil {
+	switch {
+	case !cfg.Energy || cfg.Layer == Layer0:
+		return gatepower.CharTable{}
+	case cfg.Char != nil:
 		return *cfg.Char
 	}
 	return DefaultCharTable()
@@ -229,17 +205,7 @@ func (p *Platform) Run(maxCycles uint64) (uint64, bool) {
 
 // BusEnergy returns the bus interface energy estimated by the layer's
 // model (gate-level total for layer 0), or 0 when energy is off.
-func (p *Platform) BusEnergy() float64 {
-	switch {
-	case p.gate != nil:
-		return p.gate.TotalEnergy()
-	case p.tl1 != nil:
-		return p.tl1.TotalEnergy()
-	case p.tl2 != nil:
-		return p.tl2.TotalEnergy()
-	}
-	return 0
-}
+func (p *Platform) BusEnergy() float64 { return p.busEnergy() }
 
 // PeripheralEnergy returns the characterized internal access energy of
 // all slaves (the paper's future-work extension).
@@ -275,4 +241,9 @@ func (p *Platform) Wires() *ecbus.Bundle {
 }
 
 // TL1Power exposes the layer-1 power model (nil otherwise).
-func (p *Platform) TL1Power() *tlm1.PowerModel { return p.tl1 }
+func (p *Platform) TL1Power() *tlm1.PowerModel {
+	if b, ok := p.Bus.(*tlm1.Bus); ok {
+		return b.Power()
+	}
+	return nil
+}

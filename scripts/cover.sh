@@ -24,6 +24,7 @@ repro/internal/serve:70
 repro/internal/explore:70
 repro/internal/core:70
 repro/internal/tlm2:70
+repro/internal/platform:70
 "
 
 # shellcheck disable=SC2046 # word-split the package list
