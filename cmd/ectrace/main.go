@@ -50,6 +50,10 @@ func cmdRecord(args []string) {
 	seed := fs.Uint64("seed", 0, "use a random corpus with this seed instead of the verification corpus")
 	n := fs.Int("n", 500, "random corpus size")
 	fs.Parse(args)
+	if *n < 1 {
+		fmt.Fprintf(os.Stderr, "ectrace: record -n %d: the corpus size must be at least 1\n", *n)
+		os.Exit(2)
+	}
 
 	k := sim.New(0)
 	b := rtlbus.New(k, platform.RefMap())

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"errors"
+	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
@@ -12,7 +13,8 @@ import (
 // TestReplayLayerFlagBoundary builds the command and execs it: replay
 // into a layer other than 1 or 2 must be refused with exit 2 and a
 // one-line error naming the value before the trace is read, while both
-// valid layers still replay a recorded trace to a clean exit.
+// valid layers still replay a recorded trace to a clean exit. Likewise
+// record refuses a corpus size below 1 before it records anything.
 func TestReplayLayerFlagBoundary(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and execs the ectrace binary")
@@ -54,5 +56,22 @@ func TestReplayLayerFlagBoundary(t *testing.T) {
 		if code, stderr := run("replay", "-layer", good, tr); code != 0 {
 			t.Errorf("replay -layer %s: exit %d, want 0 (stderr %q)", good, code, stderr)
 		}
+	}
+
+	for _, bad := range []string{"0", "-3"} {
+		out := filepath.Join(dir, "n"+bad+".trace")
+		code, stderr := run("record", "-seed", "5", "-n", bad, "-o", out)
+		if code != 2 {
+			t.Errorf("record -n %s: exit %d, want 2 (stderr %q)", bad, code, stderr)
+		}
+		if !strings.Contains(stderr, "-n "+bad) || strings.Count(stderr, "\n") != 1 || strings.Contains(stderr, "panic:") {
+			t.Errorf("record -n %s: stderr %q should be one line naming the value", bad, stderr)
+		}
+		if _, err := os.Stat(out); !errors.Is(err, os.ErrNotExist) {
+			t.Errorf("record -n %s wrote %s (stat: %v)", bad, out, err)
+		}
+	}
+	if code, stderr := run("record", "-seed", "5", "-n", "1", "-o", filepath.Join(dir, "n1.trace")); code != 0 {
+		t.Errorf("record -n 1: exit %d, want 0 (stderr %q)", code, stderr)
 	}
 }

@@ -110,6 +110,17 @@ type Result struct {
 	Retries int // total re-issues
 }
 
+// IncompleteError reports a run that did not complete within the
+// engine's cycle limit. Run is its index in the EstimateAll input.
+type IncompleteError struct {
+	Layer, Run int
+	MaxCycles  uint64
+}
+
+func (e *IncompleteError) Error() string {
+	return fmt.Sprintf("batch: layer-%d run %d did not complete within %d cycles", e.Layer, e.Run, e.MaxCycles)
+}
+
 // Stats aggregates whole-batch activity; transition totals are counted
 // with popcounts over lane words.
 type Stats struct {
@@ -334,8 +345,7 @@ func (e *Engine) EstimateAll(runs []Run) ([]Result, error) {
 				e.loadRun(li, runs[next], next)
 				next++
 			} else if ln.cyc+1 >= e.maxCycles {
-				return nil, fmt.Errorf("batch: layer-%d run %d did not complete within %d cycles",
-					e.cfg.Layer, ln.runIdx, e.maxCycles)
+				return nil, &IncompleteError{Layer: e.cfg.Layer, Run: ln.runIdx, MaxCycles: e.maxCycles}
 			}
 			ln.cyc++
 			e.stats.LaneCycles++

@@ -7,9 +7,13 @@ package bench
 // many users' stimuli are estimated against one card organization.
 
 import (
+	"errors"
 	"fmt"
 	"math"
+	"runtime"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/batch"
@@ -120,20 +124,41 @@ func CloneRuns(runs []batch.Run) []batch.Run {
 // the batched engine at the given lane width against a memory
 // organization — the estimation step proper, with corpus construction
 // factored out so timing harnesses measure the engine, not the stimulus
-// generator. Per-run results are independent of the width (the
-// engine's golden gate), so any width returns the same bits.
+// generator. The runs are dealt round-robin to p = min(GOMAXPROCS,
+// runs) engines (run i to shard i mod p), each width lanes wide and run
+// on its own goroutine. Per-run results are independent of the width
+// and of lane neighbours (the engine's golden gate), so any width and
+// any shard count return the same bits.
 func CampaignEstimateRunsOrg(layer int, runs []batch.Run, plan fault.Plan, width int, org Organization) ([]CorpusEstimate, error) {
-	eng, err := batch.New(orgBatchConfig(layer, width, plan, org))
+	// Every engine is built first, so a bad width or layer is refused
+	// before anything runs, even for an empty campaign.
+	p := max(1, min(runtime.GOMAXPROCS(0), len(runs)))
+	engs := make([]*batch.Engine, p)
+	for s := range engs {
+		eng, err := batch.New(orgBatchConfig(layer, width, plan, org))
+		if err != nil {
+			return nil, err
+		}
+		engs[s] = eng
+	}
+	out := make([]CorpusEstimate, len(runs))
+	err := eachIndex(p, func(s int) error {
+		var shard []batch.Run
+		for i := s; i < len(runs); i += p {
+			shard = append(shard, runs[i])
+		}
+		res, err := engs[s].EstimateAll(shard)
+		var inc *batch.IncompleteError
+		if errors.As(err, &inc) {
+			inc.Run = s + inc.Run*p // the shard's run index back to the campaign's
+		}
+		for j, r := range res {
+			out[s+j*p] = CorpusEstimate{Layer: layer, Cycles: r.Cycles, EnergyJ: r.EnergyJ, Errors: r.Errors, Retries: r.Retries}
+		}
+		return err
+	})
 	if err != nil {
 		return nil, err
-	}
-	res, err := eng.EstimateAll(runs)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]CorpusEstimate, len(res))
-	for i, r := range res {
-		out[i] = CorpusEstimate{Layer: layer, Cycles: r.Cycles, EnergyJ: r.EnergyJ, Errors: r.Errors, Retries: r.Retries}
 	}
 	return out, nil
 }
@@ -145,22 +170,51 @@ func CampaignEstimate(layer int, seed uint64, runs, n int, plan fault.Plan, widt
 }
 
 // CampaignEstimateSerialRunsOrg is the serial reference for a pre-built
-// campaign against an explicit memory organization: one kernel-driven
-// run at a time, exactly the pre-batching path.
+// campaign against an explicit memory organization: each run on its own
+// kernel, exactly the pre-batching path, with the independent runs
+// spread over GOMAXPROCS goroutines.
 func CampaignEstimateSerialRunsOrg(layer int, runs []batch.Run, plan fault.Plan, org Organization) ([]CorpusEstimate, error) {
 	var char gatepower.CharTable
 	if layer > 0 {
 		char = CharTable()
 	}
-	out := make([]CorpusEstimate, 0, len(runs))
-	for _, run := range runs {
-		r, err := runCorpus(layer, run.Items, newOrgFaultMap(org, plan), true, char, FaultRetry, nil)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, r)
+	out := make([]CorpusEstimate, len(runs))
+	err := eachIndex(len(runs), func(i int) error {
+		var err error
+		out[i], err = runCorpus(layer, runs[i].Items, newOrgFaultMap(org, plan), true, char, FaultRetry, nil)
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
+}
+
+// eachIndex calls f(i) for every i in [0, n) on min(GOMAXPROCS, n)
+// goroutines, each taking the next index from a shared counter, and
+// returns the error of the lowest i that failed — the error a
+// sequential loop over independent calls would have stopped at. f must
+// be safe to call concurrently for distinct i.
+func eachIndex(n int, f func(i int) error) error {
+	errs := make([]error, n)
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for range min(runtime.GOMAXPROCS(0), n) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+				errs[i] = f(i)
+			}
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // CampaignEqual reports whether two campaign results are bit-identical,

@@ -9,7 +9,8 @@ cd "$(dirname "$0")/.."
 
 RACE_PKGS="./internal/explore/... ./internal/sim/... ./internal/fault/... ./internal/serve/...
 ./internal/batch/... ./internal/tlm3/... ./internal/calib/... ./internal/cluster/... ./internal/arb/...
-./internal/dma/... ./internal/crypto/... ./internal/tear/... ./internal/journal/... ./internal/gatepower/..."
+./internal/dma/... ./internal/crypto/... ./internal/tear/... ./internal/journal/... ./internal/gatepower/...
+./internal/bench/..."
 
 # package:target pairs under internal/.
 FUZZ_TARGETS="fault:FuzzPlanParse fault:FuzzWithoutReadErrors checker:FuzzCheckerRules arb:FuzzArbiterGrant

@@ -57,16 +57,19 @@ for pol in fixed rr; do
 		echo "verify: arbitration smoke missing $pol rows" >&2; exit 1; }
 done
 
-echo "== axis rule smoke (jcexplore refuses a tear plan at layer 3 and an unknown name on every axis flag with exit 2)"
+echo "== axis rule smoke (jcexplore refuses a tear plan at layer 3 and an unknown name on every axis flag with exit 2, without a panic)"
 jcdir=$(mktemp -d)
 go build -o "$jcdir/jcexplore" ./cmd/jcexplore
 for args in "-layer 3 -tear tear-mid" "-faults bogus" "-arb bogus" "-tear bogus" "-journal bogus"; do
 	rc=0
 	# shellcheck disable=SC2086 # word-split the flag pair
-	"$jcdir/jcexplore" $args > /dev/null 2>&1 || rc=$?
-	[ "$rc" -eq 2 ] || {
+	"$jcdir/jcexplore" $args > /dev/null 2> "$jcdir/stderr" || rc=$?
+	# An unrecovered Go panic also exits 2, so a refusal must not panic.
+	if [ "$rc" -ne 2 ] || grep -q 'panic:' "$jcdir/stderr"; then
+		sed 's/^/  /' "$jcdir/stderr" >&2
 		rm -rf "$jcdir"
-		echo "verify: jcexplore $args exited $rc, want 2" >&2; exit 1; }
+		echo "verify: jcexplore $args exited $rc, want 2 without a panic" >&2; exit 1
+	fi
 done
 rm -rf "$jcdir"
 
