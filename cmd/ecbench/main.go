@@ -69,6 +69,11 @@ func main() {
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	flag.Parse()
 
+	if *workers < 0 {
+		fmt.Fprintf(os.Stderr, "ecbench: invalid -workers %d (0 = one per CPU, or a positive count)\n", *workers)
+		os.Exit(2)
+	}
+
 	// Validate the fault plan before any table runs: a typo must exit
 	// non-zero up front with the valid vocabulary, not after minutes of
 	// simulation (and never degrade to a clean run). The fault axis also

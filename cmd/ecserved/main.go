@@ -59,6 +59,15 @@ func main() {
 	probe := flag.Duration("probe", 0, "peer health-probe interval; 0 = 250ms")
 	flag.Parse()
 
+	// A negative size would silently become serve.New's default.
+	names := []string{"workers", "queue", "sweep-workers"}
+	for i, v := range []int{*workers, *queue, *sweepWorkers} {
+		if v < 0 {
+			fmt.Fprintf(os.Stderr, "ecserved: invalid -%s %d (0 = the default, or a positive count)\n", names[i], v)
+			os.Exit(2)
+		}
+	}
+
 	if err := run(*addr, serve.Options{
 		Workers:        *workers,
 		QueueDepth:     *queue,

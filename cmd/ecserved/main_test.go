@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"os/exec"
@@ -140,5 +141,43 @@ func TestServerSmoke(t *testing.T) {
 		}
 	case <-time.After(15 * time.Second):
 		t.Fatal("daemon did not exit after SIGTERM")
+	}
+}
+
+// TestSizeFlagBoundary: a negative -workers, -queue or -sweep-workers
+// is refused with exit 2 and a one-line error naming the value, before
+// the daemon listens.
+func TestSizeFlagBoundary(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and execs the daemon binary")
+	}
+	bin := filepath.Join(t.TempDir(), "ecserved")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	for _, flag := range []string{"-workers", "-queue", "-sweep-workers"} {
+		var out bytes.Buffer
+		cmd := exec.Command(bin, "-addr", "127.0.0.1:0", flag, "-1")
+		cmd.Stdout, cmd.Stderr = &out, &out
+		done := make(chan error, 1)
+		if err := cmd.Start(); err != nil {
+			t.Fatal(err)
+		}
+		go func() { done <- cmd.Wait() }()
+		var err error
+		select {
+		case err = <-done:
+		case <-time.After(10 * time.Second):
+			cmd.Process.Kill()
+			<-done
+			t.Fatalf("%s -1: still running; a refusal must exit before listening", flag)
+		}
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+			t.Errorf("%s -1: %v, want exit 2 (output %q)", flag, err, out.String())
+		}
+		if got := out.String(); !strings.Contains(got, flag+" -1") || strings.Count(got, "\n") != 1 {
+			t.Errorf("%s -1: output %q should be one line naming the value", flag, got)
+		}
 	}
 }

@@ -86,9 +86,13 @@ func main() {
 		}()
 	}
 
-	// Validate the layer list and the fidelity before any pool work: a
-	// typo exits 2 with the vocabulary, mirroring the fault-plan
-	// validation discipline.
+	// Validate the worker count, the layer list and the fidelity before
+	// any pool work: a typo exits 2 with the vocabulary, mirroring the
+	// fault-plan validation discipline.
+	if *workers < 0 {
+		fmt.Fprintf(os.Stderr, "jcexplore: invalid -workers %d (0 = one per CPU, or a positive count)\n", *workers)
+		os.Exit(2)
+	}
 	layers := []int{1, 2}
 	if *layerSpec != "" && *batchN == 0 {
 		parsed, err := explore.ParseLayers(*layerSpec)

@@ -68,12 +68,12 @@ const (
 // adapters, it is an untimed application model that advances the
 // clocked simulation until each transaction completes.
 type Card struct {
+	*core.BlockingMaster // its Transactions counts the card's bus accesses
+
 	k          *sim.Kernel
-	bus        core.Initiator
 	uartBase   uint64
 	eepromBase uint64
 
-	ids uint64
 	sel applet
 
 	// Monitor, when set, is the card-tear power monitor; a latched cut
@@ -83,15 +83,13 @@ type Card struct {
 	strat  journal.Strategy
 	region journal.Region
 	jw     *journal.Writer
-
-	// Transactions counts the bus transactions the application issued.
-	Transactions uint64
 }
 
-// NewCard creates the card application over the given bus.
+// NewCard creates the card application over the given bus. The card
+// does not retry: the first bus error of a transaction is final.
 func NewCard(k *sim.Kernel, bus core.Initiator, uartBase, eepromBase uint64) *Card {
-	return &Card{k: k, bus: bus, uartBase: uartBase, eepromBase: eepromBase,
-		region: DefaultJournalRegion(eepromBase)}
+	return &Card{BlockingMaster: core.NewBlockingMaster(k, bus, core.RetryPolicy{}), k: k,
+		uartBase: uartBase, eepromBase: eepromBase, region: DefaultJournalRegion(eepromBase)}
 }
 
 // UseJournal routes the card's persistent writes through a transaction
@@ -133,26 +131,21 @@ func (c *Card) PowerUp(energy func() float64, obs func(journal.Event)) (journal.
 
 // run drives one transaction to completion.
 func (c *Card) run(kind ecbus.Kind, addr uint64, w ecbus.Width, data uint32) (uint32, error) {
-	c.ids++
-	tr, err := ecbus.NewSingle(c.ids, kind, addr, w, data)
+	tr, err := c.Single(kind, addr, w, data)
 	if err != nil {
 		return 0, err
 	}
-	c.Transactions++
-	for i := 0; i < 1_000_000; i++ {
-		st := c.bus.Access(tr)
-		if st == ecbus.StateOK {
-			if c.Monitor != nil && c.Monitor.Check() {
-				return 0, journal.ErrPowerLost
-			}
-			return tr.Data[0], nil
-		}
-		if st == ecbus.StateError {
-			return 0, fmt.Errorf("card: bus error at %#x", addr)
-		}
-		c.k.Step()
+	switch c.Run(tr) {
+	case ecbus.StateOK:
+	case ecbus.StateError:
+		return 0, fmt.Errorf("card: bus error at %#x", addr)
+	default:
+		return 0, errors.New("card: transaction never completed")
 	}
-	return 0, errors.New("card: transaction never completed")
+	if c.Monitor != nil && c.Monitor.Check() {
+		return 0, journal.ErrPowerLost
+	}
+	return tr.Data[0], nil
 }
 
 // ReadWord implements journal.BusRW: the journal's traffic is ordinary
@@ -173,36 +166,36 @@ func (c *Card) uartInit() error {
 	return err
 }
 
-// recvByte blocks (advancing simulation time) until a byte arrives.
-func (c *Card) recvByte() (byte, error) {
+// uartWait polls the UART status until status&mask == want, advancing
+// simulation time between polls; giveUp is the error after 1,000,000
+// polls.
+func (c *Card) uartWait(mask, want uint32, giveUp string) error {
 	for i := 0; i < 1_000_000; i++ {
 		st, err := c.run(ecbus.Read, c.uartBase+periph.UartStatus, ecbus.W32, 0)
-		if err != nil {
-			return 0, err
-		}
-		if st&4 != 0 { // rx available
-			v, err := c.run(ecbus.Read, c.uartBase+periph.UartData, ecbus.W32, 0)
-			return byte(v), err
+		if err != nil || st&mask == want {
+			return err
 		}
 		c.k.Step()
 	}
-	return 0, errors.New("card: no byte received")
+	return errors.New(giveUp)
+}
+
+// recvByte blocks (advancing simulation time) until a byte arrives.
+func (c *Card) recvByte() (byte, error) {
+	if err := c.uartWait(4, 4, "card: no byte received"); err != nil { // rx available
+		return 0, err
+	}
+	v, err := c.run(ecbus.Read, c.uartBase+periph.UartData, ecbus.W32, 0)
+	return byte(v), err
 }
 
 // sendByte writes one response byte, respecting the TX FIFO.
 func (c *Card) sendByte(b byte) error {
-	for i := 0; i < 1_000_000; i++ {
-		st, err := c.run(ecbus.Read, c.uartBase+periph.UartStatus, ecbus.W32, 0)
-		if err != nil {
-			return err
-		}
-		if st&2 == 0 { // not full
-			_, err := c.run(ecbus.Write, c.uartBase+periph.UartData, ecbus.W32, uint32(b))
-			return err
-		}
-		c.k.Step()
+	if err := c.uartWait(2, 0, "card: tx fifo never drained"); err != nil { // not full
+		return err
 	}
-	return errors.New("card: tx fifo never drained")
+	_, err := c.run(ecbus.Write, c.uartBase+periph.UartData, ecbus.W32, uint32(b))
+	return err
 }
 
 // readPersist reads one persistent word.

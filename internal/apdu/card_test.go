@@ -87,6 +87,22 @@ func authCard(t *testing.T) (*Card, *platform.Platform) {
 	return NewCard(p.Kernel, p.Bus, platform.UARTBase, platform.EEPROMBase), p
 }
 
+// TestCardReadWordAllocFree: the card runs every access on its blocking
+// master's pooled transaction, so a steady-state bus read allocates
+// nothing.
+func TestCardReadWordAllocFree(t *testing.T) {
+	c, _ := authCard(t)
+	read := func() {
+		if v, err := c.ReadWord(platform.EEPROMBase); err != nil || v != 1000 {
+			t.Fatalf("ReadWord = %d, %v; want 1000", v, err)
+		}
+	}
+	read() // warm up
+	if allocs := testing.AllocsPerRun(100, read); allocs != 0 {
+		t.Fatalf("Card.ReadWord allocates %.1f times per call, want 0", allocs)
+	}
+}
+
 func handle(t *testing.T, c *Card, cmd Command) Response {
 	t.Helper()
 	r, err := c.Handle(cmd)

@@ -209,15 +209,15 @@ func (e *Engine) masterTick(ln *lane, li int) {
 
 // masterFinish applies the retry policy, mirroring ScriptMaster.finish.
 func (e *Engine) masterFinish(ln *lane, tr *ecbus.Transaction, st ecbus.BusState, cycle uint64) {
-	if st == ecbus.StateError && int(tr.Retries) < e.cfg.Retry.MaxRetries {
-		tr.ResetForRetry()
-		ln.retries++
-		ln.retryQ = append(ln.retryQ, core.Item{Tr: tr, NotBefore: cycle + 1 + e.cfg.Retry.Backoff})
+	if st != ecbus.StateError {
 		return
 	}
-	if st == ecbus.StateError {
-		ln.errors++
+	if at, ok := e.cfg.Retry.Reissue(tr, cycle); ok {
+		ln.retries++
+		ln.retryQ = append(ln.retryQ, core.Item{Tr: tr, NotBefore: at})
+		return
 	}
+	ln.errors++
 }
 
 // access is the lane's bus Access: identical semantics to the serial

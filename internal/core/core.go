@@ -103,6 +103,17 @@ type RetryPolicy struct {
 	Backoff uint64
 }
 
+// Reissue applies the policy to tr, which completed with a bus error at
+// cycle: with budget left it resets tr and returns cycle+1+Backoff, the
+// cycle tr may be re-presented; otherwise the error is final (false).
+func (p RetryPolicy) Reissue(tr *ecbus.Transaction, cycle uint64) (uint64, bool) {
+	if int(tr.Retries) >= p.MaxRetries {
+		return 0, false
+	}
+	tr.ResetForRetry()
+	return cycle + 1 + p.Backoff, true
+}
+
 // ScriptMaster replays a list of bus requests into an Initiator,
 // keeping transactions pipelined up to MaxInFlight, exactly as the bus
 // interface unit of the core would. It registers on the kernel's rising
@@ -237,71 +248,56 @@ func (m *ScriptMaster) tick(cycle uint64) {
 	// Re-issue backed-off errored transactions first, oldest first, so a
 	// retry precedes every scripted item that was submitted after the
 	// failing transaction.
-	for len(m.retryQ) > 0 && len(m.inflight) < m.MaxInFlight {
-		it := m.retryQ[0]
-		if it.NotBefore > cycle {
-			break
-		}
-		st := m.bus.Access(it.Tr)
-		switch st {
-		case ecbus.StateRequest:
-			m.inflight = append(m.inflight, it.Tr)
-			m.retryQ = m.retryQ[1:]
-		case ecbus.StateOK, ecbus.StateError:
-			m.retryQ = m.retryQ[1:]
-			m.finish(it.Tr, st, cycle)
-		default:
-			m.refuse(it.Tr) // bus full: retry later (see hint)
+	for len(m.retryQ) > 0 && len(m.inflight) < m.MaxInFlight && m.retryQ[0].NotBefore <= cycle {
+		if !m.present(m.retryQ[0].Tr, cycle) {
 			return
 		}
+		m.retryQ = m.retryQ[1:]
 	}
 
 	// Issue new requests while the script and the bus allow.
-	for m.next < len(m.items) && len(m.inflight) < m.MaxInFlight {
-		it := m.items[m.next]
-		if it.NotBefore > cycle {
-			break
+	for m.next < len(m.items) && len(m.inflight) < m.MaxInFlight && m.items[m.next].NotBefore <= cycle {
+		if !m.present(m.items[m.next].Tr, cycle) {
+			return // preserve program order
 		}
-		st := m.bus.Access(it.Tr)
-		switch st {
-		case ecbus.StateRequest:
-			m.inflight = append(m.inflight, it.Tr)
-			m.next++
-		case ecbus.StateOK, ecbus.StateError:
-			// Completed immediately (validation failure path).
-			m.finish(it.Tr, st, cycle)
-			m.next++
-		default:
-			// Bus full: retry later (see hint), preserve program order.
-			m.refuse(it.Tr)
-			return
-		}
+		m.next++
 	}
 }
 
-// refuse notes the request the bus just refused, so the master can
-// sleep until a completion if the refusal is stable.
-func (m *ScriptMaster) refuse(tr *ecbus.Transaction) {
-	if m.refuser != nil {
-		m.refused = tr
+// present offers tr to the bus and reports whether the bus took it: an
+// accepted request goes in flight, one completed at once (the
+// validation failure path) is finished, and a refusal (bus full) is
+// remembered so the master can sleep until a completion if the
+// refusal is stable (see hint).
+func (m *ScriptMaster) present(tr *ecbus.Transaction, cycle uint64) bool {
+	switch st := m.bus.Access(tr); st {
+	case ecbus.StateRequest:
+		m.inflight = append(m.inflight, tr)
+	case ecbus.StateOK, ecbus.StateError:
+		m.finish(tr, st, cycle)
+	default:
+		if m.refuser != nil {
+			m.refused = tr
+		}
+		return false
 	}
+	return true
 }
 
 // finish applies the retry policy to a completed transaction: an
 // errored transaction with retry budget left is reset and queued for
 // re-issue after the backoff window; otherwise it is final.
 func (m *ScriptMaster) finish(tr *ecbus.Transaction, st ecbus.BusState, cycle uint64) {
-	if st == ecbus.StateError && int(tr.Retries) < m.Retry.MaxRetries {
-		tr.ResetForRetry()
-		m.totalRetries++
-		m.Metrics.Retries(1)
-		m.retryQ = append(m.retryQ, Item{Tr: tr, NotBefore: cycle + 1 + m.Retry.Backoff})
-		return
-	}
-	m.completed = append(m.completed, tr)
 	if st == ecbus.StateError {
+		if at, ok := m.Retry.Reissue(tr, cycle); ok {
+			m.totalRetries++
+			m.Metrics.Retries(1)
+			m.retryQ = append(m.retryQ, Item{Tr: tr, NotBefore: at})
+			return
+		}
 		m.errors++
 	}
+	m.completed = append(m.completed, tr)
 }
 
 // RunScript drives items through bus until completion or maxCycles, and

@@ -76,6 +76,44 @@ func TestRetryPolicyBudget(t *testing.T) {
 			wantErr: true, wantRetries: 0,
 		},
 	}
+	// The rule itself, as every master applies it through Reissue.
+	reissue := []struct {
+		name    string
+		policy  core.RetryPolicy
+		retries int32 // re-issues the transaction has already had
+		wantOK  bool
+		wantAt  uint64
+	}{
+		{name: "zero policy: first error final", policy: core.RetryPolicy{}},
+		{name: "zero budget ignores backoff", policy: core.RetryPolicy{Backoff: 7}},
+		{name: "budget left, no backoff", policy: core.RetryPolicy{MaxRetries: 1}, wantOK: true, wantAt: 101},
+		{name: "budget left, backoff", policy: core.RetryPolicy{MaxRetries: 4, Backoff: 3}, retries: 3, wantOK: true, wantAt: 104},
+		{name: "budget used up", policy: core.RetryPolicy{MaxRetries: 4, Backoff: 3}, retries: 4},
+	}
+	for _, tc := range reissue {
+		t.Run("Reissue/"+tc.name, func(t *testing.T) {
+			tr, err := ecbus.NewSingle(1, ecbus.Read, target, ecbus.W32, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tr.Retries, tr.Done, tr.Err, tr.Data[0] = tc.retries, true, true, 0xBAD
+			at, ok := tc.policy.Reissue(tr, 100)
+			if ok != tc.wantOK || at != tc.wantAt {
+				t.Fatalf("Reissue = (%d, %v), want (%d, %v)", at, ok, tc.wantAt, tc.wantOK)
+			}
+			if !ok {
+				// A final error leaves the transaction as the bus completed it.
+				if tr.Retries != tc.retries || !tr.Done || !tr.Err || tr.Data[0] != 0xBAD {
+					t.Fatalf("final error touched the transaction: %+v", tr)
+				}
+				return
+			}
+			if tr.Retries != tc.retries+1 || tr.Done || tr.Err || tr.Data[0] != 0 {
+				t.Fatalf("re-issued transaction not reset: %+v", tr)
+			}
+		})
+	}
+
 	for _, tc := range cases {
 		for layer := 0; layer <= 2; layer++ {
 			t.Run(fmt.Sprintf("%s/layer%d", tc.name, layer), func(t *testing.T) {

@@ -159,14 +159,14 @@ func (m *Master) tick(cycle uint64) {
 		return
 	}
 	if st == ecbus.StateError {
-		if int(m.tr.Retries) >= m.Retry.MaxRetries {
+		at, ok := m.Retry.Reissue(&m.tr, cycle)
+		if !ok {
 			m.abandon()
 			return
 		}
-		m.tr.ResetForRetry()
 		m.Retries++
 		m.Metrics.Retries(1)
-		m.notBefore = cycle + 1 + m.Retry.Backoff
+		m.notBefore = at
 		return
 	}
 	j := m.jobs[m.ji]

@@ -174,14 +174,14 @@ func (e *Engine) tick(cycle uint64) {
 		return
 	}
 	if st == ecbus.StateError {
-		if int(e.tr.Retries) >= e.Retry.MaxRetries {
+		at, ok := e.Retry.Reissue(&e.tr, cycle)
+		if !ok {
 			e.abandon()
 			return
 		}
-		e.tr.ResetForRetry()
 		e.Retries++
 		e.Metrics.Retries(1)
-		e.notBefore = cycle + 1 + e.Retry.Backoff
+		e.notBefore = at
 		return
 	}
 	switch e.state {

@@ -31,13 +31,11 @@ import (
 
 	"repro/internal/arb"
 	"repro/internal/core"
-	"repro/internal/ecbus"
 	"repro/internal/gatepower"
 	"repro/internal/javacard"
 	"repro/internal/mem"
 	"repro/internal/metrics"
 	"repro/internal/platform"
-	"repro/internal/sim"
 )
 
 // Stack SFR base addresses of the two explored address maps. The code
@@ -295,8 +293,8 @@ func (e *CancelledError) Error() string {
 func (e *CancelledError) Unwrap() error { return e.Cause }
 
 // ErrFetchTimeout reports a code fetch whose bus transaction never
-// reached a terminal state within javacard.TransactionRetryLimit kernel
-// steps — a protocol deadlock in the modelled bus, not a slow slave.
+// reached a terminal state within core.StepLimit kernel steps — a
+// protocol deadlock in the modelled bus, not a slow slave.
 type ErrFetchTimeout struct {
 	Addr  uint64 // bus address of the abandoned fetch
 	Cycle uint64 // kernel cycle at which the master gave up
@@ -305,47 +303,7 @@ type ErrFetchTimeout struct {
 // Error implements error.
 func (e *ErrFetchTimeout) Error() string {
 	return fmt.Sprintf("explore: fetch at %#x never completed (gave up at cycle %d after %d bus steps)",
-		e.Addr, e.Cycle, javacard.TransactionRetryLimit)
-}
-
-// blockingMaster issues single transactions to completion by stepping
-// the kernel (the untimed interpreter's view of the bus). It pools one
-// transaction object: each fetch runs to completion before the next, so
-// the bus never retains the object across calls.
-type blockingMaster struct {
-	k       *sim.Kernel
-	bus     core.Initiator
-	ids     uint64
-	n       uint64
-	tr      ecbus.Transaction
-	retry   core.RetryPolicy
-	retries uint64
-}
-
-func (m *blockingMaster) read8(addr uint64) error {
-	m.ids++
-	if err := m.tr.ResetSingle(m.ids, ecbus.Fetch, addr, ecbus.W8, 0); err != nil {
-		return err
-	}
-	m.n++
-	for i := 0; i < javacard.TransactionRetryLimit; i++ {
-		st := m.bus.Access(&m.tr)
-		if st == ecbus.StateOK {
-			return nil
-		}
-		if st == ecbus.StateError {
-			if int(m.tr.Retries) >= m.retry.MaxRetries {
-				return fmt.Errorf("explore: fetch bus error at %#x after %d retries", addr, m.tr.Retries)
-			}
-			m.tr.ResetForRetry()
-			m.retries++
-			for b := uint64(0); b < m.retry.Backoff; b++ {
-				m.k.Step()
-			}
-		}
-		m.k.Step()
-	}
-	return &ErrFetchTimeout{Addr: addr, Cycle: m.k.Cycle()}
+		e.Addr, e.Cycle, core.StepLimit)
 }
 
 // prepared is the per-workload state hoisted out of the sweep loop: the

@@ -14,10 +14,12 @@ import (
 	"repro/internal/fault"
 	"repro/internal/gatepower"
 	"repro/internal/javacard"
+	"repro/internal/journal"
 	"repro/internal/mem"
 	"repro/internal/metrics"
 	"repro/internal/platform"
 	"repro/internal/sim"
+	"repro/internal/tear"
 	"repro/internal/tlm3"
 )
 
@@ -45,7 +47,7 @@ type system struct {
 	de  *dma.Engine
 
 	adapter *javacard.MasterAdapter
-	fetcher *blockingMaster
+	fetcher *cpuMaster
 	vm      *javacard.VM
 }
 
@@ -135,17 +137,69 @@ func newSystem(cfg Config, p prepared, layer int, char gatepower.CharTable, reg,
 // boot attaches the CPU masters and the interpreter running the
 // workload program.
 func (s *system) boot() {
-	s.adapter = javacard.NewMasterAdapter(s.k, s.cpu, s.base, s.cfg.Org)
-	s.adapter.Retry = s.retry
-	s.fetcher = &blockingMaster{k: s.k, bus: s.cpu, retry: s.retry}
+	s.adapter = javacard.NewMasterAdapter(s.k, s.cpu, s.base, s.cfg.Org, s.retry)
+	s.fetcher = s.master(nil)
 	mm, fw := s.p.w.Runtime()
 	s.vm = javacard.NewVM(s.p.prog, s.adapter, mm, fw)
-	s.vm.FetchHook = func(pc int) {
+	s.vm.FetchHook = func(pc int) error {
 		// Interleave the interpreter's code fetch with the stack
 		// traffic. Method bodies alias onto the main image window; the
 		// traffic pattern, not the fetched value, is what matters here.
-		_ = s.fetcher.read8(uint64(pc) % romSize)
+		_, err := s.fetcher.access(ecbus.Fetch, uint64(pc)%romSize, ecbus.W8, 0)
+		return err
 	}
+}
+
+// cpuMaster is a CPU-side master on the system's bus that runs each
+// access to completion: the interpreter's code fetcher, and the
+// journal's view of the bus. After every completed access it polls the
+// tear monitor, so a power loss cuts between bus operations at an
+// observation point that is identical on the reference and optimized
+// bus paths.
+type cpuMaster struct {
+	*core.BlockingMaster
+	k   *sim.Kernel
+	mon *tear.Monitor // nil: the supply never fails
+	// onRead, when set, observes completed data-window reads (the
+	// persistence checker's J2 feed).
+	onRead func(addr uint64)
+}
+
+// master attaches a CPU-side blocking master to the system's bus.
+func (s *system) master(mon *tear.Monitor) *cpuMaster {
+	return &cpuMaster{BlockingMaster: core.NewBlockingMaster(s.k, s.cpu, s.retry), k: s.k, mon: mon}
+}
+
+func (m *cpuMaster) access(kind ecbus.Kind, addr uint64, w ecbus.Width, data uint32) (uint32, error) {
+	tr, err := m.Single(kind, addr, w, data)
+	if err != nil {
+		return 0, err
+	}
+	switch m.Run(tr) {
+	case ecbus.StateOK:
+	case ecbus.StateError:
+		return 0, fmt.Errorf("explore: %v bus error at %#x after %d retries", kind, addr, tr.Retries)
+	default:
+		return 0, &ErrFetchTimeout{Addr: addr, Cycle: m.k.Cycle()}
+	}
+	if kind == ecbus.Read && m.onRead != nil {
+		m.onRead(addr)
+	}
+	if m.mon != nil && m.mon.Check() {
+		return 0, journal.ErrPowerLost
+	}
+	return tr.Data[0], nil
+}
+
+// ReadWord implements journal.BusRW.
+func (m *cpuMaster) ReadWord(addr uint64) (uint32, error) {
+	return m.access(ecbus.Read, addr, ecbus.W32, 0)
+}
+
+// WriteWord implements journal.BusRW.
+func (m *cpuMaster) WriteWord(addr uint64, data uint32) error {
+	_, err := m.access(ecbus.Write, addr, ecbus.W32, data)
+	return err
 }
 
 // contendedDrainBudget bounds the post-VM drain of the autonomous
@@ -178,11 +232,11 @@ func (s *system) run(ctx context.Context) error {
 }
 
 // cpuRetries counts the CPU masters' bus-error re-issues.
-func (s *system) cpuRetries() uint64 { return s.adapter.Retries + s.fetcher.retries }
+func (s *system) cpuRetries() uint64 { return s.adapter.Retries + s.fetcher.Retries }
 
 // traffic sums transactions and retries over every master on the bus.
 func (s *system) traffic() (tx, retries uint64) {
-	tx, retries = s.adapter.Transactions+s.fetcher.n, s.cpuRetries()
+	tx, retries = s.adapter.Transactions+s.fetcher.Transactions, s.cpuRetries()
 	if s.mux != nil {
 		tx += s.cm.Transactions + s.de.Transactions
 		retries += s.cm.Retries + s.de.Retries

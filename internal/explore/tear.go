@@ -7,14 +7,10 @@ import (
 	"strings"
 
 	"repro/internal/checker"
-	"repro/internal/core"
-	"repro/internal/ecbus"
 	"repro/internal/gatepower"
-	"repro/internal/javacard"
 	"repro/internal/journal"
 	"repro/internal/mem"
 	"repro/internal/metrics"
-	"repro/internal/sim"
 	"repro/internal/tear"
 )
 
@@ -44,81 +40,19 @@ func TearRegion() journal.Region {
 	}
 }
 
-// wordMaster issues single 32-bit transactions to completion by
-// stepping the kernel — the journal's view of the bus. After every
-// completed operation it polls the tear monitor, so a power loss cuts
-// between bus operations at an observation point that is identical on
-// the reference and optimized bus paths.
-type wordMaster struct {
-	k       *sim.Kernel
-	bus     core.Initiator
-	ids     uint64
-	n       uint64
-	tr      ecbus.Transaction
-	retry   core.RetryPolicy
-	retries uint64
-	mon     *tear.Monitor
-	// onRead, when set, observes completed data-window reads (the
-	// persistence checker's J2 feed).
-	onRead func(addr uint64)
-}
-
-func (m *wordMaster) access(kind ecbus.Kind, addr uint64, data uint32) (uint32, error) {
-	m.ids++
-	if err := m.tr.ResetSingle(m.ids, kind, addr, ecbus.W32, data); err != nil {
-		return 0, err
-	}
-	m.n++
-	for i := 0; i < javacard.TransactionRetryLimit; i++ {
-		st := m.bus.Access(&m.tr)
-		if st == ecbus.StateOK {
-			if kind == ecbus.Read && m.onRead != nil {
-				m.onRead(addr)
-			}
-			if m.mon.Check() {
-				return 0, journal.ErrPowerLost
-			}
-			return m.tr.Data[0], nil
-		}
-		if st == ecbus.StateError {
-			if int(m.tr.Retries) >= m.retry.MaxRetries {
-				return 0, fmt.Errorf("explore: %v bus error at %#x after %d retries", kind, addr, m.tr.Retries)
-			}
-			m.tr.ResetForRetry()
-			m.retries++
-			for b := uint64(0); b < m.retry.Backoff; b++ {
-				m.k.Step()
-			}
-		}
-		m.k.Step()
-	}
-	return 0, &ErrFetchTimeout{Addr: addr, Cycle: m.k.Cycle()}
-}
-
-// ReadWord implements journal.BusRW.
-func (m *wordMaster) ReadWord(addr uint64) (uint32, error) {
-	return m.access(ecbus.Read, addr, 0)
-}
-
-// WriteWord implements journal.BusRW.
-func (m *wordMaster) WriteWord(addr uint64, data uint32) error {
-	_, err := m.access(ecbus.Write, addr, data)
-	return err
-}
-
 // persister mirrors committed VM statics into the persistent store:
 // directly when unjournaled, through the transaction journal otherwise
 // (grouping tearTxnWrites stores per transaction). It tracks the
 // expected durable state for post-recovery verification.
 type persister struct {
 	w      *journal.Writer // nil = unjournaled
-	bus    *wordMaster
+	bus    *cpuMaster
 	base   uint64
 	open   int
 	commit map[uint64]uint32 // journaled: durable words; unjournaled: last written
 }
 
-func newPersister(s journal.Strategy, reg journal.Region, bus *wordMaster, pc *checker.Persist) *persister {
+func newPersister(s journal.Strategy, reg journal.Region, bus *cpuMaster, pc *checker.Persist) *persister {
 	p := &persister{bus: bus, base: reg.DataBase, commit: map[uint64]uint32{}}
 	if !s.Empty() {
 		p.w = journal.NewWriter(s, reg, bus)
@@ -213,7 +147,7 @@ func runTorn(ctx context.Context, cfg Config, p prepared, char gatepower.CharTab
 	clock := k.Cycle // the checker reports against the live phase's clock
 	pc := checker.NewPersist(func() uint64 { return clock() })
 	mon := tear.NewMonitor(plan, k.Cycle, energy, ee.Programs)
-	jbus := &wordMaster{k: k, bus: sa.cpu, retry: sa.retry, mon: mon}
+	jbus := sa.master(mon)
 	jbus.onRead = func(addr uint64) {
 		if addr < region.JournalBase {
 			pc.ObserveRead(addr)
@@ -277,7 +211,7 @@ func runTorn(ctx context.Context, cfg Config, p prepared, char gatepower.CharTab
 	}
 	cyclesA, e1 := k.Cycle(), energy()
 	txA, retriesA := sa.traffic()
-	txA, retriesA = txA+jbus.n, retriesA+jbus.retries
+	txA, retriesA = txA+jbus.Transactions, retriesA+jbus.Retries
 
 	// ---- Phase B: power-up on the surviving EEPROM image. Phase B's
 	// bus carries its own meter; the registry stays on phase A's bus so
@@ -292,7 +226,7 @@ func runTorn(ctx context.Context, cfg Config, p prepared, char gatepower.CharTab
 	}
 	k2, energy2 := sb.k, sb.energy
 	clock = k2.Cycle
-	jbus2 := &wordMaster{k: k2, bus: sb.cpu, retry: sb.retry, mon: nil}
+	jbus2 := sb.master(nil)
 	jbus2.onRead = jbus.onRead // same data-window filter, same checker
 
 	var rec journal.Recovery
@@ -323,8 +257,8 @@ func runTorn(ctx context.Context, cfg Config, p prepared, char gatepower.CharTab
 		Workload:     p.w.Name,
 		Cycles:       cyclesA + k2.Cycle(),
 		BusEnergyJ:   e1 + energy2(),
-		Transactions: txA + jbus2.n,
-		Retries:      retriesA + jbus2.retries,
+		Transactions: txA + jbus2.Transactions,
+		Retries:      retriesA + jbus2.Retries,
 		Steps:        vm.Steps,
 		Torn:         torn,
 		CutCycle:     mon.CutCycle(),

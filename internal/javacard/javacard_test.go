@@ -1,9 +1,11 @@
 package javacard
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/ecbus"
 	"repro/internal/sim"
 	"repro/internal/tlm1"
@@ -149,7 +151,7 @@ func refined(t *testing.T, layer int, org Organization) (*sim.Kernel, *MasterAda
 	} else {
 		bus = tlm2.New(k, m)
 	}
-	return k, NewMasterAdapter(k, bus, 0x1000, org), hs
+	return k, NewMasterAdapter(k, bus, 0x1000, org, core.RetryPolicy{}), hs
 }
 
 func TestHardStackAllOrganizationsLIFO(t *testing.T) {
@@ -288,6 +290,35 @@ func TestVMStepAfterHalt(t *testing.T) {
 	}
 	if err := vm.Step(); err != ErrHalted {
 		t.Fatalf("Step after halt = %v", err)
+	}
+}
+
+// TestFetchHookErrorAbortsStep: a code fetch the bus failed comes back
+// from Step unchanged, before the bytecode runs.
+func TestFetchHookErrorAbortsStep(t *testing.T) {
+	errFetch := errors.New("fetch failed")
+	vm := NewVM(ArithLoop(3), &SoftStack{}, NewMemoryManager(), NewFirewall())
+	var pcs []int
+	vm.FetchHook = func(pc int) error {
+		pcs = append(pcs, pc)
+		if len(pcs) == 3 {
+			return errFetch
+		}
+		return nil
+	}
+	for i := 0; i < 2; i++ {
+		if err := vm.Step(); err != nil {
+			t.Fatalf("step %d: %v", i, err)
+		}
+	}
+	if err := vm.Step(); !errors.Is(err, errFetch) {
+		t.Fatalf("Step = %v, want the hook's error", err)
+	}
+	if vm.Steps != 2 {
+		t.Fatalf("Steps = %d, want 2: the failed fetch's bytecode must not run", vm.Steps)
+	}
+	if len(pcs) != 3 || pcs[2] <= pcs[1] {
+		t.Fatalf("hook pcs %v", pcs)
 	}
 }
 

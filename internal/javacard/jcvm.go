@@ -121,8 +121,10 @@ type VM struct {
 	// accesses interleave with instruction traffic as they would on the
 	// real card (this makes the exploration's address-map axis
 	// meaningful: the address bus Hamming distance between code memory
-	// and stack SFRs depends on where the SFRs live).
-	FetchHook func(pc int)
+	// and stack SFRs depends on where the SFRs live). A returned error
+	// (a fetch the bus failed or never completed) aborts the
+	// interpreter before that bytecode.
+	FetchHook func(pc int) error
 
 	// StaticHook, when set, is invoked after each committed static-field
 	// store (OpPutS) with the field index and value. The tear-aware
@@ -177,7 +179,9 @@ func (vm *VM) Step() error {
 		return ErrHalted
 	}
 	if vm.FetchHook != nil {
-		vm.FetchHook(vm.cur.pc)
+		if err := vm.FetchHook(vm.cur.pc); err != nil {
+			return err
+		}
 	}
 	op, err := vm.fetch()
 	if err != nil {

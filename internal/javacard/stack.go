@@ -208,75 +208,42 @@ func (o Organization) String() string {
 // Organizations lists all SFR protocols.
 var Organizations = []Organization{OrgByte, OrgHalf, OrgPacked, OrgBurst}
 
-// TransactionRetryLimit bounds the kernel steps a blocking master waits
-// for one bus transaction to complete before declaring the bus wedged.
-// Generously above any legal wait-state combination of the modelled
-// slaves; reaching it means a protocol deadlock, not a slow slave.
-const TransactionRetryLimit = 100_000
-
 // MasterAdapter implements Stack by translating interface calls into bus
-// transactions (Fig. 7b, "MA"): the untimed interpreter calls it, and it
-// advances the clocked bus simulation until each transaction completes.
+// transactions (Fig. 7b, "MA"): the untimed interpreter calls it, and
+// its blocking master advances the clocked bus simulation until each
+// transaction completes.
 type MasterAdapter struct {
-	k    *sim.Kernel
-	bus  core.Initiator
+	*core.BlockingMaster
 	base uint64
 	org  Organization
 
-	ids  uint64
 	pend []int16 // burst batching buffer (OrgBurst)
 
-	// Pooled transaction objects: every adapter call runs its
-	// transaction to completion before returning, after which the bus
-	// holds no reference to it, so one single and one burst object can
-	// be reset and reused for the adapter's lifetime instead of
-	// allocating per operand-stack access.
-	str ecbus.Transaction
-	btr ecbus.Transaction
-
-	// Retry is the bus-error reaction policy (the zero value aborts on
-	// the first error, the historical behaviour).
-	Retry core.RetryPolicy
-
-	Transactions uint64
-	Retries      uint64 // re-issues after bus errors
+	btr ecbus.Transaction // pooled burst, run to completion like the single
 }
 
 // NewMasterAdapter binds a stack adapter to a bus and a HardStack base
-// address.
-func NewMasterAdapter(k *sim.Kernel, bus core.Initiator, base uint64, org Organization) *MasterAdapter {
-	return &MasterAdapter{k: k, bus: bus, base: base, org: org}
+// address, reacting to bus errors with retry.
+func NewMasterAdapter(k *sim.Kernel, bus core.Initiator, base uint64, org Organization, retry core.RetryPolicy) *MasterAdapter {
+	return &MasterAdapter{BlockingMaster: core.NewBlockingMaster(k, bus, retry), base: base, org: org}
 }
 
-// do runs one bus transaction to completion, stepping the kernel.
+// do runs one single-word bus transaction to completion.
 func (a *MasterAdapter) do(kind ecbus.Kind, addr uint64, w ecbus.Width, data uint32) (uint32, error) {
-	a.ids++
-	if err := a.str.ResetSingle(a.ids, kind, addr, w, data); err != nil {
+	tr, err := a.Single(kind, addr, w, data)
+	if err != nil {
 		return 0, err
 	}
-	return a.run(&a.str)
+	return a.complete(tr)
 }
 
-func (a *MasterAdapter) run(tr *ecbus.Transaction) (uint32, error) {
-	a.Transactions++
-	for i := 0; i < TransactionRetryLimit; i++ {
-		st := a.bus.Access(tr)
-		if st == ecbus.StateOK {
-			return tr.Data[0], nil
-		}
-		if st == ecbus.StateError {
-			if int(tr.Retries) >= a.Retry.MaxRetries {
-				return 0, fmt.Errorf("stack adapter: bus error at %#x after %d retries", tr.Addr, tr.Retries)
-			}
-			// Back off, then re-issue the same transaction (write
-			// payloads are preserved across the reset).
-			tr.ResetForRetry()
-			a.Retries++
-			for b := uint64(0); b < a.Retry.Backoff; b++ {
-				a.k.Step()
-			}
-		}
-		a.k.Step()
+// complete runs tr to completion and returns its first data word.
+func (a *MasterAdapter) complete(tr *ecbus.Transaction) (uint32, error) {
+	switch a.Run(tr) {
+	case ecbus.StateOK:
+		return tr.Data[0], nil
+	case ecbus.StateError:
+		return 0, fmt.Errorf("stack adapter: bus error at %#x after %d retries", tr.Addr, tr.Retries)
 	}
 	return 0, errors.New("stack adapter: transaction never completed")
 }
@@ -302,7 +269,7 @@ func (a *MasterAdapter) Push(v int16) error {
 	case OrgBurst:
 		a.pend = append(a.pend, v)
 		if len(a.pend) == 4 {
-			return a.flush()
+			return a.Flush()
 		}
 		return nil
 	default:
@@ -310,27 +277,23 @@ func (a *MasterAdapter) Push(v int16) error {
 	}
 }
 
-// Flush forces out any batched burst pushes (call at workload end).
-func (a *MasterAdapter) Flush() error { return a.flush() }
-
-// flush pushes the batched values with one burst write.
-func (a *MasterAdapter) flush() error {
+// Flush forces out any batched burst pushes (call at workload end): a
+// full batch as one burst write, a partial one as halfword pushes.
+func (a *MasterAdapter) Flush() error {
 	if len(a.pend) == 0 {
 		return nil
 	}
 	if len(a.pend) == 4 {
-		a.ids++
-		if err := a.btr.ResetBurst(a.ids, ecbus.Write, a.base+RegBurst); err != nil {
+		if err := a.btr.ResetBurst(a.NextID(), ecbus.Write, a.base+RegBurst); err != nil {
 			return err
 		}
 		for i, v := range a.pend {
 			a.btr.Data[i] = uint32(uint16(v))
 		}
 		a.pend = a.pend[:0]
-		_, err := a.run(&a.btr)
+		_, err := a.complete(&a.btr)
 		return err
 	}
-	// Partial batch: drain with halfword pushes.
 	vals := append([]int16(nil), a.pend...)
 	a.pend = a.pend[:0]
 	for _, v := range vals {
@@ -344,7 +307,7 @@ func (a *MasterAdapter) flush() error {
 // Pop implements Stack.
 func (a *MasterAdapter) Pop() (int16, error) {
 	if a.org == OrgBurst {
-		if err := a.flush(); err != nil {
+		if err := a.Flush(); err != nil {
 			return 0, err
 		}
 	}
@@ -374,7 +337,7 @@ func (a *MasterAdapter) Pop() (int16, error) {
 // Depth implements Stack (one bus read).
 func (a *MasterAdapter) Depth() int {
 	if a.org == OrgBurst {
-		if err := a.flush(); err != nil {
+		if err := a.Flush(); err != nil {
 			return -1
 		}
 	}

@@ -77,38 +77,24 @@ type driveResult struct {
 	retries   int
 }
 
-// drive issues each transaction to completion before the next, with
-// retry-with-backoff on bus errors — the exact discipline of the
-// exploration harness's masters (MasterAdapter, blockingMaster), which
-// is the traffic shape screening must reproduce.
+// drive issues each transaction to completion before the next through
+// core.BlockingMaster, the blocking master the exploration harness's
+// stack adapter, code fetcher and journal bus run on, so screening is
+// checked against the traffic shape the sweep actually produces.
 func drive(t *testing.T, k *sim.Kernel, bus core.Initiator, items []core.Item, retry core.RetryPolicy) driveResult {
 	t.Helper()
 	var out driveResult
+	m := core.NewBlockingMaster(k, bus, retry)
 	for _, it := range items {
-		tr := it.Tr
-	attempt:
-		for step := 0; ; step++ {
-			if step > 1_000_000 {
-				t.Fatalf("tx %d never completed", tr.ID)
-			}
-			switch bus.Access(tr) {
-			case ecbus.StateOK:
-				break attempt
-			case ecbus.StateError:
-				if int(tr.Retries) >= retry.MaxRetries {
-					out.errors++
-					break attempt
-				}
-				tr.ResetForRetry()
-				out.retries++
-				for b := uint64(0); b < retry.Backoff; b++ {
-					k.Step()
-				}
-			}
-			k.Step()
+		switch m.Run(it.Tr) {
+		case ecbus.StateError:
+			out.errors++
+		case ecbus.StateWait:
+			t.Fatalf("tx %d never completed", it.Tr.ID)
 		}
-		out.completed = append(out.completed, tr)
+		out.completed = append(out.completed, it.Tr)
 	}
+	out.retries = int(m.Retries)
 	return out
 }
 

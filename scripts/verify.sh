@@ -57,10 +57,10 @@ for pol in fixed rr; do
 		echo "verify: arbitration smoke missing $pol rows" >&2; exit 1; }
 done
 
-echo "== axis rule smoke (jcexplore refuses a tear plan at layer 3 and an unknown name on every axis flag with exit 2, without a panic)"
+echo "== axis rule smoke (jcexplore refuses a tear plan at layer 3, an unknown name on every axis flag and a negative worker count with exit 2, without a panic)"
 jcdir=$(mktemp -d)
 go build -o "$jcdir/jcexplore" ./cmd/jcexplore
-for args in "-layer 3 -tear tear-mid" "-faults bogus" "-arb bogus" "-tear bogus" "-journal bogus"; do
+for args in "-layer 3 -tear tear-mid" "-faults bogus" "-arb bogus" "-tear bogus" "-journal bogus" "-workers -1"; do
 	rc=0
 	# shellcheck disable=SC2086 # word-split the flag pair
 	"$jcdir/jcexplore" $args > /dev/null 2> "$jcdir/stderr" || rc=$?
