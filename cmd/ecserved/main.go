@@ -59,12 +59,22 @@ func main() {
 	probe := flag.Duration("probe", 0, "peer health-probe interval; 0 = 250ms")
 	flag.Parse()
 
-	// A negative size would silently become serve.New's default.
-	names := []string{"workers", "queue", "sweep-workers"}
-	for i, v := range []int{*workers, *queue, *sweepWorkers} {
+	// A negative size or interval would silently become the default of
+	// serve.New or the cluster.
+	refuse := func(name string, v any, unit string) {
+		fmt.Fprintf(os.Stderr, "ecserved: invalid -%s %v (0 = the default, or a positive %s)\n", name, v, unit)
+		os.Exit(2)
+	}
+	names := []string{"workers", "queue", "cache", "sweep-workers"}
+	for i, v := range []int{*workers, *queue, *cache, *sweepWorkers} {
 		if v < 0 {
-			fmt.Fprintf(os.Stderr, "ecserved: invalid -%s %d (0 = the default, or a positive count)\n", names[i], v)
-			os.Exit(2)
+			refuse(names[i], v, "count")
+		}
+	}
+	names = []string{"timeout", "probe"}
+	for i, d := range []time.Duration{*timeout, *probe} {
+		if d < 0 {
+			refuse(names[i], d, "duration")
 		}
 	}
 

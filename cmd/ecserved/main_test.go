@@ -144,9 +144,9 @@ func TestServerSmoke(t *testing.T) {
 	}
 }
 
-// TestSizeFlagBoundary: a negative -workers, -queue or -sweep-workers
-// is refused with exit 2 and a one-line error naming the value, before
-// the daemon listens.
+// TestSizeFlagBoundary: a negative -workers, -queue, -cache,
+// -sweep-workers, -timeout or -probe is refused with exit 2 and a
+// one-line error naming the value, before the daemon listens.
 func TestSizeFlagBoundary(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and execs the daemon binary")
@@ -155,9 +155,13 @@ func TestSizeFlagBoundary(t *testing.T) {
 	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
 		t.Fatalf("go build: %v\n%s", err, out)
 	}
-	for _, flag := range []string{"-workers", "-queue", "-sweep-workers"} {
+	for _, arg := range [][2]string{
+		{"-workers", "-1"}, {"-queue", "-1"}, {"-cache", "-1"}, {"-sweep-workers", "-1"},
+		{"-timeout", "-5s"}, {"-probe", "-1s"},
+	} {
+		flag, val := arg[0], arg[1]
 		var out bytes.Buffer
-		cmd := exec.Command(bin, "-addr", "127.0.0.1:0", flag, "-1")
+		cmd := exec.Command(bin, "-addr", "127.0.0.1:0", flag, val)
 		cmd.Stdout, cmd.Stderr = &out, &out
 		done := make(chan error, 1)
 		if err := cmd.Start(); err != nil {
@@ -170,14 +174,14 @@ func TestSizeFlagBoundary(t *testing.T) {
 		case <-time.After(10 * time.Second):
 			cmd.Process.Kill()
 			<-done
-			t.Fatalf("%s -1: still running; a refusal must exit before listening", flag)
+			t.Fatalf("%s %s: still running; a refusal must exit before listening", flag, val)
 		}
 		var exit *exec.ExitError
 		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
-			t.Errorf("%s -1: %v, want exit 2 (output %q)", flag, err, out.String())
+			t.Errorf("%s %s: %v, want exit 2 (output %q)", flag, val, err, out.String())
 		}
-		if got := out.String(); !strings.Contains(got, flag+" -1") || strings.Count(got, "\n") != 1 {
-			t.Errorf("%s -1: output %q should be one line naming the value", flag, got)
+		if got := out.String(); !strings.Contains(got, flag+" "+val) || strings.Count(got, "\n") != 1 {
+			t.Errorf("%s %s: output %q should be one line naming the value", flag, val, got)
 		}
 	}
 }

@@ -356,13 +356,13 @@ func (e *Engine) EstimateAll(runs []Run) ([]Result, error) {
 				(len(ln.retryQ) > 0 && ln.retryQ[0].NotBefore <= ln.cyc) {
 				e.masterTick(ln, li)
 			}
-			if !ln.addrQ.empty() {
+			if !ln.addrQ.Empty() {
 				e.addrUnit(ln, li)
 			}
-			if !ln.readQ.empty() {
+			if !ln.readQ.Empty() {
 				e.readUnit(ln, li)
 			}
-			if !ln.writeQ.empty() {
+			if !ln.writeQ.Empty() {
 				e.writeUnit(ln, li)
 			}
 			// Nothing observable can happen before the lane's next event:
@@ -445,7 +445,7 @@ func (e *Engine) sleep(ln *lane, li int, w uint64) {
 		e.packed[ecbus.SigWBErr])&bit != 0 {
 		e.strobeDrop |= bit
 	}
-	if e.packed[ecbus.SigAValid]&bit != 0 && ln.addrQ.empty() {
+	if e.packed[ecbus.SigAValid]&bit != 0 && ln.addrQ.Empty() {
 		e.avDrop |= bit
 	}
 	e.stats.LaneCycles += k

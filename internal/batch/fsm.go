@@ -23,11 +23,6 @@ import (
 // an unchanged value is invisible to the dirty-tracking pricing pass,
 // so the wire trajectories are identical.
 
-// qCap bounds each lane queue: outstanding transactions cap at
-// ecbus.MaxOutstanding per category (3 categories in flight), so 16 —
-// the next power of two — statically bounds every queue.
-const qCap = 16
-
 // laneEntry tracks one transaction's bus-side state, the slave control
 // sample of the serial models' address-phase start. The slave itself is
 // referenced by decoder index (sel) into the lane's slave table, which
@@ -49,29 +44,6 @@ type laneEntry struct {
 type finRec struct {
 	tr  *ecbus.Transaction
 	seq uint32
-}
-
-// ring is a fixed-capacity FIFO of lane entries.
-type ring struct {
-	buf  [qCap]laneEntry
-	head int
-	n    int
-}
-
-func (r *ring) empty() bool       { return r.n == 0 }
-func (r *ring) front() *laneEntry { return &r.buf[r.head] }
-
-func (r *ring) pushBack(e laneEntry) {
-	if r.n == qCap {
-		panic("batch: lane queue overflow")
-	}
-	r.buf[(r.head+r.n)&(qCap-1)] = e
-	r.n++
-}
-
-func (r *ring) popFront() {
-	r.head = (r.head + 1) & (qCap - 1)
-	r.n--
 }
 
 // lane is one run's complete simulation state: its own address map
@@ -100,13 +72,14 @@ type lane struct {
 	retries  int
 	errors   int
 
-	// Bus.
-	addrQ       ring
-	readQ       ring
-	writeQ      ring
+	// Bus: the serial models' ledger (no metrics registry) and unit
+	// queues.
+	tx          core.Ledger
+	addrQ       ecbus.Ring[laneEntry]
+	readQ       ecbus.Ring[laneEntry]
+	writeQ      ecbus.Ring[laneEntry]
 	addrStarted bool
 	addrDone    uint64 // absolute cycle the running address phase completes
-	outstanding [ecbus.NumCategories]int
 
 	// wakeTick is the engine tick at which the lane resumes execution
 	// after a sleep (Engine.sleep): its wait-state cycles were already
@@ -174,7 +147,7 @@ func (e *Engine) masterTick(ln *lane, li int) {
 		if it.NotBefore > cycle {
 			break
 		}
-		switch st := e.access(ln, it.Tr); st {
+		switch st := ln.access(it.Tr); st {
 		case ecbus.StateRequest:
 			ln.inflight++
 			ln.retryQ = ln.retryQ[1:]
@@ -192,7 +165,7 @@ func (e *Engine) masterTick(ln *lane, li int) {
 		if it.NotBefore > cycle {
 			break
 		}
-		switch st := e.access(ln, it.Tr); st {
+		switch st := ln.access(it.Tr); st {
 		case ecbus.StateRequest:
 			ln.inflight++
 			ln.next++
@@ -220,38 +193,18 @@ func (e *Engine) masterFinish(ln *lane, tr *ecbus.Transaction, st ecbus.BusState
 	ln.errors++
 }
 
-// access is the lane's bus Access: identical semantics to the serial
-// models' master-side interface. The serial queued-elsewhere check is
-// dropped: the engine only ever offers fresh or fully-retired (retry)
-// transactions, which are never resident in a bus queue.
-func (e *Engine) access(ln *lane, tr *ecbus.Transaction) ecbus.BusState {
-	if tr.Done {
-		if tr.Err {
-			return ecbus.StateError
-		}
-		return ecbus.StateOK
+// access is the lane's bus Access, the serial buses' own: the ledger
+// admits tr and an accepted request joins the address queue. The
+// serial buses stamp b.cycle+1: the bus counter lags one falling edge
+// behind the master's rising edge, so the accepted cycle is exactly the
+// lane's current cycle.
+func (ln *lane) access(tr *ecbus.Transaction) ecbus.BusState {
+	st := ln.tx.Admit(tr, ln.cyc)
+	if st == ecbus.StateRequest {
+		ln.addrQ.Push(laneEntry{tr: tr, seq: ln.issueSeq, sel: -1})
+		ln.issueSeq++
 	}
-	if tr.IssueCycle != 0 {
-		return ecbus.StateWait
-	}
-	cat := tr.Category()
-	if ln.outstanding[cat] >= ecbus.MaxOutstanding {
-		return ecbus.StateWait
-	}
-	if err := tr.Validate(); err != nil {
-		// Structurally illegal requests never reach the wire.
-		tr.Done, tr.Err = true, true
-		return ecbus.StateError
-	}
-	ln.outstanding[cat]++
-	// The serial buses stamp b.cycle+1: the bus counter lags one
-	// falling edge behind the master's rising edge, so the accepted
-	// cycle is exactly the lane's current cycle.
-	tr.IssueCycle = ln.cyc
-	seq := ln.issueSeq
-	ln.issueSeq++
-	ln.addrQ.pushBack(laneEntry{tr: tr, seq: seq, sel: -1})
-	return ecbus.StateRequest
+	return st
 }
 
 // sampleSlave samples the slave control interface at address-phase
@@ -287,10 +240,10 @@ func (e *Engine) sampleSlave(ln *lane, en *laneEntry) {
 
 // addrUnit advances one lane's serialized address phase.
 func (e *Engine) addrUnit(ln *lane, li int) {
-	if ln.addrQ.empty() {
+	if ln.addrQ.Empty() {
 		return
 	}
-	en := ln.addrQ.front()
+	en := ln.addrQ.Front()
 	if en.tr.IssueCycle > ln.cyc {
 		return // accepted later this cycle by the master
 	}
@@ -316,17 +269,17 @@ func (e *Engine) addrUnit(ln *lane, li int) {
 	e.setPacked(ecbus.SigARdy, li, true)
 	en.tr.AddrCycle = ln.cyc
 	ent := *en // copy out before the slot is recycled
-	ln.addrQ.popFront()
+	ln.addrQ.Pop()
 	ln.addrStarted = false
 	switch {
 	case ent.err:
 		e.completeError(ln, li, &ent)
 	case ent.tr.Kind.IsRead():
 		ent.pend = true // beat countdown starts when the entry heads the queue
-		ln.readQ.pushBack(ent)
+		ln.readQ.Push(ent)
 	default:
 		ent.pend = true // write data drives at beat start
-		ln.writeQ.pushBack(ent)
+		ln.writeQ.Push(ent)
 	}
 }
 
@@ -359,14 +312,12 @@ func (e *Engine) driveAddr(li int, en *laneEntry) {
 // completeError finishes a transaction with a bus error at the end of
 // its address phase, pulsing the error wire of its direction.
 func (e *Engine) completeError(ln *lane, li int, en *laneEntry) {
-	en.tr.Done, en.tr.Err = true, true
-	en.tr.DataCycle = ln.cyc
 	if en.tr.Kind.IsRead() {
 		e.setPacked(ecbus.SigRBErr, li, true)
 	} else {
 		e.setPacked(ecbus.SigWBErr, li, true)
 	}
-	ln.outstanding[en.tr.Category()]--
+	ln.tx.Retire(en.tr, ln.cyc, true)
 	ln.finished[ln.finCnt] = finRec{tr: en.tr, seq: en.seq}
 	ln.finCnt++
 	ln.inflight--
@@ -375,10 +326,10 @@ func (e *Engine) completeError(ln *lane, li int, en *laneEntry) {
 
 // readUnit serves one read data beat per cycle for one lane.
 func (e *Engine) readUnit(ln *lane, li int) {
-	if ln.readQ.empty() {
+	if ln.readQ.Empty() {
 		return
 	}
-	en := ln.readQ.front()
+	en := ln.readQ.Front()
 	if en.pend {
 		// The beat's wait states count from the cycle the entry heads the
 		// queue — the data bus serves one transaction at a time.
@@ -422,10 +373,10 @@ func (e *Engine) readUnit(ln *lane, li int) {
 // constant across the beat's wait cycles, so one drive at beat start
 // yields the serial wire trajectory.
 func (e *Engine) writeUnit(ln *lane, li int) {
-	if ln.writeQ.empty() {
+	if ln.writeQ.Empty() {
 		return
 	}
-	en := ln.writeQ.front()
+	en := ln.writeQ.Front()
 	i := en.beat
 	if en.pend {
 		e.setVal(ecbus.SigWData, li, uint64(en.tr.Data[i]))
@@ -489,7 +440,7 @@ func (e *Engine) nextWake(ln *lane, li int) uint64 {
 		return c1 // run complete: harvested next cycle
 	}
 	w := ^uint64(0)
-	if !ln.addrQ.empty() {
+	if !ln.addrQ.Empty() {
 		if !ln.addrStarted {
 			return c1 // phase starts next cycle
 		}
@@ -498,8 +449,8 @@ func (e *Engine) nextWake(ln *lane, li int) uint64 {
 		}
 		w = ln.addrDone
 	}
-	if !ln.readQ.empty() {
-		en := ln.readQ.front()
+	if !ln.readQ.Empty() {
+		en := ln.readQ.Front()
 		if en.pend {
 			return c1
 		}
@@ -507,8 +458,8 @@ func (e *Engine) nextWake(ln *lane, li int) uint64 {
 			w = en.ready
 		}
 	}
-	if !ln.writeQ.empty() {
-		en := ln.writeQ.front()
+	if !ln.writeQ.Empty() {
+		en := ln.writeQ.Front()
 		if en.pend {
 			return c1
 		}
@@ -538,15 +489,14 @@ func (e *Engine) nextWake(ln *lane, li int) uint64 {
 }
 
 // finishData retires the head of a data queue.
-func (e *Engine) finishData(ln *lane, q *ring, en *laneEntry, err bool) {
+func (e *Engine) finishData(ln *lane, q *ecbus.Ring[laneEntry], en *laneEntry, err bool) {
 	tr := en.tr
-	tr.Done, tr.Err = true, err
-	tr.DataCycle = ln.cyc
+	ln.tx.Retire(tr, ln.cyc, err)
 	ln.finished[ln.finCnt] = finRec{tr: tr, seq: en.seq}
 	ln.finCnt++
-	q.popFront()
-	if q == &ln.readQ && !q.empty() {
-		if nx := q.front(); nx.pend {
+	q.Pop()
+	if q == &ln.readQ && !q.Empty() {
+		if nx := q.Front(); nx.pend {
 			// The successor's countdown starts next cycle, when the read
 			// unit would first see it at the head — and a read beat's
 			// start drives no wires, so the consume folds in here and the
@@ -555,7 +505,6 @@ func (e *Engine) finishData(ln *lane, q *ring, en *laneEntry, err bool) {
 			nx.ready = ln.cyc + 1 + uint64(nx.dw)
 		}
 	}
-	ln.outstanding[tr.Category()]--
 	ln.inflight--
 	ln.stalled = false
 }

@@ -11,8 +11,9 @@
 //	layer 2  (tlm2)     timed               per-phase analytic energy
 //
 // All three bus models expose the same master-side Access semantics
-// (Initiator), so a master binds to any layer unchanged — the property
-// that makes the hierarchy usable for communication refinement.
+// (Initiator), admitted and retired by one Ledger, so a master binds to
+// any layer unchanged — the property that makes the hierarchy usable
+// for communication refinement.
 package core
 
 import (

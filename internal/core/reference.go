@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/gatepower"
 	"repro/internal/sim"
-	"repro/internal/tlm1"
 )
 
 // reference mirrors the last SetReference value for Reference().
@@ -24,7 +23,6 @@ var reference atomic.Bool
 func SetReference(on bool) {
 	reference.Store(on)
 	gatepower.SetReferencePath(on)
-	tlm1.SetReferencePath(on)
 	sim.SetIdleSkipDisabled(on)
 }
 

@@ -179,7 +179,9 @@ func (s BusState) Done() bool { return s == StateOK || s == StateError }
 // burst, Data holds BurstLen words; otherwise exactly one word carrying
 // the active byte lanes.
 //
-// The timing result fields are filled in by the bus models; cycle numbers
+// The result fields are filled in by the bus models: the acceptance
+// flag, the issue stamp and the outcome by each model's ledger
+// (core.Ledger), the address stamp by its address phase. Cycle numbers
 // refer to the kernel cycle during which the corresponding event
 // completed.
 type Transaction struct {
@@ -193,6 +195,7 @@ type Transaction struct {
 	// Result fields.
 	Done       bool
 	Err        bool
+	Accepted   bool   // a bus took the current attempt; cleared by the Reset methods
 	Retries    int32  // completed attempts that ended in a bus error and were re-issued; int32 to fit the padding after the flags
 	IssueCycle uint64 // cycle the master first presented the request
 	AddrCycle  uint64 // cycle the address phase completed
@@ -290,7 +293,7 @@ func (t *Transaction) ResetSingle(id uint64, kind Kind, addr uint64, w Width, da
 	t.Data = t.Data[:1]
 	t.Data[0] = data
 	t.ID, t.Kind, t.Addr, t.Width, t.Burst = id, kind, addr&AddrMask, w, false
-	t.Done, t.Err, t.Retries = false, false, 0
+	t.Done, t.Err, t.Accepted, t.Retries = false, false, false, 0
 	t.IssueCycle, t.AddrCycle, t.DataCycle = 0, 0, 0
 	return t.Validate()
 }
@@ -311,7 +314,7 @@ func (t *Transaction) ResetBurst(id uint64, kind Kind, addr uint64) error {
 		t.Data[i] = 0
 	}
 	t.ID, t.Kind, t.Addr, t.Width, t.Burst = id, kind, addr&AddrMask, W32, true
-	t.Done, t.Err, t.Retries = false, false, 0
+	t.Done, t.Err, t.Accepted, t.Retries = false, false, false, 0
 	t.IssueCycle, t.AddrCycle, t.DataCycle = 0, 0, 0
 	return t.Validate()
 }
@@ -330,6 +333,6 @@ func (t *Transaction) ResetForRetry() {
 		}
 	}
 	t.Retries++
-	t.Done, t.Err = false, false
+	t.Done, t.Err, t.Accepted = false, false, false
 	t.IssueCycle, t.AddrCycle, t.DataCycle = 0, 0, 0
 }

@@ -4,7 +4,19 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
+
+// The acceptance flag lives in the padding after Done and Err: a
+// transaction stays 96 bytes on 64-bit hosts.
+func TestTransactionSize(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("layout pinned for 64-bit hosts")
+	}
+	if got := unsafe.Sizeof(Transaction{}); got != 96 {
+		t.Fatalf("Transaction is %d bytes, want 96", got)
+	}
+}
 
 func TestByteEnables(t *testing.T) {
 	cases := []struct {
@@ -154,13 +166,13 @@ func TestValidatePayloadSize(t *testing.T) {
 func TestResetSingleClearsResultStateAndReusesData(t *testing.T) {
 	tr, _ := NewSingle(1, Write, 0x100, W32, 0xDEAD)
 	// Simulate a completed run through a bus model.
-	tr.Done, tr.Err = true, true
+	tr.Done, tr.Err, tr.Accepted = true, true, true
 	tr.IssueCycle, tr.AddrCycle, tr.DataCycle = 5, 6, 9
 	data := &tr.Data[0]
 	if err := tr.ResetSingle(2, Read, 0x204, W16, 0); err != nil {
 		t.Fatal(err)
 	}
-	if tr.Done || tr.Err || tr.IssueCycle != 0 || tr.AddrCycle != 0 || tr.DataCycle != 0 {
+	if tr.Done || tr.Err || tr.Accepted || tr.IssueCycle != 0 || tr.AddrCycle != 0 || tr.DataCycle != 0 {
 		t.Fatalf("result state not cleared: %+v", tr)
 	}
 	if tr.ID != 2 || tr.Kind != Read || tr.Addr != 0x204 || tr.Width != W16 || tr.Burst {
@@ -176,8 +188,12 @@ func TestResetSingleClearsResultStateAndReusesData(t *testing.T) {
 
 func TestResetBurstResizesPooledData(t *testing.T) {
 	tr, _ := NewSingle(1, Write, 0x100, W8, 0xAB)
+	tr.Done, tr.Accepted = true, true
 	if err := tr.ResetBurst(2, Write, 0x200); err != nil {
 		t.Fatal(err)
+	}
+	if tr.Done || tr.Accepted {
+		t.Fatalf("result state not cleared: %+v", tr)
 	}
 	if !tr.Burst || len(tr.Data) != BurstLen || tr.Width != W32 {
 		t.Fatalf("burst shape wrong: %+v", tr)
@@ -214,10 +230,10 @@ func TestResetBurstClearsStalePayload(t *testing.T) {
 func TestResetForRetry(t *testing.T) {
 	// Errored read: corrupted beats must not survive into the retry.
 	rd, _ := NewBurst(1, Read, 0x100, []uint32{0xDEAD, 0xBEEF, 0, 0})
-	rd.Done, rd.Err = true, true
+	rd.Done, rd.Err, rd.Accepted = true, true, true
 	rd.IssueCycle, rd.AddrCycle, rd.DataCycle = 3, 4, 9
 	rd.ResetForRetry()
-	if rd.Done || rd.Err {
+	if rd.Done || rd.Err || rd.Accepted {
 		t.Fatalf("result state not cleared: %+v", rd)
 	}
 	if rd.Retries != 1 {

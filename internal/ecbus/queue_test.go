@@ -64,50 +64,3 @@ func TestRingOverflowPanics(t *testing.T) {
 	}()
 	r.Push(RingCap)
 }
-
-func TestRingAny(t *testing.T) {
-	var r Ring[int]
-	for i := 0; i < 5; i++ {
-		r.Push(i)
-	}
-	r.Pop()
-	if r.Any(func(v *int) bool { return *v == 0 }) {
-		t.Fatal("Any saw a popped entry")
-	}
-	if !r.Any(func(v *int) bool { return *v == 4 }) {
-		t.Fatal("Any missed a queued entry")
-	}
-}
-
-// The cycle-0 count must return to zero once the requests stamped 0
-// retire, so Access stops searching its queues.
-func TestOutstandingCycle0(t *testing.T) {
-	var o Outstanding
-	a := &Transaction{Kind: Write}
-	b := &Transaction{Kind: Write}
-	c := &Transaction{Kind: Read}
-	if o.Accept(a, 0) != 1 || o.Accept(b, 0) != 2 || o.Accept(c, 7) != 1 {
-		t.Fatal("Accept returned wrong per-category counts")
-	}
-	if a.IssueCycle != 0 || c.IssueCycle != 7 {
-		t.Fatal("Accept did not stamp IssueCycle")
-	}
-	o.Retire(c)
-	if !o.Ambiguous() {
-		t.Fatal("cycle-0 requests still in flight, but not ambiguous")
-	}
-	o.Retire(a)
-	o.Retire(b)
-	if o.Ambiguous() {
-		t.Fatal("still ambiguous after every cycle-0 request retired")
-	}
-	for i := 0; i < MaxOutstanding; i++ {
-		if o.Full(CatWrite) {
-			t.Fatalf("write category full at %d", i)
-		}
-		o.Accept(&Transaction{Kind: Write}, 3)
-	}
-	if !o.Full(CatWrite) || o.Full(CatDataRead) {
-		t.Fatal("Full does not track the per-category cap")
-	}
-}

@@ -540,9 +540,9 @@ func SweepContext(ctx context.Context, opts SweepOpts, layers []int, orgs []java
 }
 
 // job is one pool unit: a configuration paired with its prepared
-// workload state and its position in cross-product order.
+// workload state. A job's slot in its slice is its position in
+// cross-product order.
 type job struct {
-	idx int
 	cfg Config
 	p   prepared
 }
@@ -562,7 +562,7 @@ func enumerateJobs(opts SweepOpts, layers []int, orgs []javacard.Organization, m
 			continue
 		}
 		for _, cfg := range cfgs {
-			jobs = append(jobs, job{idx: len(jobs), cfg: cfg, p: p})
+			jobs = append(jobs, job{cfg: cfg, p: p})
 		}
 	}
 	return jobs, prepErrs
@@ -578,46 +578,53 @@ func runJobs(ctx context.Context, opts SweepOpts, jobs []job) ([]Result, []error
 	// once-guarded either way; this keeps the cost out of the pool).
 	char := platform.DefaultCharTable()
 
-	workers := opts.Workers
+	results := make([]Result, len(jobs))
+	errs := make([]error, len(jobs))
+	var cbMu sync.Mutex
+	eachJob(opts.Workers, len(jobs), func(i int) {
+		j := jobs[i]
+		r, err := runPrepared(ctx, j.cfg, j.p, char, opts.Metrics)
+		if err != nil {
+			var ce *CancelledError
+			if !errors.As(err, &ce) {
+				err = fmt.Errorf("explore %v/%s: %w", j.cfg, j.p.w.Name, err)
+			}
+		}
+		results[i], errs[i] = r, err
+		if opts.OnResult != nil {
+			cbMu.Lock()
+			opts.OnResult(r, err)
+			cbMu.Unlock()
+		}
+	})
+	return results, errs
+}
+
+// eachJob calls f(i) for every i in [0, n) on a bounded pool: workers
+// goroutines (one per CPU when workers <= 0, never more than n), each
+// taking the next index in order. f writes only slot i of its outputs,
+// so what it computes does not depend on the worker count.
+func eachJob(workers, n int, f func(i int)) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
-
-	results := make([]Result, len(jobs))
-	errs := make([]error, len(jobs))
-	jobCh := make(chan job)
-	var cbMu sync.Mutex
+	workers = min(workers, n)
+	next := make(chan int)
 	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
+	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for j := range jobCh {
-				r, err := runPrepared(ctx, j.cfg, j.p, char, opts.Metrics)
-				if err != nil {
-					var ce *CancelledError
-					if !errors.As(err, &ce) {
-						err = fmt.Errorf("explore %v/%s: %w", j.cfg, j.p.w.Name, err)
-					}
-				}
-				results[j.idx], errs[j.idx] = r, err
-				if opts.OnResult != nil {
-					cbMu.Lock()
-					opts.OnResult(r, err)
-					cbMu.Unlock()
-				}
+			for i := range next {
+				f(i)
 			}
 		}()
 	}
-	for _, j := range jobs {
-		jobCh <- j
+	for i := 0; i < n; i++ {
+		next <- i
 	}
-	close(jobCh)
+	close(next)
 	wg.Wait()
-	return results, errs
 }
 
 // Pareto returns the results not dominated in (Cycles, BusEnergyJ)

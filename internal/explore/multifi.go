@@ -5,8 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
 	"time"
 
 	"repro/internal/calib"
@@ -230,35 +228,15 @@ func SweepMultiFidelityContext(ctx context.Context, opts MultiFidelityOpts, laye
 		}
 	}
 	featRes := make([]fres, len(keyJobs))
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(keyJobs) {
-		workers = len(keyJobs)
-	}
-	var wg sync.WaitGroup
-	slotCh := make(chan int)
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for s := range slotCh {
-				j := keyJobs[s]
-				fv, _, err := countRun(ctx, j.cfg, j.p)
-				if err != nil {
-					featRes[s] = fres{err: err}
-					continue
-				}
-				featRes[s] = fres{x: fv.Vector()}
-			}
-		}()
-	}
-	for s := range keyJobs {
-		slotCh <- s
-	}
-	close(slotCh)
-	wg.Wait()
+	eachJob(opts.Workers, len(keyJobs), func(s int) {
+		j := keyJobs[s]
+		fv, _, err := countRun(ctx, j.cfg, j.p)
+		if err != nil {
+			featRes[s] = fres{err: err}
+			return
+		}
+		featRes[s] = fres{x: fv.Vector()}
+	})
 
 	preds := make([]Prediction, len(jobs))
 	exempt := make([]bool, len(jobs)) // never prune: layer 3, failed or untrusted screen
@@ -348,7 +326,7 @@ func SweepMultiFidelityContext(ctx context.Context, opts MultiFidelityOpts, laye
 	var confirmJobs []job
 	for i, j := range jobs {
 		if preds[i].Kept {
-			confirmJobs = append(confirmJobs, job{idx: len(confirmJobs), cfg: j.cfg, p: j.p})
+			confirmJobs = append(confirmJobs, job{cfg: j.cfg, p: j.p})
 		}
 	}
 	results, errs := runJobs(ctx, opts.SweepOpts, confirmJobs)

@@ -42,13 +42,18 @@
 package rtlbus
 
 import (
+	"repro/internal/core"
 	"repro/internal/ecbus"
 	"repro/internal/metrics"
 	"repro/internal/sim"
 )
 
-// Bus is the layer-0 bus interface unit + bus controller.
+// Bus is the layer-0 bus interface unit + bus controller. Its ledger
+// admits and retires transactions (core.Ledger); the bus queues and
+// times them.
 type Bus struct {
+	core.Ledger
+
 	m     *ecbus.Map
 	cycle uint64 // cycle currently being executed (set on falling edge)
 
@@ -65,10 +70,6 @@ type Bus struct {
 	writeQ ecbus.Ring[*ecbus.Transaction]
 	rBeat  beatState
 	wBeat  beatState
-
-	// outstanding counts accepted transactions per category and tells
-	// Access when a cycle-0 stamp is ambiguous (see isQueued).
-	outstanding ecbus.Outstanding
 
 	// Wire state driven on the falling edge, observed in the Post phase.
 	wires ecbus.Bundle
@@ -93,10 +94,7 @@ type beatState struct {
 
 // Stats aggregates observable bus activity.
 type Stats struct {
-	Accepted   uint64 // transactions accepted into the address queue
-	Completed  uint64 // transactions finished OK
-	Errors     uint64 // transactions finished with a bus error
-	Rejected   uint64 // Access attempts rejected (category full)
+	core.TxCounts
 	DataBeats  uint64 // data words moved
 	AddrCycles uint64 // cycles with an active address phase
 }
@@ -118,9 +116,9 @@ func New(k *sim.Kernel, m *ecbus.Map) *Bus {
 // high must fall, a phase starts or completes, or a data beat delivers.
 // During a pure countdown the wires are re-driven with identical values,
 // so those cycles are skippable. It also returns now on a wake cycle
-// (ecbus.Outstanding.Wake), when a refused master retries.
+// (core.Ledger.Wake), when a refused master retries.
 func (b *Bus) hint(now uint64) uint64 {
-	if b.outstanding.Wake(now) {
+	if b.Wake(now) {
 		return now
 	}
 	w := &b.wires
@@ -189,52 +187,11 @@ func (b *Bus) onSkip(n uint64) {
 // cycle); subsequent calls poll (StateWait until the transaction is
 // Done, then StateOK or StateError). Masters call it on rising edges.
 func (b *Bus) Access(tr *ecbus.Transaction) ecbus.BusState {
-	if tr.Done {
-		if tr.Err {
-			return ecbus.StateError
-		}
-		return ecbus.StateOK
+	st := b.Admit(tr, b.cycle+1) // accepted for the cycle now being issued
+	if st == ecbus.StateRequest {
+		b.addrQ.Push(tr)
 	}
-	if tr.IssueCycle != 0 || b.outstanding.Ambiguous() && b.isQueued(tr) {
-		return ecbus.StateWait
-	}
-	cat := tr.Category()
-	if b.outstanding.Full(cat) {
-		b.Refused(1)
-		return ecbus.StateWait
-	}
-	if err := tr.Validate(); err != nil {
-		// Structurally illegal requests never reach the wire; they
-		// complete immediately as errors (the BIU would not emit them).
-		tr.Done, tr.Err = true, true
-		b.stats.Errors++
-		b.mx.TxRetired(tr, -1, true)
-		return ecbus.StateError
-	}
-	n := b.outstanding.Accept(tr, b.cycle+1) // accepted for the cycle now being issued
-	b.addrQ.Push(tr)
-	b.stats.Accepted++
-	b.mx.TxAccepted(cat, n)
-	return ecbus.StateRequest
-}
-
-// Refused counts n refusals of a request whose category is full: the
-// one Access just made, or those a stalled master (core.Refuser) would
-// have made on cycles the kernel skipped.
-func (b *Bus) Refused(n uint64) {
-	b.outstanding.Refuse()
-	b.stats.Rejected += n
-	b.mx.TxRejected(n)
-}
-
-// isQueued reports whether tr is anywhere in the bus pipelines. A
-// request accepted on the rising edge of cycle 0, before the first
-// falling edge, is stamped IssueCycle 0 — the zero value of a fresh
-// request — so only while such a request is in flight does Access need
-// this search to tell the two apart; otherwise IssueCycle alone decides.
-func (b *Bus) isQueued(tr *ecbus.Transaction) bool {
-	is := func(t **ecbus.Transaction) bool { return *t == tr }
-	return b.addrQ.Any(is) || b.readQ.Any(is) || b.writeQ.Any(is)
+	return st
 }
 
 // Idle reports whether no transaction is in flight.
@@ -243,7 +200,11 @@ func (b *Bus) Idle() bool {
 }
 
 // Stats returns a copy of the activity counters.
-func (b *Bus) Stats() Stats { return b.stats }
+func (b *Bus) Stats() Stats {
+	s := b.stats
+	s.TxCounts = b.Counts()
+	return s
+}
 
 // Wires returns the wire bundle driven during the current cycle. The
 // gate-level power estimator reads it in the Post phase; values of
@@ -352,19 +313,20 @@ func (b *Bus) driveAddrWires(tr *ecbus.Transaction) {
 // completeError finishes a transaction with a bus error and pulses the
 // error wire of its direction.
 func (b *Bus) completeError(tr *ecbus.Transaction, cycle uint64) {
-	tr.Done, tr.Err = true, true
-	tr.DataCycle = cycle
 	if tr.Kind.IsRead() {
 		b.wires.SetBool(ecbus.SigRBErr, true)
 	} else {
 		b.wires.SetBool(ecbus.SigWBErr, true)
 	}
-	b.outstanding.Retire(tr)
-	b.stats.Errors++
-	if b.mx != nil {
-		idx := b.m.Index(tr.Addr)
-		b.mark(metrics.PhaseError, idx)
-		b.mx.TxRetired(tr, idx, true)
+	b.retire(tr, cycle, true)
+}
+
+// retire hands a finished transaction to the ledger and classifies a
+// bus error's cycle for energy attribution.
+func (b *Bus) retire(tr *ecbus.Transaction, cycle uint64, err bool) {
+	b.Retire(tr, cycle, err)
+	if err && b.mx != nil {
+		b.mark(metrics.PhaseError, b.m.Index(tr.Addr))
 	}
 }
 
@@ -408,34 +370,16 @@ func (b *Bus) readUnit(cycle uint64) {
 		// terminates without a last-beat marker. The (possibly corrupted)
 		// word the slave drove stays on the read data bus.
 		b.wires.SetBool(ecbus.SigRBErr, true)
-		b.finishRead(tr, cycle, true)
-		return
+	} else {
+		b.wires.SetBool(ecbus.SigRdVal, true)
+		b.wires.SetBool(ecbus.SigBLast, tr.Burst && i == tr.Words()-1)
+		if b.rBeat.beat < tr.Words() {
+			return
+		}
 	}
-	b.wires.SetBool(ecbus.SigRdVal, true)
-	b.wires.SetBool(ecbus.SigBLast, tr.Burst && i == tr.Words()-1)
-	if b.rBeat.beat == tr.Words() {
-		b.finishRead(tr, cycle, false)
-	}
-}
-
-func (b *Bus) finishRead(tr *ecbus.Transaction, cycle uint64, err bool) {
-	tr.Done, tr.Err = true, err
-	tr.DataCycle = cycle
 	b.readQ.Pop()
 	b.rBeat = beatState{}
-	b.outstanding.Retire(tr)
-	if err {
-		b.stats.Errors++
-	} else {
-		b.stats.Completed++
-	}
-	if b.mx != nil {
-		idx := b.m.Index(tr.Addr)
-		if err {
-			b.mark(metrics.PhaseError, idx)
-		}
-		b.mx.TxRetired(tr, idx, err)
-	}
+	b.retire(tr, cycle, !ok)
 }
 
 // writeUnit serves one write data beat per cycle.
@@ -477,32 +421,14 @@ func (b *Bus) writeUnit(cycle uint64) {
 		// the write-accept strobe, and the burst terminates without a
 		// last-beat marker.
 		b.wires.SetBool(ecbus.SigWBErr, true)
-		b.finishWrite(tr, cycle, true)
-		return
+	} else {
+		b.wires.SetBool(ecbus.SigWDRdy, true)
+		b.wires.SetBool(ecbus.SigBLast, tr.Burst && i == tr.Words()-1)
+		if b.wBeat.beat < tr.Words() {
+			return
+		}
 	}
-	b.wires.SetBool(ecbus.SigWDRdy, true)
-	b.wires.SetBool(ecbus.SigBLast, tr.Burst && i == tr.Words()-1)
-	if b.wBeat.beat == tr.Words() {
-		b.finishWrite(tr, cycle, false)
-	}
-}
-
-func (b *Bus) finishWrite(tr *ecbus.Transaction, cycle uint64, err bool) {
-	tr.Done, tr.Err = true, err
-	tr.DataCycle = cycle
 	b.writeQ.Pop()
 	b.wBeat = beatState{}
-	b.outstanding.Retire(tr)
-	if err {
-		b.stats.Errors++
-	} else {
-		b.stats.Completed++
-	}
-	if b.mx != nil {
-		idx := b.m.Index(tr.Addr)
-		if err {
-			b.mark(metrics.PhaseError, idx)
-		}
-		b.mx.TxRetired(tr, idx, err)
-	}
+	b.retire(tr, cycle, !ok)
 }

@@ -2,22 +2,12 @@ package tlm1
 
 import (
 	"math/bits"
-	"sync/atomic"
 
+	"repro/internal/core"
 	"repro/internal/ecbus"
 	"repro/internal/gatepower"
 	"repro/internal/logic"
 )
-
-// referencePath selects the straightforward full-scan energy calculation
-// for power models constructed while it is set. Flipped by
-// core.SetReference; golden-equivalence tests prove both paths produce
-// byte-identical energies.
-var referencePath atomic.Bool
-
-// SetReferencePath switches newly constructed power models between the
-// reference (full-scan) and optimized (dirty-mask) transition counters.
-func SetReferencePath(on bool) { referencePath.Store(on) }
 
 // interfaceMask precomputes the width mask of every priced interface
 // signal (all signals below SigSel).
@@ -62,9 +52,11 @@ type PowerModel struct {
 }
 
 // NewPowerModel creates a layer-1 power model priced with the given
-// characterization table.
+// characterization table. Under core.SetReference(true) it counts
+// transitions with the straightforward full scan instead of the dirty
+// mask; golden-equivalence tests prove both give identical energies.
 func NewPowerModel(table gatepower.CharTable) *PowerModel {
-	return &PowerModel{table: table, reference: referencePath.Load()}
+	return &PowerModel{table: table, reference: core.Reference()}
 }
 
 // EnergyLastCycle returns the energy in joules dissipated during the

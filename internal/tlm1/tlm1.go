@@ -29,6 +29,7 @@
 package tlm1
 
 import (
+	"repro/internal/core"
 	"repro/internal/ecbus"
 	"repro/internal/metrics"
 	"repro/internal/sim"
@@ -48,8 +49,11 @@ type entry struct {
 }
 
 // Bus is the layer-1 EC bus model (bus interface unit view plus bus
-// controller with address decoder).
+// controller with address decoder). Its ledger admits and retires
+// transactions (core.Ledger); the bus queues and times them.
 type Bus struct {
+	core.Ledger
+
 	m     *ecbus.Map
 	cycle uint64
 
@@ -61,10 +65,6 @@ type Bus struct {
 
 	addrStarted bool
 	addrCnt     int
-
-	// outstanding counts accepted requests per category and tells
-	// Access when a cycle-0 stamp is ambiguous (see isQueued).
-	outstanding ecbus.Outstanding
 
 	power *PowerModel // nil when energy estimation is disabled
 
@@ -80,10 +80,7 @@ type Bus struct {
 
 // Stats aggregates bus activity counters.
 type Stats struct {
-	Accepted  uint64
-	Completed uint64
-	Errors    uint64
-	Rejected  uint64
+	core.TxCounts
 	DataBeats uint64
 }
 
@@ -100,9 +97,9 @@ func New(k *sim.Kernel, m *ecbus.Map) *Bus {
 // completion tick of the head address phase or data beat. It returns now
 // whenever this cycle's tick does externally visible work — a phase
 // start, a completion, clearing a strobe signal left high by the
-// previous cycle, or a wake cycle (ecbus.Outstanding.Wake).
+// previous cycle, or a wake cycle (core.Ledger.Wake).
 func (b *Bus) hint(now uint64) uint64 {
-	if b.outstanding.Wake(now) {
+	if b.Wake(now) {
 		return now
 	}
 	if b.power != nil && b.power.strobesHigh() {
@@ -186,6 +183,7 @@ func (b *Bus) Power() *PowerModel { return b.power }
 // layer, so they need no sample.
 func (b *Bus) AttachMetrics(reg *metrics.Registry) *Bus {
 	b.mx = reg
+	b.SetMetrics(b.m, reg)
 	names := make([]string, 0, len(b.m.Slaves()))
 	for _, s := range b.m.Slaves() {
 		names = append(names, s.Config().Name)
@@ -203,7 +201,11 @@ func (b *Bus) mark(kind metrics.PhaseKind, slave int) {
 }
 
 // Stats returns a copy of the activity counters.
-func (b *Bus) Stats() Stats { return b.stats }
+func (b *Bus) Stats() Stats {
+	s := b.stats
+	s.TxCounts = b.Counts()
+	return s
+}
 
 // Idle reports whether no request is in flight.
 func (b *Bus) Idle() bool {
@@ -217,48 +219,11 @@ func (b *Bus) Idle() bool {
 // error, ok indicates a finished bus request", and the master keeps
 // invoking it until ok or error.
 func (b *Bus) Access(tr *ecbus.Transaction) ecbus.BusState {
-	if tr.Done {
-		if tr.Err {
-			return ecbus.StateError
-		}
-		return ecbus.StateOK
+	st := b.Admit(tr, b.cycle+1)
+	if st == ecbus.StateRequest {
+		b.requestQ.Push(entry{tr: tr})
 	}
-	if tr.IssueCycle != 0 || b.outstanding.Ambiguous() && b.isQueued(tr) {
-		return ecbus.StateWait
-	}
-	cat := tr.Category()
-	if b.outstanding.Full(cat) {
-		b.Refused(1)
-		return ecbus.StateWait
-	}
-	if err := tr.Validate(); err != nil {
-		tr.Done, tr.Err = true, true
-		b.stats.Errors++
-		b.mx.TxRetired(tr, -1, true)
-		return ecbus.StateError
-	}
-	n := b.outstanding.Accept(tr, b.cycle+1)
-	b.requestQ.Push(entry{tr: tr})
-	b.stats.Accepted++
-	b.mx.TxAccepted(cat, n)
-	return ecbus.StateRequest
-}
-
-// Refused counts n refusals of a request whose category is full: the
-// one Access just made, or those a stalled master (core.Refuser) would
-// have made on cycles the kernel skipped.
-func (b *Bus) Refused(n uint64) {
-	b.outstanding.Refuse()
-	b.stats.Rejected += n
-	b.mx.TxRejected(n)
-}
-
-// isQueued reports whether tr is in any request queue; Access needs it
-// only while a request accepted before the first falling edge (stamped
-// IssueCycle 0) is in flight.
-func (b *Bus) isQueued(tr *ecbus.Transaction) bool {
-	is := func(e *entry) bool { return e.tr == tr }
-	return b.requestQ.Any(is) || b.readQ.Any(is) || b.writeQ.Any(is)
+	return st
 }
 
 // busProcess is the falling-edge SC_METHOD equivalent.
@@ -340,7 +305,7 @@ func (b *Bus) addressPhase(cycle uint64) {
 	}
 	switch {
 	case ent.err:
-		b.completeError(&ent, cycle)
+		b.retire(ent.tr, cycle, true)
 	case ent.tr.Kind.IsRead():
 		b.readQ.Push(ent)
 	default:
@@ -348,18 +313,19 @@ func (b *Bus) addressPhase(cycle uint64) {
 	}
 }
 
-func (b *Bus) completeError(e *entry, cycle uint64) {
-	e.tr.Done, e.tr.Err = true, true
-	e.tr.DataCycle = cycle
-	b.outstanding.Retire(e.tr)
-	b.stats.Errors++
+// retire hands a finished transaction to the ledger; a bus error
+// raises the error strobe of its direction and classifies the cycle for
+// energy attribution.
+func (b *Bus) retire(tr *ecbus.Transaction, cycle uint64, err bool) {
+	b.Retire(tr, cycle, err)
+	if !err {
+		return
+	}
 	if b.power != nil {
-		b.power.driveError(e.tr.Kind)
+		b.power.driveError(tr.Kind)
 	}
 	if b.mx != nil {
-		idx := b.m.Index(e.tr.Addr)
-		b.mark(metrics.PhaseError, idx)
-		b.mx.TxRetired(e.tr, idx, true)
+		b.mark(metrics.PhaseError, b.m.Index(tr.Addr))
 	}
 }
 
@@ -401,37 +367,12 @@ func (b *Bus) readPhase(cycle uint64) {
 	}
 	e.beat++
 	e.beatCnt = 0
-	if !ok {
-		b.finishRead(e, cycle, true)
+	if ok && e.beat < e.tr.Words() {
 		return
 	}
-	if e.beat == e.tr.Words() {
-		b.finishRead(e, cycle, false)
-	}
-}
-
-func (b *Bus) finishRead(e *entry, cycle uint64, err bool) {
-	e.tr.Done, e.tr.Err = true, err
-	e.tr.DataCycle = cycle
-	b.outstanding.Retire(e.tr)
-	kind := e.tr.Kind
 	tr := e.tr
 	b.readQ.Pop() // invalidates e
-	if err {
-		b.stats.Errors++
-		if b.power != nil {
-			b.power.driveError(kind)
-		}
-	} else {
-		b.stats.Completed++
-	}
-	if b.mx != nil {
-		idx := b.m.Index(tr.Addr)
-		if err {
-			b.mark(metrics.PhaseError, idx)
-		}
-		b.mx.TxRetired(tr, idx, err)
-	}
+	b.retire(tr, cycle, !ok)
 }
 
 // writePhase serves one write beat per cycle from the head of the write
@@ -471,35 +412,10 @@ func (b *Bus) writePhase(cycle uint64) {
 	}
 	e.beat++
 	e.beatCnt = 0
-	if !ok {
-		b.finishWrite(e, cycle, true)
+	if ok && e.beat < e.tr.Words() {
 		return
 	}
-	if e.beat == e.tr.Words() {
-		b.finishWrite(e, cycle, false)
-	}
-}
-
-func (b *Bus) finishWrite(e *entry, cycle uint64, err bool) {
-	e.tr.Done, e.tr.Err = true, err
-	e.tr.DataCycle = cycle
-	b.outstanding.Retire(e.tr)
-	kind := e.tr.Kind
 	tr := e.tr
 	b.writeQ.Pop() // invalidates e
-	if err {
-		b.stats.Errors++
-		if b.power != nil {
-			b.power.driveError(kind)
-		}
-	} else {
-		b.stats.Completed++
-	}
-	if b.mx != nil {
-		idx := b.m.Index(tr.Addr)
-		if err {
-			b.mark(metrics.PhaseError, idx)
-		}
-		b.mx.TxRetired(tr, idx, err)
-	}
+	b.retire(tr, cycle, !ok)
 }

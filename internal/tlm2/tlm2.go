@@ -3,12 +3,12 @@
 // pointer passing, a burst transfer performed as a single transaction.
 //
 // Master interface (paper): "There are only two data interface functions
-// as master interface, one for read access and one for write access.
-// Parameters are the data pointer, the number of bytes transferred, the
-// address, and an instruction bit, which indicates an instruction
-// fetch." These are Bus.Read and Bus.Write; an Access adapter with
-// layer-1 semantics is provided so the same masters and corpora drive
-// every layer.
+// as master interface, one for read access and one for write access."
+// Here the master drives layer 2 through the same Access call as every
+// other layer (core.Initiator), so one master and one corpus run at any
+// layer: the transaction's kind selects read, write or instruction
+// fetch, its Data slice is the data pointer, and a burst is one
+// transaction whose data phase moves as a single block.
 //
 // Internal structure (paper Fig. 4): one bus process sensitive to the
 // falling clock edge and one shared data structure for communication
@@ -29,6 +29,7 @@
 package tlm2
 
 import (
+	"repro/internal/core"
 	"repro/internal/ecbus"
 	"repro/internal/metrics"
 	"repro/internal/sim"
@@ -44,12 +45,13 @@ type request struct {
 	addrCnt int    // remaining address wait states
 	dataCnt int    // remaining data phase cycles after the first
 	joined  uint64 // cycle the request entered its data phase
-
-	readback []byte // native-interface read destination (pointer passing)
 }
 
-// Bus is the layer-2 EC bus model.
+// Bus is the layer-2 EC bus model. Its ledger admits and retires
+// transactions (core.Ledger); the bus queues and times them.
 type Bus struct {
+	core.Ledger
+
 	m     *ecbus.Map
 	cycle uint64
 
@@ -64,22 +66,13 @@ type Bus struct {
 	readQ  ecbus.Ring[request]
 	writeQ ecbus.Ring[request]
 
-	// outstanding counts accepted requests per category and tells
-	// Access when a cycle-0 stamp is ambiguous (see isQueued).
-	outstanding ecbus.Outstanding
-
 	power *PowerModel
 	mx    *metrics.Registry
-
-	stats Stats
 }
 
 // Stats aggregates bus activity counters.
 type Stats struct {
-	Accepted  uint64
-	Completed uint64
-	Errors    uint64
-	Rejected  uint64
+	core.TxCounts
 }
 
 // New creates a layer-2 bus over the address map and registers the bus
@@ -96,9 +89,9 @@ func New(k *sim.Kernel, m *ecbus.Map) *Bus {
 // execute, while pure countdown ticks only decrement a counter and can
 // be fast-forwarded. The layer-2 power model books energy per phase, so
 // skipped countdown cycles dissipate nothing by construction. A wake
-// cycle (ecbus.Outstanding.Wake) executes too.
+// cycle (core.Ledger.Wake) executes too.
 func (b *Bus) hint(now uint64) uint64 {
-	if b.outstanding.Wake(now) {
+	if b.Wake(now) {
 		return now
 	}
 	next := sim.NoEvent
@@ -178,6 +171,7 @@ func (b *Bus) Power() *PowerModel { return b.power }
 // attribution is exact per phase kind and per slave.
 func (b *Bus) AttachMetrics(reg *metrics.Registry) *Bus {
 	b.mx = reg
+	b.SetMetrics(b.m, reg)
 	names := make([]string, 0, len(b.m.Slaves()))
 	for _, s := range b.m.Slaves() {
 		names = append(names, s.Config().Name)
@@ -198,152 +192,24 @@ func (b *Bus) sampleEnergy(kind metrics.PhaseKind, addr uint64) {
 }
 
 // Stats returns a copy of the activity counters.
-func (b *Bus) Stats() Stats { return b.stats }
+func (b *Bus) Stats() Stats { return Stats{b.Counts()} }
 
 // Idle reports whether no request is in flight.
 func (b *Bus) Idle() bool {
 	return b.addrQ.Empty() && b.readQ.Empty() && b.writeQ.Empty()
 }
 
-// Ticket tracks a pointer-interface request to completion.
-type Ticket struct {
-	tr *ecbus.Transaction
-}
-
-// Done reports whether the request has finished.
-func (t *Ticket) Done() bool { return t.tr.Done }
-
-// Err reports whether the request finished with a bus error.
-func (t *Ticket) Err() bool { return t.tr.Err }
-
-// EndCycle returns the cycle the request completed.
-func (t *Ticket) EndCycle() uint64 { return t.tr.DataCycle }
-
-// Read is the native layer-2 master read function: transfer nbytes from
-// addr into p (len(p) >= nbytes), instr marking instruction fetches. The
-// whole block is one transaction. It returns nil if the bus cannot
-// accept the request this cycle (outstanding limit; retry next cycle).
-func (b *Bus) Read(p []byte, nbytes int, addr uint64, instr bool) *Ticket {
-	kind := ecbus.Read
-	if instr {
-		kind = ecbus.Fetch
-	}
-	tr := blockTransaction(kind, addr, nbytes)
-	if st := b.Access(tr); st == ecbus.StateWait {
-		return nil // rejected: category full, retry next cycle
-	}
-	t := &Ticket{tr: tr}
-	b.bindReadback(tr, p, nbytes)
-	return t
-}
-
-// Write is the native layer-2 master write function: transfer nbytes
-// from p to addr as one transaction. Returns nil if the bus cannot
-// accept the request this cycle.
-func (b *Bus) Write(p []byte, nbytes int, addr uint64) *Ticket {
-	tr := blockTransaction(ecbus.Write, addr, nbytes)
-	for i := 0; i < nbytes; i++ {
-		tr.Data[i/4] |= uint32(p[i]) << (8 * (i % 4))
-	}
-	if st := b.Access(tr); st == ecbus.StateWait {
-		return nil
-	}
-	return &Ticket{tr: tr}
-}
-
-// bindReadback arranges for read data to land in the caller's buffer at
-// completion (pointer passing: no per-beat copies). An accepted request
-// was just created, so it is the newest entry of the address queue; a
-// request that failed validation is not queued and binds nothing.
-func (b *Bus) bindReadback(tr *ecbus.Transaction, p []byte, nbytes int) {
-	if r := b.addrQ.Back(); !b.addrQ.Empty() && r.tr == tr {
-		r.readback = p[:nbytes]
-	}
-}
-
-// blockTransaction wraps an arbitrary-length block as one layer-2
-// transaction. Blocks longer than one word are burst-like; their word
-// count may exceed ecbus.BurstLen since layer 2 merges entire transfers.
-func blockTransaction(kind ecbus.Kind, addr uint64, nbytes int) *ecbus.Transaction {
-	words := (nbytes + 3) / 4
-	if words < 1 {
-		words = 1
-	}
-	w := ecbus.W32
-	if words == 1 {
-		switch nbytes {
-		case 1:
-			w = ecbus.W8
-		case 2:
-			w = ecbus.W16
-		}
-	}
-	return &ecbus.Transaction{
-		Kind:  kind,
-		Addr:  addr & ecbus.AddrMask,
-		Width: w,
-		Burst: words > 1,
-		Data:  make([]uint32, words),
-	}
-}
-
-// Access provides layer-1 Access semantics over the layer-2 engine so
-// the hierarchical framework can drive both layers with one master. The
-// first call creates the request in the shared list (sampling the slave
-// state immediately, per the paper); later calls poll.
+// Access is the master interface, with layer-1 semantics so the
+// hierarchical framework drives every layer with one master. The first
+// call creates the request in the shared list, sampling the slave state
+// immediately as the paper's model does; later calls poll.
 func (b *Bus) Access(tr *ecbus.Transaction) ecbus.BusState {
-	if tr.Done {
-		if tr.Err {
-			return ecbus.StateError
-		}
-		return ecbus.StateOK
+	st := b.Admit(tr, b.cycle+1)
+	if st == ecbus.StateRequest {
+		b.addrQ.Push(request{tr: tr})
+		b.sampleSlaveState(b.addrQ.Back())
 	}
-	if tr.IssueCycle != 0 || b.outstanding.Ambiguous() && b.isQueued(tr) {
-		return ecbus.StateWait
-	}
-	cat := tr.Category()
-	if b.outstanding.Full(cat) {
-		b.Refused(1)
-		return ecbus.StateWait
-	}
-	if tr.Burst && len(tr.Data) != ecbus.BurstLen {
-		// Layer-2 native blocks may be any length; only canonical
-		// transactions are validated strictly.
-		if len(tr.Data) == 0 {
-			tr.Done, tr.Err = true, true
-			b.stats.Errors++
-			b.mx.TxRetired(tr, -1, true)
-			return ecbus.StateError
-		}
-	} else if err := tr.Validate(); err != nil {
-		tr.Done, tr.Err = true, true
-		b.stats.Errors++
-		b.mx.TxRetired(tr, -1, true)
-		return ecbus.StateError
-	}
-	b.addrQ.Push(request{tr: tr})
-	b.sampleSlaveState(b.addrQ.Back())
-	n := b.outstanding.Accept(tr, b.cycle+1)
-	b.stats.Accepted++
-	b.mx.TxAccepted(cat, n)
-	return ecbus.StateRequest
-}
-
-// Refused counts n refusals of a request whose category is full: the
-// one Access just made, or those a stalled master (core.Refuser) would
-// have made on cycles the kernel skipped.
-func (b *Bus) Refused(n uint64) {
-	b.outstanding.Refuse()
-	b.stats.Rejected += n
-	b.mx.TxRejected(n)
-}
-
-// isQueued reports whether tr is in any request queue; Access needs it
-// only while a request accepted before the first falling edge (stamped
-// IssueCycle 0) is in flight.
-func (b *Bus) isQueued(tr *ecbus.Transaction) bool {
-	is := func(r *request) bool { return r.tr == tr }
-	return b.addrQ.Any(is) || b.readQ.Any(is) || b.writeQ.Any(is)
+	return st
 }
 
 // sampleSlaveState requests the slave's wait states and rights at
@@ -353,7 +219,7 @@ func (b *Bus) isQueued(tr *ecbus.Transaction) bool {
 // startAddrPhase, so neither the countdown nor the idle-skip hint can
 // ever see a stale creation-time busy-window sample.
 func (b *Bus) sampleSlaveState(r *request) {
-	sl, err := b.m.Check(r.tr.Kind, r.tr.Addr, len(r.tr.Data)*4)
+	sl, err := b.m.Check(r.tr.Kind, r.tr.Addr, r.tr.Words()*4)
 	if err != nil {
 		r.err = true
 		return
@@ -365,7 +231,7 @@ func (b *Bus) sampleSlaveState(r *request) {
 	if r.tr.Kind.IsRead() {
 		dw = cfg.ReadWait
 	}
-	n := len(r.tr.Data)
+	n := r.tr.Words()
 	// Whole data phase as one block: first beat after dw waits, each
 	// further beat after dw+1 cycles.
 	r.dataCnt = dw + (n-1)*(dw+1)
@@ -416,17 +282,13 @@ func (b *Bus) addressPhase(cycle uint64) {
 		b.sampleEnergy(metrics.PhaseAddress, r.tr.Addr)
 	}
 	if r.err {
-		r.tr.Done, r.tr.Err = true, true
-		r.tr.DataCycle = cycle
-		b.outstanding.Retire(r.tr)
-		b.stats.Errors++
 		if b.power != nil {
 			b.power.errorEnergy(r.tr.Kind)
 		}
 		if b.mx != nil {
 			b.sampleEnergy(metrics.PhaseError, r.tr.Addr)
-			b.mx.TxRetired(r.tr, b.m.Index(r.tr.Addr), true)
 		}
+		b.Retire(r.tr, cycle, true)
 		b.addrQ.Pop()
 		return
 	}
@@ -484,11 +346,6 @@ func (b *Bus) completeData(r *request, cycle uint64) {
 			break
 		}
 	}
-	if r.readback != nil {
-		for i := range r.readback {
-			r.readback[i] = byte(tr.Data[i/4] >> (8 * (i % 4)))
-		}
-	}
 	if b.power != nil {
 		b.power.dataPhaseEnergy(tr, delivered, !ok)
 	}
@@ -502,19 +359,11 @@ func (b *Bus) completeData(r *request, cycle uint64) {
 	if !ok && b.power != nil {
 		b.power.errorEnergy(tr.Kind)
 	}
-	tr.Done, tr.Err = true, !ok
-	tr.DataCycle = cycle
 	if b.mx != nil {
 		if !ok {
 			b.sampleEnergy(metrics.PhaseError, tr.Addr)
 		}
 		b.mx.Beats(delivered)
-		b.mx.TxRetired(tr, b.m.Index(tr.Addr), !ok)
 	}
-	b.outstanding.Retire(tr)
-	if ok {
-		b.stats.Completed++
-	} else {
-		b.stats.Errors++
-	}
+	b.Retire(tr, cycle, !ok)
 }

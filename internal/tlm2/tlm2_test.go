@@ -1,7 +1,6 @@
 package tlm2
 
 import (
-	"bytes"
 	"testing"
 
 	"repro/internal/core"
@@ -19,74 +18,6 @@ func bench() (*sim.Kernel, *Bus, *mem.RAM) {
 		mem.NewRAM("slow", 0x10000, 0x1000, 1, 2),
 	))
 	return k, b, fast
-}
-
-func TestNativeWriteRead(t *testing.T) {
-	k, b, _ := bench()
-	payload := []byte{0xDE, 0xAD, 0xBE, 0xEF, 0x01, 0x02, 0x03, 0x04}
-	var wt, rt *Ticket
-	got := make([]byte, 8)
-	k.At(sim.Rising, "m", func(c uint64) {
-		switch {
-		case c == 0:
-			wt = b.Write(payload, len(payload), 0x100)
-		case wt != nil && wt.Done() && rt == nil:
-			rt = b.Read(got, len(got), 0x100, false)
-		}
-	})
-	k.RunUntil(100, func() bool { return rt != nil && rt.Done() })
-	if rt == nil || !rt.Done() || rt.Err() || wt.Err() {
-		t.Fatal("native transfer failed")
-	}
-	if !bytes.Equal(got, payload) {
-		t.Fatalf("read back %x, want %x", got, payload)
-	}
-}
-
-func TestNativeBlockLongerThanBurst(t *testing.T) {
-	// Layer 2 merges entire transfers: a 32-byte block is one
-	// transaction with 8 beats of timing.
-	k, b, fast := bench()
-	src := make([]byte, 32)
-	for i := range src {
-		src[i] = byte(i * 7)
-	}
-	var wt *Ticket
-	k.At(sim.Rising, "m", func(c uint64) {
-		if c == 0 {
-			wt = b.Write(src, len(src), 0x200)
-		}
-	})
-	k.RunUntil(100, func() bool { return wt != nil && wt.Done() })
-	if wt.Err() {
-		t.Fatal("block write errored")
-	}
-	for i := 0; i < 8; i++ {
-		w, _ := fast.ReadWord(0x200+uint64(4*i), ecbus.W32)
-		want := uint32(src[4*i]) | uint32(src[4*i+1])<<8 | uint32(src[4*i+2])<<16 | uint32(src[4*i+3])<<24
-		if w != want {
-			t.Fatalf("word %d = %#x, want %#x", i, w, want)
-		}
-	}
-	// Timing: addr cycle 0, data block of 8 beats starting cycle 1.
-	if wt.EndCycle() != 8 {
-		t.Fatalf("block end cycle %d, want 8", wt.EndCycle())
-	}
-}
-
-func TestInstrFlagMapsToFetch(t *testing.T) {
-	k, b, _ := bench()
-	buf := make([]byte, 4)
-	var tk *Ticket
-	k.At(sim.Rising, "m", func(c uint64) {
-		if c == 0 {
-			tk = b.Read(buf, 4, 0x40, true)
-		}
-	})
-	k.RunUntil(50, func() bool { return tk != nil && tk.Done() })
-	if tk.tr.Kind != ecbus.Fetch {
-		t.Fatalf("kind = %v, want fetch", tk.tr.Kind)
-	}
 }
 
 func TestBurstIsSingleTransaction(t *testing.T) {
@@ -137,15 +68,9 @@ func TestStaleDynamicWaitSampling(t *testing.T) {
 
 func TestDecodeErrorTicket(t *testing.T) {
 	k, b, _ := bench()
-	buf := make([]byte, 4)
-	var tk *Ticket
-	k.At(sim.Rising, "m", func(c uint64) {
-		if c == 0 {
-			tk = b.Read(buf, 4, 0x5000, false)
-		}
-	})
-	k.RunUntil(50, func() bool { return tk != nil && tk.Done() })
-	if !tk.Err() {
+	tr, _ := ecbus.NewSingle(1, ecbus.Read, 0x5000, ecbus.W32, 0)
+	m, _ := core.RunScript(k, b, []core.Item{{Tr: tr}}, 50)
+	if !m.Done() || !tr.Err {
 		t.Fatal("decode miss not reported")
 	}
 	if b.Stats().Errors != 1 {
@@ -155,21 +80,24 @@ func TestDecodeErrorTicket(t *testing.T) {
 
 func TestRejectionWhenCategoryFull(t *testing.T) {
 	k, b, _ := bench()
-	var nilAt int
+	rejectedAt := -1
 	k.At(sim.Rising, "m", func(c uint64) {
 		if c != 0 {
 			return
 		}
 		for i := 0; i < 5; i++ {
-			buf := make([]byte, 4)
-			if tk := b.Read(buf, 4, 0x10000+uint64(4*i), false); tk == nil {
-				nilAt = i
+			tr, _ := ecbus.NewSingle(uint64(i), ecbus.Read, 0x10000+uint64(4*i), ecbus.W32, 0)
+			if b.Access(tr) == ecbus.StateWait && rejectedAt < 0 {
+				rejectedAt = i
 			}
 		}
 	})
 	k.Step()
-	if nilAt != 4 {
-		t.Fatalf("rejection at request %d, want 4 (MaxOutstanding)", nilAt)
+	if rejectedAt != 4 {
+		t.Fatalf("rejection at request %d, want 4 (MaxOutstanding)", rejectedAt)
+	}
+	if got := b.Stats().Rejected; got != 1 {
+		t.Fatalf("rejected = %d, want 1", got)
 	}
 }
 

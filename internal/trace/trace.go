@@ -29,26 +29,24 @@ type Record struct {
 }
 
 // Recorder wraps a bus initiator and captures every accepted
-// transaction. It is transparent: masters drive it exactly like the
-// underlying bus. A refusal passes through unrecorded, so Unwrap
+// transaction once: its first attempt's acceptance, so a retry is not
+// recorded again, while a pooled transaction reset for its next use is.
+// It is transparent: masters drive it exactly like the underlying bus.
+// A refusal passes through unrecorded, so Unwrap
 // exposes the bus: a master behind the Recorder sleeps through a full
 // bus (core.Refuser) exactly as it would on the bus itself.
 type Recorder struct {
 	inner core.Initiator
 	recs  []Record
-	seen  map[*ecbus.Transaction]bool
 }
 
 // NewRecorder wraps bus.
-func NewRecorder(bus core.Initiator) *Recorder {
-	return &Recorder{inner: bus, seen: map[*ecbus.Transaction]bool{}}
-}
+func NewRecorder(bus core.Initiator) *Recorder { return &Recorder{inner: bus} }
 
 // Access implements core.Initiator, recording first acceptances.
 func (r *Recorder) Access(tr *ecbus.Transaction) ecbus.BusState {
 	st := r.inner.Access(tr)
-	if st == ecbus.StateRequest && !r.seen[tr] {
-		r.seen[tr] = true
+	if st == ecbus.StateRequest && tr.Retries == 0 {
 		rec := Record{
 			Kind: tr.Kind, Addr: tr.Addr, Width: tr.Width,
 			Burst: tr.Burst, Issue: tr.IssueCycle,

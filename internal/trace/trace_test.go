@@ -58,6 +58,36 @@ func TestRecorderCapturesAllTransactions(t *testing.T) {
 	}
 }
 
+// A pooled master reuses one transaction object: each reset use is a
+// new transaction and is recorded, while a retried attempt is not.
+func TestRecorderPooledAndRetried(t *testing.T) {
+	k := sim.New(0)
+	rec := NewRecorder(tlm1.New(k, busMap()))
+	m := core.NewBlockingMaster(k, rec, core.RetryPolicy{MaxRetries: 2})
+	for i := 0; i < 3; i++ {
+		tr, err := m.Single(ecbus.Write, lay.Slow+uint64(4*i), ecbus.W32, uint32(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st := m.Run(tr); st != ecbus.StateOK {
+			t.Fatalf("write %d: %v", i, st)
+		}
+	}
+	if got := len(rec.Records()); got != 3 {
+		t.Fatalf("3 pooled writes gave %d records", got)
+	}
+	tr, err := m.Single(ecbus.Read, 0x8000, ecbus.W32, 0) // unmapped: every attempt errors
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := m.Run(tr); st != ecbus.StateError || tr.Retries != 2 {
+		t.Fatalf("unmapped read: %v after %d retries, want an error after 2", st, tr.Retries)
+	}
+	if got := len(rec.Records()); got != 4 {
+		t.Fatalf("a read tried 3 times gave %d records, want 1", got-3)
+	}
+}
+
 // TestReplayMatchesDirectRun is the paper's verification step: a trace
 // captured at the lower layer replays into the layer-1 model and every
 // transaction completes on the same cycle as a direct layer-1 run.

@@ -1,9 +1,10 @@
 #!/bin/sh
 # verify.sh — the full pre-merge gate:
-#   tier-1 (build + all tests), vet, the race gate for the concurrent
-#   packages, coverage floors, a short fuzz pass over every fuzz
-#   target, and a 1-iteration benchmark smoke so every benchmark keeps
-#   compiling and running. Ends with the reach report, which lists the
+#   tier-1 (build + all tests), vet, a vet and build of the perf
+#   harness module against the internal API, the race gate for the
+#   concurrent packages, coverage floors, a short fuzz pass over every
+#   fuzz target, and a 1-iteration benchmark smoke so every benchmark
+#   keeps compiling and running. Ends with the reach report, which lists the
 #   exported functions no binary links and never fails the run.
 set -eu
 cd "$(dirname "$0")/.."
@@ -14,6 +15,9 @@ go test ./...
 
 echo "== vet"
 go vet ./...
+
+echo "== perf harness (its own module: go build ./... skips it)"
+(cd perf && go vet ./... && go build -o /dev/null .)
 
 echo "== race gate (scripts/gates.sh race)"
 ./scripts/gates.sh race
