@@ -73,6 +73,20 @@ func main() {
 		fmt.Fprintf(os.Stderr, "ecbench: invalid -workers %d (0 = one per CPU, or a positive count)\n", *workers)
 		os.Exit(2)
 	}
+	// An artifact number the paper does not have, or a Table-3 run of no
+	// transactions, would print nothing or NaN factors: refuse it now.
+	if *table < 0 || *table > 3 {
+		fmt.Fprintf(os.Stderr, "ecbench: invalid -table %d (valid tables: 1, 2, 3)\n", *table)
+		os.Exit(2)
+	}
+	if *figure != 0 && *figure != 6 {
+		fmt.Fprintf(os.Stderr, "ecbench: invalid -figure %d (valid figures: 6)\n", *figure)
+		os.Exit(2)
+	}
+	if *n < 1 {
+		fmt.Fprintf(os.Stderr, "ecbench: invalid -n %d (transactions per Table-3 run, at least 1)\n", *n)
+		os.Exit(2)
+	}
 
 	// Validate the fault plan before any table runs: a typo must exit
 	// non-zero up front with the valid vocabulary, not after minutes of

@@ -174,12 +174,10 @@ func main() {
 		if *report || *progress {
 			fmt.Fprintln(os.Stderr, "jcexplore: -report and -progress are local-only; ignored with -remote")
 		}
-		results, err := remoteSweep(*remote, fid, layers, workloads, axes)
-		if err != nil {
+		if err := remoteSweep(*remote, fid, layers, workloads, axes); err != nil {
 			fmt.Fprintln(os.Stderr, "jcexplore:", err)
 			os.Exit(1)
 		}
-		printTables(results, false)
 		return
 	}
 
@@ -239,8 +237,7 @@ func runMultiFidelity(fid explore.Fidelity, opts explore.SweepOpts, layers []int
 	}
 	fmt.Println()
 	if fid == explore.FidelityScreen {
-		fmt.Println("Analytic predictions (screen fidelity; energies are model estimates, not measurements):")
-		fmt.Print(predictionTable(mf.Screened))
+		printPredictions(mf.Screened)
 		return
 	}
 	printTables(mf.Confirmed, false)
@@ -252,21 +249,20 @@ func runMultiFidelity(fid explore.Fidelity, opts explore.SweepOpts, layers []int
 	}
 }
 
-// predictionTable renders screening predictions in the exploration
+// printPredictions prints screening predictions in the exploration
 // table's shape, with the pruning decision as the final column.
-func predictionTable(preds []explore.Prediction) string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "%-12s %-22s %12s %14s %6s\n",
+func printPredictions(preds []explore.Prediction) {
+	fmt.Println("Analytic predictions (screen fidelity; energies are model estimates, not measurements):")
+	fmt.Printf("%-12s %-22s %12s %14s %6s\n",
 		"workload", "config", "cycles~", "energy[pJ]~", "kept")
 	for _, p := range preds {
 		kept := "prune"
 		if p.Kept {
 			kept = "keep"
 		}
-		fmt.Fprintf(&sb, "%-12s %-22s %12.0f %14.1f %6s\n",
+		fmt.Printf("%-12s %-22s %12.0f %14.1f %6s\n",
 			p.Workload, p.Config.String(), p.Cycles, p.EnergyJ*1e12, kept)
 	}
-	return sb.String()
 }
 
 func printTables(results []explore.Result, report bool) {
@@ -289,14 +285,15 @@ func printTables(results []explore.Result, report bool) {
 }
 
 // remoteSweep runs the sweep on an ecserved deployment — a single
-// instance or a comma-separated peer list — and converts the NDJSON
-// rows back into explore results. With multiple peers the first
-// healthy one takes the request and the rest are failover targets; any
-// cluster node answers identically (content-addressed routing makes
-// the entry node irrelevant), so failover never changes the result.
-// Energies come from the exact IEEE-754 bit pattern in the stream, so
-// the printed tables are identical to a local run of the same axes.
-func remoteSweep(base string, fid explore.Fidelity, layers []int, workloads []javacard.Workload, axes explore.SweepOpts) ([]explore.Result, error) {
+// instance or a comma-separated peer list — and prints its rows as a
+// local run of the same fidelity prints its results. With multiple
+// peers the first healthy one takes the request and the rest are
+// failover targets; any cluster node answers identically
+// (content-addressed routing makes the entry node irrelevant), so
+// failover never changes the result. Energies come from the exact
+// IEEE-754 bit pattern in the stream, so the printed tables are
+// identical to a local run of the same axes.
+func remoteSweep(base string, fid explore.Fidelity, layers []int, workloads []javacard.Workload, axes explore.SweepOpts) error {
 	req := serve.SweepRequest{Layers: layers, Faults: axes.Faults, Arbs: axes.Arbs,
 		Tears: axes.Tears, Journals: axes.Journals, Fidelity: string(fid)}
 	for _, w := range workloads {
@@ -309,13 +306,29 @@ func remoteSweep(base string, fid explore.Fidelity, layers []int, workloads []ja
 		}
 	}
 	if len(peers) == 0 {
-		return nil, fmt.Errorf("no remote peer URLs in %q", base)
+		return fmt.Errorf("no remote peer URLs in %q", base)
 	}
 	rows, trailer, err := sweepAnyPeer(peers, req)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	return rowsToResults(rows, trailer)
+	for _, msg := range trailer.Errors {
+		fmt.Fprintln(os.Stderr, "jcexplore: remote:", msg)
+	}
+	if trailer.Fidelity != "" {
+		fmt.Printf("multi-fidelity (%s): screened %d  pruned %d  confirmed %d\n\n",
+			trailer.Fidelity, trailer.Screened, trailer.Pruned, trailer.Confirmed)
+	}
+	results, preds, err := serve.SweepOutcomes(rows)
+	if err != nil {
+		return err
+	}
+	if fid == explore.FidelityScreen {
+		printPredictions(preds)
+	} else {
+		printTables(results, false)
+	}
+	return nil
 }
 
 // healthy reports whether a peer's /healthz answers 200.
@@ -355,53 +368,4 @@ func sweepAnyPeer(peers []string, req serve.SweepRequest) ([]serve.SweepRow, ser
 		lastErr = err
 	}
 	return nil, serve.SweepTrailer{}, fmt.Errorf("all %d remote peer(s) failed; last: %w", len(ordered), lastErr)
-}
-
-// rowsToResults converts remote NDJSON rows back into explore results.
-func rowsToResults(rows []serve.SweepRow, trailer serve.SweepTrailer) ([]explore.Result, error) {
-	for _, msg := range trailer.Errors {
-		fmt.Fprintln(os.Stderr, "jcexplore: remote:", msg)
-	}
-	if trailer.Fidelity != "" {
-		fmt.Printf("multi-fidelity (%s): screened %d  pruned %d  confirmed %d\n\n",
-			trailer.Fidelity, trailer.Screened, trailer.Pruned, trailer.Confirmed)
-	}
-	results := make([]explore.Result, 0, len(rows))
-	for _, row := range rows {
-		org, ok := serve.OrgByName(row.Org)
-		if !ok {
-			return nil, fmt.Errorf("remote row has unknown organization %q", row.Org)
-		}
-		energy, err := serve.EnergyFromBits(row.EnergyBits)
-		if err != nil {
-			return nil, err
-		}
-		var recovery float64
-		if row.RecoveryBits != "" {
-			if recovery, err = serve.EnergyFromBits(row.RecoveryBits); err != nil {
-				return nil, err
-			}
-		}
-		results = append(results, explore.Result{
-			Config: explore.Config{
-				Layer:   row.Layer,
-				Org:     org,
-				AddrMap: row.AddrMap,
-				Fault:   row.Fault,
-				Arb:     row.Arb,
-				Tear:    row.Tear,
-				Journal: row.Journal,
-			},
-			Workload:     row.Workload,
-			Cycles:       row.Cycles,
-			BusEnergyJ:   energy,
-			Transactions: row.Tx,
-			Retries:      row.Retries,
-			Steps:        row.Steps,
-			Torn:         row.Torn,
-			CutCycle:     row.CutCycle,
-			RecoveryJ:    recovery,
-		})
-	}
-	return results, nil
 }

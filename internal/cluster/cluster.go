@@ -67,8 +67,6 @@ type Options struct {
 	Peers []string
 	// ProbeInterval paces the health prober; <= 0 selects 250ms.
 	ProbeInterval time.Duration
-	// ProbeTimeout bounds one health probe; <= 0 selects 1s.
-	ProbeTimeout time.Duration
 	// FailThreshold is the consecutive probe failures that mark a peer
 	// dead; <= 0 selects 2. A hard connection error on a real request
 	// marks the peer dead immediately.
@@ -79,12 +77,10 @@ type Options struct {
 	// PeerConcurrency is the per-peer lane width of a distributed
 	// sweep; <= 0 selects 4.
 	PeerConcurrency int
-	// DisableDistribution turns off sweep fan-out (ownership routing
-	// and the two-tier cache still apply).
-	DisableDistribution bool
-	// HTTPClient overrides the peer-traffic client.
-	HTTPClient *http.Client
 }
+
+// probeTimeout bounds one health probe.
+const probeTimeout = time.Second
 
 // Node is one member of the estimation cluster: a serve.Server plus
 // the routing, peer-cache and work-stealing layers.
@@ -120,9 +116,6 @@ func New(srv *serve.Server, opts Options) *Node {
 	if opts.ProbeInterval <= 0 {
 		opts.ProbeInterval = 250 * time.Millisecond
 	}
-	if opts.ProbeTimeout <= 0 {
-		opts.ProbeTimeout = time.Second
-	}
 	if opts.FailThreshold <= 0 {
 		opts.FailThreshold = 2
 	}
@@ -135,13 +128,10 @@ func New(srv *serve.Server, opts Options) *Node {
 	n := &Node{
 		srv:    srv,
 		opts:   opts,
-		client: opts.HTTPClient,
+		client: &http.Client{},
 		alive:  make(map[string]bool),
 		fails:  make(map[string]int),
 		stop:   make(chan struct{}),
-	}
-	if n.client == nil {
-		n.client = &http.Client{}
 	}
 	seen := map[string]bool{opts.Self: true}
 	for _, p := range opts.Peers {
@@ -196,7 +186,7 @@ func (n *Node) probe(peer string) {
 			return
 		case <-t.C:
 		}
-		ctx, cancel := context.WithTimeout(context.Background(), n.opts.ProbeTimeout)
+		ctx, cancel := context.WithTimeout(context.Background(), probeTimeout)
 		req, err := http.NewRequestWithContext(ctx, http.MethodGet, peer+"/healthz", nil)
 		ok := false
 		if err == nil {

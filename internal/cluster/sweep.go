@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -20,7 +19,7 @@ import (
 // global, not per-configuration.
 func (n *Node) distributes(req *serve.SweepRequest) bool {
 	exhaustive := req.Fidelity == "" || req.Fidelity == string(explore.FidelityExhaustive)
-	return exhaustive && !n.opts.DisableDistribution && len(n.alivePeers()) > 0
+	return exhaustive && len(n.alivePeers()) > 0
 }
 
 // distributedSweep coordinates an exhaustive sweep's fan-out. The
@@ -49,8 +48,8 @@ func (n *Node) distributedSweep(w http.ResponseWriter, r *http.Request, rt serve
 // the work. A configuration held by a lane that fails is requeued for
 // the others (counted in /metricz), which is the no-lost-work
 // guarantee: a peer dying mid-sweep costs time, not configurations.
-// Rows are reassembled in cross-product order and closed with the
-// standard trailer, making the body byte-identical to a single-node
+// Rows are rendered in cross-product order under the standard trailer
+// by serve.SweepBody, making the body byte-identical to a single-node
 // compute. Any deterministic per-configuration failure aborts the
 // fan-out and falls back to a full local compute, whose error
 // rendering (errors in the trailer) is again byte-identical.
@@ -59,7 +58,7 @@ func (n *Node) sweepBody(ctx context.Context, req serve.SweepRequest) ([]byte, e
 	if err != nil {
 		return nil, err
 	}
-	rows := make([][]byte, len(configs))
+	rows := make([]serve.SweepRow, len(configs))
 	queue := make(chan int, len(configs))
 	for i := range configs {
 		queue <- i
@@ -71,8 +70,8 @@ func (n *Node) sweepBody(ctx context.Context, req serve.SweepRequest) ([]byte, e
 	wctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
-	finish := func(idx int, body []byte) {
-		rows[idx] = body
+	finish := func(idx int, row serve.SweepRow) {
+		rows[idx] = row
 		if remaining.Add(-1) == 0 {
 			close(done)
 		}
@@ -92,7 +91,7 @@ func (n *Node) sweepBody(ctx context.Context, req serve.SweepRequest) ([]byte, e
 					return
 				case idx = <-queue:
 				}
-				body, err := n.srv.ConfigBodyInline(wctx, configs[idx])
+				row, err := n.srv.ConfigRowInline(wctx, configs[idx])
 				if err != nil {
 					// First failure wins; the coordinator falls back to a
 					// full local sweep so deterministic errors render
@@ -103,7 +102,7 @@ func (n *Node) sweepBody(ctx context.Context, req serve.SweepRequest) ([]byte, e
 					}
 					return
 				}
-				finish(idx, body)
+				finish(idx, row)
 			}
 		}()
 	}
@@ -121,7 +120,7 @@ func (n *Node) sweepBody(ctx context.Context, req serve.SweepRequest) ([]byte, e
 						return
 					case idx = <-queue:
 					}
-					body, retryable, err := n.fetchConfig(wctx, peer, configs[idx])
+					row, retryable, err := n.fetchConfig(wctx, peer, configs[idx])
 					if err != nil {
 						// The held configuration goes back in the queue
 						// either way — never lost. A busy peer keeps its
@@ -140,7 +139,7 @@ func (n *Node) sweepBody(ctx context.Context, req serve.SweepRequest) ([]byte, e
 						n.markDead(peer)
 						return
 					}
-					finish(idx, body)
+					finish(idx, row)
 				}
 			}(peer)
 		}
@@ -164,42 +163,33 @@ func (n *Node) sweepBody(ctx context.Context, req serve.SweepRequest) ([]byte, e
 		return nil, ctx.Err()
 	}
 
-	var buf bytes.Buffer
-	for _, row := range rows {
-		buf.Write(row)
-	}
-	trailer, err := serve.SweepTrailerLine(key, len(configs))
-	if err != nil {
-		return nil, err
-	}
-	buf.Write(trailer)
-	return buf.Bytes(), nil
+	return serve.SweepBody(key, rows)
 }
 
-// fetchConfig asks a peer for one configuration row. retryable=true
-// marks peer backpressure (429/503): the lane requeues and tries
-// again. Everything else — network errors, truncated rows, 5xx —
-// retires the lane and the configuration is requeued for others.
-func (n *Node) fetchConfig(ctx context.Context, peer string, cfg serve.ConfigRequest) (body []byte, retryable bool, err error) {
-	unit, _ := serve.RouteFor("config")
+// fetchConfig asks a peer for one configuration row, read through the
+// strict body reader. retryable=true marks peer backpressure (429/503):
+// the lane requeues and tries again. Everything else — network errors,
+// malformed rows, 5xx — retires the lane and the configuration is
+// requeued for others.
+func (n *Node) fetchConfig(ctx context.Context, peer string, cfg serve.ConfigRequest) (row serve.SweepRow, retryable bool, err error) {
 	payload, err := json.Marshal(cfg)
 	if err != nil {
-		return nil, false, err
+		return row, false, err
 	}
-	resp, peerBody, err := n.forward(ctx, peer, "/v1/"+unit.Name, payload)
+	resp, peerBody, err := n.forward(ctx, peer, "/v1/config", payload)
 	if err != nil {
-		return nil, false, err
+		return row, false, err
 	}
 	switch {
 	case resp.StatusCode == http.StatusOK:
-		if err := unit.Check(peerBody); err != nil {
-			return nil, false, err
+		if row, err = serve.ParseConfigBody(peerBody); err != nil {
+			return row, false, err
 		}
 		n.reg().PeerFetch()
-		return peerBody, false, nil
+		return row, false, nil
 	case resp.StatusCode == http.StatusTooManyRequests || resp.StatusCode == http.StatusServiceUnavailable:
-		return nil, true, fmt.Errorf("cluster: peer %s backpressure: %d", peer, resp.StatusCode)
+		return row, true, fmt.Errorf("cluster: peer %s backpressure: %d", peer, resp.StatusCode)
 	default:
-		return nil, false, fmt.Errorf("cluster: peer %s config status %d", peer, resp.StatusCode)
+		return row, false, fmt.Errorf("cluster: peer %s config status %d", peer, resp.StatusCode)
 	}
 }

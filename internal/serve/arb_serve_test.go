@@ -62,7 +62,7 @@ func TestSweepArbAxisOverWire(t *testing.T) {
 	}
 
 	// Distributed reassembly: the config fan-out enumerates the arb axis
-	// innermost and concatenates to the identical body.
+	// innermost and its rows render to the identical body.
 	key, configs, err := ExpandSweep(req)
 	if err != nil {
 		t.Fatal(err)
@@ -70,22 +70,20 @@ func TestSweepArbAxisOverWire(t *testing.T) {
 	if len(configs) != 2 || configs[0].Arb != "" || configs[1].Arb != "rr" {
 		t.Fatalf("ExpandSweep configs %+v, want arb \"\" then \"rr\"", configs)
 	}
-	var assembled bytes.Buffer
+	var cfgRows []SweepRow
 	for _, cr := range configs {
-		line, err := s.ConfigBodyInline(t.Context(), cr)
+		row, err := s.ConfigRowInline(t.Context(), cr)
 		if err != nil {
 			t.Fatal(err)
 		}
-		assembled.Write(line)
+		cfgRows = append(cfgRows, row)
 	}
-	tl, err := SweepTrailerLine(key, len(configs))
+	assembled, err := SweepBody(key, cfgRows)
 	if err != nil {
 		t.Fatal(err)
 	}
-	assembled.Write(tl)
-	if !bytes.Equal(assembled.Bytes(), body) {
-		t.Fatalf("reassembled body differs from single-node sweep:\n%s\nvs\n%s",
-			assembled.Bytes(), body)
+	if !bytes.Equal(assembled, body) {
+		t.Fatalf("reassembled body differs from single-node sweep:\n%s\nvs\n%s", assembled, body)
 	}
 }
 

@@ -110,7 +110,7 @@ func TestAxisKeysPinned(t *testing.T) {
 		fmt.Fprintf(h, "body %s", body)
 	}
 
-	const want = "2009ca349101a7ff73447d9d4825a803b667c7731cee4d646f93df91602fedde"
+	const want = "ba4ce8519ced9e1e207a67d90486ff10e58f886e4d8acd4b6aa8850824399625"
 	if got := hex.EncodeToString(h.Sum(nil)); got != want {
 		t.Fatalf("axis key digest %s, want %s", got, want)
 	}

@@ -1,11 +1,9 @@
 package serve
 
 import (
-	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"strings"
 
@@ -118,53 +116,17 @@ func canonicalizeBatch(req BatchRequest) (canonBatch, error) {
 	return c, nil
 }
 
-// campaignGen is the corpus generator behind campaignDigest — a seam
-// the memoization test swaps to count generator invocations.
-var campaignGen = bench.CampaignRuns
-
-// campaignKey identifies one deterministic campaign corpus.
-type campaignKey struct {
-	seed    uint64
-	runs, n int
-}
-
-const maxCampaignDigests = 128
-
-// campaignDigests memoizes corpus digests per (seed, runs, n): the
-// corpus is a pure function of those three numbers, so hashing the
-// generated transaction bytes once is enough. Otherwise every
-// /v1/batch request — cache hits included — would regenerate the
-// entire campaign (up to 1024×4096 transactions) to compute its key.
-var campaignDigests = newMemo[campaignKey, [sha256.Size]byte](maxCampaignDigests)
-
-// campaignDigest returns the SHA-256 digest of the campaign's
-// generated transaction bytes, generating the corpus only on the first
-// request for a given (seed, runs, n).
-func campaignDigest(seed uint64, runs, n int) [sha256.Size]byte {
-	return campaignDigests.get(campaignKey{seed, runs, n}, func() [sha256.Size]byte {
-		h := sha256.New()
-		for _, run := range campaignGen(seed, runs, n) {
-			h.Write(itemBytes(run.Items))
-		}
-		var d [sha256.Size]byte
-		h.Sum(d[:0])
-		return d
-	})
-}
-
-// key content-addresses the campaign. Width is deliberately absent:
-// the engine's golden gate makes per-run results width-invariant, so
-// all widths of the same campaign share one cache entry. The campaign
-// identity is a digest of the actual generated transaction bytes, not
-// just (seed, runs, n), so a corpus-generator change changes the
-// address; the digest is memoized so the key of a repeated campaign
-// costs O(1) instead of a full corpus generation.
+// key content-addresses the campaign by its request: the corpus is a
+// pure function of (seed, runs, n), so keying a campaign generates none
+// of it — TestCampaignCorpusPinned holds bench.CampaignRuns to the bytes
+// this Version was cut with, so a generator change must move Version.
+// Width is deliberately absent: the engine's golden gate makes per-run
+// results width-invariant, so all widths of the same campaign share one
+// cache entry.
 func (c canonBatch) key() string {
 	h := sha256.New()
 	fmt.Fprintf(h, "%s\x00batch\x00layer=%d\x00seed=%d\x00runs=%d\x00n=%d\x00fault=%s\x00",
 		Version, c.Layer, c.Seed, c.Runs, c.N, c.Spec)
-	d := campaignDigest(c.Seed, c.Runs, c.N)
-	h.Write(d[:])
 	return hex.EncodeToString(h.Sum(nil))
 }
 
@@ -183,10 +145,9 @@ func (s *Server) computeBatch(ctx context.Context, key string, c canonBatch) ([]
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
+	rows := make([]BatchRow, len(ests))
 	for i, e := range ests {
-		row := BatchRow{
+		rows[i] = BatchRow{
 			Run:        i,
 			Cycles:     e.Cycles,
 			EnergyJ:    e.EnergyJ,
@@ -194,42 +155,6 @@ func (s *Server) computeBatch(ctx context.Context, key string, c canonBatch) ([]
 			Errors:     e.Errors,
 			Retries:    e.Retries,
 		}
-		if err := enc.Encode(row); err != nil {
-			return nil, err
-		}
 	}
-	trailer := BatchTrailer{Done: true, Key: key, Layer: c.Layer, Fault: c.Spec, Rows: len(ests)}
-	if err := enc.Encode(trailer); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-// ParseBatchBody decodes a batch NDJSON body back into rows and the
-// trailer — the inverse of computeBatch's rendering. A body that ends
-// without its trailer returns an error wrapping ErrTruncatedBody.
-func ParseBatchBody(body []byte) ([]BatchRow, BatchTrailer, error) {
-	var rows []BatchRow
-	var trailer BatchTrailer
-	dec := json.NewDecoder(bytes.NewReader(body))
-	for {
-		var raw json.RawMessage
-		if err := dec.Decode(&raw); err != nil {
-			return rows, trailer, streamError("batch", err)
-		}
-		var probe struct {
-			Done bool `json:"done"`
-		}
-		if json.Unmarshal(raw, &probe) == nil && probe.Done {
-			if err := json.Unmarshal(raw, &trailer); err != nil {
-				return rows, trailer, fmt.Errorf("serve: bad batch trailer: %w", err)
-			}
-			return rows, trailer, nil
-		}
-		var row BatchRow
-		if err := json.Unmarshal(raw, &row); err != nil {
-			return rows, trailer, fmt.Errorf("serve: bad batch row: %w", err)
-		}
-		rows = append(rows, row)
-	}
+	return writeBody(rows, BatchTrailer{Done: true, Key: key, Layer: c.Layer, Fault: c.Spec, Rows: len(ests)})
 }

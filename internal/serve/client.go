@@ -15,15 +15,6 @@ import (
 type Client struct {
 	// BaseURL is the server root, e.g. "http://127.0.0.1:8372".
 	BaseURL string
-	// HTTPClient overrides http.DefaultClient when set.
-	HTTPClient *http.Client
-}
-
-func (c *Client) http() *http.Client {
-	if c.HTTPClient != nil {
-		return c.HTTPClient
-	}
-	return http.DefaultClient
 }
 
 // apiError decodes an error body into a useful message.
@@ -49,7 +40,7 @@ func (c *Client) post(ctx context.Context, path string, req any) (*http.Response
 		return nil, err
 	}
 	hr.Header.Set("Content-Type", "application/json")
-	return c.http().Do(hr)
+	return http.DefaultClient.Do(hr)
 }
 
 // Sweep posts one synchronous sweep request and decodes the NDJSON

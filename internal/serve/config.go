@@ -1,11 +1,9 @@
 package serve
 
 import (
-	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
 
 	"repro/internal/calib"
@@ -20,7 +18,7 @@ import (
 // its row through the same singleflight/cache/queue machinery as every
 // other endpoint. The response body is exactly the NDJSON line the
 // configuration contributes to a single-node sweep body, so the
-// coordinator reassembles a byte-identical sweep by concatenation.
+// coordinator reassembles a byte-identical sweep from the rows.
 
 // ConfigRequest is the body of POST /v1/config.
 type ConfigRequest struct {
@@ -118,38 +116,33 @@ func (s *Server) computeConfig(ctx context.Context, _ string, c canonConfig) ([]
 	if len(results) != 1 {
 		return nil, fmt.Errorf("serve: config run produced %d results, want 1", len(results))
 	}
-	var buf bytes.Buffer
-	if err := json.NewEncoder(&buf).Encode(exactRow(results[0])); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
+	return writeBody[SweepRow](nil, exactRow(results[0]))
 }
 
-// ConfigBodyInline computes (or replays) one configuration row on the
+// ConfigRowInline computes (or replays) one configuration row on the
 // caller's goroutine through the singleflight cache — the self lane of
-// the cluster's work-stealing loop. The returned bytes are the same
-// NDJSON line /v1/config serves.
-func (s *Server) ConfigBodyInline(ctx context.Context, req ConfigRequest) ([]byte, error) {
+// the cluster's work-stealing loop. The row is read back from the same
+// body /v1/config serves.
+func (s *Server) ConfigRowInline(ctx context.Context, req ConfigRequest) (SweepRow, error) {
 	c, err := canonicalizeConfig(req)
 	if err != nil {
-		return nil, err
+		return SweepRow{}, err
 	}
 	key := c.key()
 	body, outcome, err := s.DoInline(ctx, key,
 		func(cctx context.Context) ([]byte, error) { return s.computeConfig(cctx, key, c) })
 	if err != nil {
-		return nil, err
+		return SweepRow{}, err
 	}
 	s.reg.Outcome("config", outcome, 0)
-	return body, nil
+	return ParseConfigBody(body)
 }
 
 // ExpandSweep canonicalizes a sweep request and enumerates its cross
 // product as ConfigRequests in exactly the order the rows appear in a
 // single-node sweep body: workloads outer, then explore.Configs' order.
-// The coordinator fans these out and reassembles the body by
-// concatenating the returned rows in this order, then appending the
-// trailer.
+// The coordinator fans these out and renders the returned rows, in this
+// order, through SweepBody.
 func ExpandSweep(req SweepRequest) (key string, configs []ConfigRequest, err error) {
 	c, err := canonicalizeSweep(req)
 	if err != nil {
@@ -172,17 +165,6 @@ func ExpandSweep(req SweepRequest) (key string, configs []ConfigRequest, err err
 		}
 	}
 	return c.key(), configs, nil
-}
-
-// SweepTrailerLine renders the trailer line that closes a distributed
-// exhaustive sweep body — identical bytes to the trailer a single-node
-// error-free sweep of the same axes appends.
-func SweepTrailerLine(key string, rows int) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := json.NewEncoder(&buf).Encode(SweepTrailer{Done: true, Key: key, Rows: rows}); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
 }
 
 // ComputeSweepBody computes a full sweep body locally, outside the

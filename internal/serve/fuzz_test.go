@@ -2,14 +2,13 @@ package serve
 
 import (
 	"bytes"
-	"crypto/sha256"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 
-	"repro/internal/batch"
 	"repro/internal/core"
 )
 
@@ -22,16 +21,14 @@ import (
 // corpus holds one valid body per endpoint plus the strict-decode
 // boundary bodies: an unknown field and data after the object.
 func FuzzRequestBodies(f *testing.F) {
-	// The corpus generators behind the estimate and batch keys become
-	// empty stand-ins on fresh memos: a mutated runs or n field must not
-	// cost a million-transaction corpus per input. The key bytes of real
-	// corpora are pinned by key_memo_test.go and the key stability tests.
-	corpus, campaign, ekeys, digests := corpusGen, campaignGen, estimateKeys, campaignDigests
+	// The corpus generator behind the estimate key becomes an empty
+	// stand-in on a fresh memo: a mutated n field must not cost a corpus
+	// per input. The key bytes of real corpora are pinned by
+	// key_memo_test.go and the key stability tests.
+	corpus, ekeys := corpusGen, estimateKeys
 	corpusGen = func(string, int) ([]core.Item, error) { return nil, nil }
-	campaignGen = func(uint64, int, int) []batch.Run { return nil }
 	estimateKeys = newMemo[estimateID, string](maxEstimateKeys)
-	campaignDigests = newMemo[campaignKey, [sha256.Size]byte](maxCampaignDigests)
-	f.Cleanup(func() { corpusGen, campaignGen, estimateKeys, campaignDigests = corpus, campaign, ekeys, digests })
+	f.Cleanup(func() { corpusGen, estimateKeys = corpus, ekeys })
 	s := New(Options{Workers: 1})
 	f.Cleanup(s.Close)
 
@@ -59,6 +56,46 @@ func FuzzRequestBodies(f *testing.F) {
 			}
 			if req2.Key != req.Key {
 				t.Fatalf("%s %q: key %s, re-marshalled %s keys to %s", rt.Name, body, req.Key, again, req2.Key)
+			}
+		}
+	})
+}
+
+// FuzzResponseBodies feeds arbitrary bytes to the strict body reader
+// behind every route's Check and the sweep and batch parsers. The reader
+// must never panic. A body that reads as a whole sweep or batch body
+// pins the truncation contract the cluster's retry decision rides on:
+// every proper prefix of it — empty, cut at a line boundary, mid-line,
+// or missing only its last newline — wraps ErrTruncatedBody, and any
+// bytes after its trailer are corruption. The seed corpus holds real
+// bodies of every endpoint and the malformed shapes the reader refuses.
+func FuzzResponseBodies(f *testing.F) {
+	f.Fuzz(func(t *testing.T, body []byte) {
+		for _, rt := range routes {
+			rt.Check(body)
+		}
+		parsers := []struct {
+			name  string
+			parse func([]byte) error
+		}{
+			{"sweep", func(b []byte) error { _, _, err := ParseSweepBody(b); return err }},
+			{"batch", func(b []byte) error { _, _, err := ParseBatchBody(b); return err }},
+		}
+		for _, p := range parsers {
+			if p.parse(body) != nil || len(body) > 4096 {
+				continue
+			}
+			for i := 0; i < len(body); i++ {
+				if err := p.parse(body[:i]); !errors.Is(err, ErrTruncatedBody) {
+					t.Fatalf("%s body cut to %d of %d bytes: err = %v, want ErrTruncatedBody",
+						p.name, i, len(body), err)
+				}
+			}
+			for _, tail := range []string{"\n", " ", "x", "{}\n", string(body)} {
+				err := p.parse(append(bytes.Clone(body), tail...))
+				if err == nil || errors.Is(err, ErrTruncatedBody) {
+					t.Fatalf("%s body followed by %q: err = %v, want corruption", p.name, tail, err)
+				}
 			}
 		}
 	})

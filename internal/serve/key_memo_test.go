@@ -8,17 +8,16 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"repro/internal/batch"
 	"repro/internal/bench"
 	"repro/internal/core"
 	"repro/internal/fault"
 )
 
-// Content keys that would otherwise regenerate a corpus per request —
-// estimate keys and campaign digests — are memoized in one bounded memo
-// type. These tests pin that the memo changes no key byte, that a
-// repeated request generates its corpus once, and that the memo stays
-// inside its cap.
+// Estimate keys, which would otherwise regenerate a corpus per request,
+// are memoized in one bounded memo type. These tests pin that the memo
+// changes no key byte, that a repeated request generates its corpus
+// once, and that the memo stays inside its cap. Batch keys hash the
+// request alone; the campaign corpora they name are pinned instead.
 
 // scratchEstimateKey computes an estimate's content key from scratch,
 // exactly as the unmemoized key did: the reference the memo must match.
@@ -61,11 +60,11 @@ func TestEstimateKeyMemoMatchesScratch(t *testing.T) {
 			}
 		}
 	}
-	const matrix = "07b7b4347e3b90c2b51bf05fc09d33fb465818427842bccb3d281a57d01cae60"
+	const matrix = "5a87366a0f5aa42b8d2f3627dbf4fc0336bc880170b9a0afcea0b33906df4bd5"
 	if got := hex.EncodeToString(all.Sum(nil)); got != matrix {
 		t.Fatalf("estimate key matrix digest %s, want %s", got, matrix)
 	}
-	const defaultKey = "aad154e3bbe2b02a8dd7c2b57a8aade181461e413ebc6db1b05d3008676fab7c"
+	const defaultKey = "5f9c5f17f18be776d3ee6eacdea7c43d92aa5724da9a24f40f704321b462641b"
 	if got, err := keyOf("estimate", EstimateRequest{}); err != nil || got != defaultKey {
 		t.Fatalf("default estimate key %s (%v), want %s", got, err, defaultKey)
 	}
@@ -213,71 +212,66 @@ func TestMemoConcurrent(t *testing.T) {
 	}
 }
 
-// TestCampaignDigestMemoized is the batch key's counterpart: computing
-// a batch key must generate the campaign corpus exactly once per
-// (seed, runs, n) — every later key computation for the same campaign
-// reuses the memoized digest, whatever the request rate.
-func TestCampaignDigestMemoized(t *testing.T) {
-	orig := campaignGen
-	t.Cleanup(func() { campaignGen = orig })
-	var calls atomic.Int64
-	campaignGen = func(seed uint64, runs, n int) []batch.Run {
-		calls.Add(1)
-		return orig(seed, runs, n)
+// TestCampaignCorpusPinned pins the campaign corpora a batch key names
+// by (seed, runs, n) alone. A bench.CampaignRuns change fails here: move
+// Version with it, so no cached batch body outlives its corpus, then
+// re-pin the digest.
+func TestCampaignCorpusPinned(t *testing.T) {
+	h := sha256.New()
+	for _, c := range []struct {
+		seed    uint64
+		runs, n int
+	}{{1, 64, bench.DefaultPerfN}, {7, 5, 100}, {0xFEED_0001, 3, maxBatchN}, {2, 1, 1}} {
+		for _, run := range bench.CampaignRuns(c.seed, c.runs, c.n) {
+			h.Write(itemBytes(run.Items))
+		}
 	}
+	const want = "5ad646480f649b5e7f00d8a4c7f3e3687035d79fa0f0d46de3283170590222d6"
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Fatalf("campaign corpus digest %s, want %s: the generator moved, so bump Version and re-pin", got, want)
+	}
+}
 
-	// Seeds nothing else uses, so the shared memo cannot pre-contain them.
-	req := BatchRequest{Layer: 0, Seed: 0xFEED_0001, Runs: 4, N: 32}
-	c, err := canonicalizeBatch(req)
+// TestBatchKeyGeneratesNoCorpus: keying the largest campaign a request
+// may name costs a handful of allocations — no corpus is generated —
+// and the key still tells every campaign, layer and fault plan apart
+// while every width of one campaign shares it.
+func TestBatchKeyGeneratesNoCorpus(t *testing.T) {
+	body := []byte(`{"layer":1,"seed":9,"runs":1024,"n":4096,"fault":"grind"}`)
+	allocs := testing.AllocsPerRun(10, func() {
+		if _, err := Parse("batch", body); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 64 {
+		t.Fatalf("keying a runs=1024 n=4096 batch took %.0f allocations, want at most 64", allocs)
+	}
+	base := BatchRequest{Layer: 0, Seed: 3, Runs: 4, N: 32}
+	k, err := keyOf("batch", base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	k1 := c.key()
-	for i := 0; i < 16; i++ {
-		if k2 := c.key(); k2 != k1 {
-			t.Fatalf("key unstable across calls: %s vs %s", k2, k1)
-		}
+	wide := base
+	wide.Width = 2
+	if kw, err := keyOf("batch", wide); err != nil || kw != k {
+		t.Fatalf("width moved the key: %s vs %s (%v)", kw, k, err)
 	}
-	if got := calls.Load(); got != 1 {
-		t.Fatalf("17 key computations generated the corpus %d times, want 1", got)
-	}
-
-	// A different campaign is a fresh generation — the memo keys on the
-	// full (seed, runs, n) identity.
 	for i, alt := range []BatchRequest{
-		{Layer: 0, Seed: 0xFEED_0002, Runs: 4, N: 32},
-		{Layer: 0, Seed: 0xFEED_0001, Runs: 5, N: 32},
-		{Layer: 0, Seed: 0xFEED_0001, Runs: 4, N: 33},
+		{Layer: 1, Seed: 3, Runs: 4, N: 32},
+		{Layer: 0, Seed: 4, Runs: 4, N: 32},
+		{Layer: 0, Seed: 3, Runs: 5, N: 32},
+		{Layer: 0, Seed: 3, Runs: 4, N: 33},
+		{Layer: 0, Seed: 3, Runs: 4, N: 32, Fault: "flaky"},
 	} {
-		ca, err := canonicalizeBatch(alt)
-		if err != nil {
-			t.Fatal(err)
+		if ka, err := keyOf("batch", alt); err != nil || ka == k {
+			t.Fatalf("variant %d collided with the base key (%v)", i, err)
 		}
-		if ca.key() == k1 {
-			t.Fatalf("variant %d collided with the base key", i)
-		}
-	}
-	if got := calls.Load(); got != 4 {
-		t.Fatalf("3 distinct campaigns after the base generated %d extra corpora, want 3 (total 4, got %d)",
-			got-1, got)
 	}
 }
 
-// TestCampaignDigestBounded: request diversity must not grow the
-// campaign-digest memo past its cap.
-func TestCampaignDigestBounded(t *testing.T) {
-	for i := 0; i < maxCampaignDigests+32; i++ {
-		campaignDigest(0xB0DE_0000+uint64(i), 1, 1)
-	}
-	if n := campaignDigests.len(); n > maxCampaignDigests {
-		t.Fatalf("memo holds %d digests, cap is %d", n, maxCampaignDigests)
-	}
-}
-
-// Once a key is memoized its cost is independent of the corpus size:
-// the warm ns/op of a small request and of one 64× (estimate) or 4096×
-// (campaign) larger should be indistinguishable, because neither
-// regenerates its corpus.
+// Once an estimate key is memoized its cost is independent of the
+// corpus size: the warm ns/op of a small request and of one 64× larger
+// should be indistinguishable, because neither regenerates its corpus.
 
 func benchmarkEstimateKeyWarm(b *testing.B, n int) {
 	c, err := canonicalizeEstimate(EstimateRequest{Layer: 2, N: n, Fault: fmt.Sprintf("seed=%d", 0xBE9C_0000+n)})
@@ -296,21 +290,3 @@ func benchmarkEstimateKeyWarm(b *testing.B, n int) {
 func BenchmarkEstimateKeyWarmSmall(b *testing.B) { benchmarkEstimateKeyWarm(b, 64) }
 
 func BenchmarkEstimateKeyWarmLarge(b *testing.B) { benchmarkEstimateKeyWarm(b, 4096) }
-
-func benchmarkBatchKeyWarm(b *testing.B, runs, n int) {
-	c, err := canonicalizeBatch(BatchRequest{Layer: 0, Seed: 0xBE9C_0000 + uint64(runs*n), Runs: runs, N: n})
-	if err != nil {
-		b.Fatal(err)
-	}
-	c.key() // warm the memo: the one allowed corpus generation
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if c.key() == "" {
-			b.Fatal("empty key")
-		}
-	}
-}
-
-func BenchmarkBatchKeyWarmSmall(b *testing.B) { benchmarkBatchKeyWarm(b, 4, 64) }
-
-func BenchmarkBatchKeyWarmLarge(b *testing.B) { benchmarkBatchKeyWarm(b, 256, 4096) }

@@ -18,9 +18,12 @@ import (
 // Version is the serving layer's code-version tag. It is folded into
 // every content hash, so bumping it invalidates all cached results —
 // required whenever a change legitimately moves an energy figure (a
-// model fix, a corpus change). Caching is only sound because the
-// simulators are deterministic; the golden gate keeps them that way.
-const Version = "ecserve/3"
+// model fix, a corpus change) or a body's bytes. Caching is only sound
+// because the simulators are deterministic; the golden gate keeps them
+// that way. Batch keys name their campaign by (seed, runs, n) alone, so
+// a bench.CampaignRuns change must bump it too; TestCampaignCorpusPinned
+// fails until it does.
+const Version = "ecserve/4"
 
 // EstimateRequest asks for one corpus × layer × fault-plan energy
 // estimation point: the body of POST /v1/estimate.

@@ -30,9 +30,10 @@ type Route struct {
 	Name string
 	// ContentType is the Content-Type of a 200 body.
 	ContentType string
-	// Check validates a 200 body relayed from a peer before it is cached
-	// or served: a body cut short wraps ErrTruncatedBody (retry
-	// elsewhere), any other error is corruption (fail fast).
+	// Check reads a 200 body relayed from a peer through the strict body
+	// reader before it is cached or served: a body cut short wraps
+	// ErrTruncatedBody (retry elsewhere), any other error is corruption
+	// (fail fast).
 	Check func(body []byte) error
 	// parse is the row's strict decode → canonicalize → key step. s binds
 	// the compute; w, when set, is told about an oversize body.
@@ -40,13 +41,13 @@ type Route struct {
 }
 
 var routes = []Route{
-	{Name: "estimate", ContentType: "application/json", Check: checkDocument,
+	{Name: "estimate", ContentType: "application/json", Check: check[struct{}, EstimateResponse]("estimate", nil),
 		parse: endpoint(canonicalizeEstimate, canonEstimate.key, (*Server).computeEstimate)},
-	{Name: "sweep", ContentType: ndjson, Check: func(b []byte) error { _, _, err := ParseSweepBody(b); return err },
+	{Name: "sweep", ContentType: ndjson, Check: check[SweepRow]("sweep", sweepDone),
 		parse: endpoint(canonicalizeSweep, canonSweep.key, (*Server).computeSweep)},
-	{Name: "batch", ContentType: ndjson, Check: func(b []byte) error { _, _, err := ParseBatchBody(b); return err },
+	{Name: "batch", ContentType: ndjson, Check: check[BatchRow]("batch", batchDone),
 		parse: endpoint(canonicalizeBatch, canonBatch.key, (*Server).computeBatch)},
-	{Name: "config", ContentType: ndjson, Check: checkLine,
+	{Name: "config", ContentType: ndjson, Check: check[struct{}, SweepRow]("config", nil),
 		parse: endpoint(canonicalizeConfig, canonConfig.key, (*Server).computeConfig)},
 }
 
@@ -142,24 +143,6 @@ func decode(w http.ResponseWriter, body io.ReadCloser, v any) error {
 		return fmt.Errorf("serve: bad request body: %w", err)
 	}
 	return errors.New("serve: bad request body: data after the request object")
-}
-
-// checkDocument accepts one complete JSON document: the estimate body.
-// A document cut short is truncation, like a stream without its trailer.
-func checkDocument(body []byte) error {
-	var probe EstimateResponse
-	if err := json.NewDecoder(bytes.NewReader(body)).Decode(&probe); err != nil {
-		return streamError("estimate", err)
-	}
-	return nil
-}
-
-// checkLine accepts one complete NDJSON line: the config body.
-func checkLine(body []byte) error {
-	if len(body) == 0 || body[len(body)-1] != '\n' {
-		return fmt.Errorf("config row: %w", ErrTruncatedBody)
-	}
-	return nil
 }
 
 // handle is the one compute handler: the row's parse step (400 on any

@@ -67,7 +67,7 @@ func TestSweepTearAxesOverWire(t *testing.T) {
 	}
 
 	// Distributed reassembly: tears then journals enumerate innermost and
-	// concatenate to the identical single-node body.
+	// their rows render to the identical single-node body.
 	key, configs, err := ExpandSweep(req)
 	if err != nil {
 		t.Fatal(err)
@@ -75,22 +75,54 @@ func TestSweepTearAxesOverWire(t *testing.T) {
 	if len(configs) != 4 {
 		t.Fatalf("%d configs, want 4", len(configs))
 	}
-	var assembled bytes.Buffer
+	var cfgRows []SweepRow
 	for _, cr := range configs {
-		line, err := s.ConfigBodyInline(t.Context(), cr)
+		row, err := s.ConfigRowInline(t.Context(), cr)
 		if err != nil {
 			t.Fatal(err)
 		}
-		assembled.Write(line)
+		cfgRows = append(cfgRows, row)
 	}
-	tl, err := SweepTrailerLine(key, len(configs))
+	assembled, err := SweepBody(key, cfgRows)
 	if err != nil {
 		t.Fatal(err)
 	}
-	assembled.Write(tl)
-	if !bytes.Equal(assembled.Bytes(), body) {
-		t.Fatalf("reassembled body differs from single-node sweep:\n%s\nvs\n%s",
-			assembled.Bytes(), body)
+	if !bytes.Equal(assembled, body) {
+		t.Fatalf("reassembled body differs from single-node sweep:\n%s\nvs\n%s", assembled, body)
+	}
+}
+
+// TestScreenRowsCarryTearAndJournal: a screen sweep's rows name their
+// tear plan and journal strategy like exact rows do, so every cell of
+// the cross product is its own row, in ExpandSweep's order.
+func TestScreenRowsCarryTearAndJournal(t *testing.T) {
+	_, _, client := newTestServer(t, Options{Workers: 2})
+	req := SweepRequest{
+		Layers:    []int{1, 2},
+		Orgs:      []string{"halfword"},
+		AddrMaps:  []string{"near"},
+		Workloads: []string{"arith-loop"},
+		Tears:     []string{"", "tear-mid"},
+		Journals:  []string{"", "word-eager"},
+		Fidelity:  "screen",
+	}
+	rows, _, err := client.Sweep(t.Context(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, cells, err := ExpandSweep(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != len(cells) {
+		t.Fatalf("%d screen rows, want %d", len(rows), len(cells))
+	}
+	for i, r := range rows {
+		c := cells[i]
+		if !r.Predicted || r.Layer != c.Layer || r.Tear != c.Tear || r.Journal != c.Journal {
+			t.Errorf("screen row %d is L%d tear %q journal %q, want L%d tear %q journal %q",
+				i, r.Layer, r.Tear, r.Journal, c.Layer, c.Tear, c.Journal)
+		}
 	}
 }
 

@@ -14,7 +14,7 @@ RACE_PKGS="./internal/explore/... ./internal/sim/... ./internal/fault/... ./inte
 
 # package:target pairs under internal/.
 FUZZ_TARGETS="fault:FuzzPlanParse fault:FuzzWithoutReadErrors checker:FuzzCheckerRules arb:FuzzArbiterGrant
-serve:FuzzRequestBodies core:FuzzGoldenEquivalence"
+serve:FuzzRequestBodies serve:FuzzResponseBodies core:FuzzGoldenEquivalence"
 
 case "${1:-}" in
 race)
