@@ -231,10 +231,7 @@ func runMultiFidelity(fid explore.Fidelity, opts explore.SweepOpts, layers []int
 	fmt.Printf("multi-fidelity (%s): screened %d  pruned %d  confirmed %d  screen %.3fms  confirm %.3fms\n",
 		fid, mf.ScreenedConfigs, mf.PrunedConfigs, mf.ConfirmedConfigs,
 		float64(mf.ScreenTime.Microseconds())/1e3, float64(mf.ConfirmTime.Microseconds())/1e3)
-	for _, l := range layers {
-		fmt.Printf("  layer %d pruning margin: energy ±%.2f%%  cycles ±%.2f%%\n",
-			l, mf.EpsEnergy[l]*100, mf.EpsCycles[l]*100)
-	}
+	printMargins(layers, func(l int) (float64, float64) { return mf.EpsEnergy[l], mf.EpsCycles[l] })
 	fmt.Println()
 	if fid == explore.FidelityScreen {
 		printPredictions(mf.Screened)
@@ -246,6 +243,15 @@ func runMultiFidelity(fid explore.Fidelity, opts explore.SweepOpts, layers []int
 		fmt.Println("Sweep metrics:")
 		snap := mfOpts.Registry.Snapshot()
 		fmt.Print(snap.Table())
+	}
+}
+
+// printMargins prints each layer's pruning margins, the energy and
+// cycle ε the screen prunes against, in percent.
+func printMargins(layers []int, eps func(layer int) (energy, cycles float64)) {
+	for _, l := range layers {
+		e, c := eps(l)
+		fmt.Printf("  layer %d pruning margin: energy ±%.2f%%  cycles ±%.2f%%\n", l, e*100, c*100)
 	}
 }
 
@@ -316,8 +322,13 @@ func remoteSweep(base string, fid explore.Fidelity, layers []int, workloads []ja
 		fmt.Fprintln(os.Stderr, "jcexplore: remote:", msg)
 	}
 	if trailer.Fidelity != "" {
-		fmt.Printf("multi-fidelity (%s): screened %d  pruned %d  confirmed %d\n\n",
+		fmt.Printf("multi-fidelity (%s): screened %d  pruned %d  confirmed %d\n",
 			trailer.Fidelity, trailer.Screened, trailer.Pruned, trailer.Confirmed)
+		printMargins(layers, func(l int) (float64, float64) {
+			k := strconv.Itoa(l) // the trailer keys layers by decimal string
+			return trailer.EpsEnergy[k], trailer.EpsCycles[k]
+		})
+		fmt.Println()
 	}
 	results, preds, err := serve.SweepOutcomes(rows)
 	if err != nil {

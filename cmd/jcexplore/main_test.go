@@ -69,9 +69,8 @@ func TestWorkersFlagBoundary(t *testing.T) {
 // TestRemoteScreenTable: a screen sweep run on a server prints the same
 // prediction table as the same sweep run locally — one row per
 // configuration, tear and journal cells included, with the kept column.
-// Only the header line differs (the local one carries wall-clock times
-// and the pruning margins), so the comparison starts at the table's
-// caption.
+// Only the header line differs (the local one carries wall-clock
+// times), so the comparison starts at the table's caption.
 func TestRemoteScreenTable(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and execs the jcexplore binary")
@@ -113,5 +112,47 @@ func TestRemoteScreenTable(t *testing.T) {
 	}
 	if len(seen) != 2*8*4 || !strings.Contains(lines[1], "kept") {
 		t.Fatalf("%d configurations, header %q; want 64 with a kept column", len(seen), lines[1])
+	}
+}
+
+// TestRemotePruningMargins: a multi-fidelity sweep run on a server
+// prints the same per-layer pruning-margin lines as the same sweep run
+// locally, from the ε the response trailer carries. The header line's
+// wall-clock times are left out of the comparison.
+func TestRemotePruningMargins(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and execs the jcexplore binary")
+	}
+	bin := build(t)
+	srv := serve.New(serve.Options{Workers: 2, SweepWorkers: 2})
+	hs := httptest.NewServer(srv.Handler())
+	defer srv.Close()
+	defer hs.Close()
+	margins := func(fid string, extra ...string) []string {
+		t.Helper()
+		args := append([]string{"-fidelity", fid, "-layer", "1,3", "-workload", "arith-loop"}, extra...)
+		var stdout, stderr bytes.Buffer
+		cmd := exec.Command(bin, args...)
+		cmd.Stdout, cmd.Stderr = &stdout, &stderr
+		if err := cmd.Run(); err != nil {
+			t.Fatalf("%v: %v\n%s", args, err, stderr.String())
+		}
+		var lines []string
+		for _, l := range strings.Split(stdout.String(), "\n") {
+			if strings.Contains(l, "pruning margin") {
+				lines = append(lines, l)
+			}
+		}
+		return lines
+	}
+	for _, fid := range []string{"screen", "confirm"} {
+		local, remote := margins(fid), margins(fid, "-remote", hs.URL)
+		if len(local) != 2 {
+			t.Fatalf("%s: local run printed %d margin lines, want 2: %q", fid, len(local), local)
+		}
+		if strings.Join(remote, "\n") != strings.Join(local, "\n") {
+			t.Fatalf("%s: remote margins differ from the local ones:\n%s\nvs\n%s",
+				fid, strings.Join(remote, "\n"), strings.Join(local, "\n"))
+		}
 	}
 }

@@ -3,7 +3,9 @@ package arb
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 
+	"repro/internal/core"
 	"repro/internal/ecbus"
 	"repro/internal/metrics"
 	"repro/internal/sim"
@@ -33,15 +35,13 @@ type Observer func(cycle uint64, req, gnt uint32)
 // priority away from the stalled winner.
 type Mux struct {
 	a   *Arbiter
-	bus Initiator
+	bus core.Initiator
 	n   int
 
 	// pending holds each port's presented-but-ungranted transactions in
-	// presentation order; granted tracks forwarded transactions until
-	// the owning master observes the terminal state (value: master has
-	// been told StateRequest).
+	// presentation order. A granted transaction leaves the mux: the bus
+	// holds it, and its master reads the outcome from the stamp.
 	pending [][]*ecbus.Transaction
-	granted []map[*ecbus.Transaction]bool
 
 	reqPrev, gntPrev uint32
 	edges            []uint64 // per-master request+grant wire transitions
@@ -50,13 +50,6 @@ type Mux struct {
 	contentions      uint64   // executed ticks with >1 requester
 
 	obs Observer
-}
-
-// Initiator is the downstream bus interface; structurally identical to
-// core.Initiator (redeclared to avoid an import cycle: core masters
-// drive mux ports through the same contract).
-type Initiator interface {
-	Access(tr *ecbus.Transaction) ecbus.BusState
 }
 
 // NewMux creates the arbitrating front for n masters and registers its
@@ -69,12 +62,8 @@ func NewMux(k *sim.Kernel, policy Policy, n int) *Mux {
 		a:       New(policy, n),
 		n:       n,
 		pending: make([][]*ecbus.Transaction, n),
-		granted: make([]map[*ecbus.Transaction]bool, n),
 		edges:   make([]uint64, n),
 		grants:  make([]uint64, n),
-	}
-	for i := 0; i < n; i++ {
-		m.granted[i] = make(map[*ecbus.Transaction]bool, 4)
 	}
 	k.AtHinted(sim.Falling, "arb-mux", m.tick, m.hint, nil)
 	return m
@@ -82,7 +71,7 @@ func NewMux(k *sim.Kernel, policy Policy, n int) *Mux {
 
 // Bind connects the downstream bus. It must be called before the first
 // kernel cycle.
-func (m *Mux) Bind(bus Initiator) *Mux {
+func (m *Mux) Bind(bus core.Initiator) *Mux {
 	m.bus = bus
 	return m
 }
@@ -138,10 +127,9 @@ func (m *Mux) tick(cycle uint64) {
 		switch st := m.bus.Access(tr); st {
 		case ecbus.StateRequest, ecbus.StateOK, ecbus.StateError:
 			// Accepted (or completed on the spot: zero-time counting bus,
-			// or a validation failure). Hand the transaction over; the
-			// master learns its state on its next poll.
+			// or a validation failure). The bus holds the transaction
+			// now; its master reads the stamp.
 			m.pending[w] = m.pending[w][1:]
-			m.granted[w][tr] = false
 			m.a.Commit(w)
 			gnt = 1 << uint(w)
 			m.grants[w]++
@@ -165,15 +153,16 @@ func (m *Mux) tick(cycle uint64) {
 	}
 }
 
-// Drained reports whether the mux holds no pending or granted
-// transactions and the wires are idle — the mux's contribution to a
-// run's termination condition.
+// Drained reports whether the mux holds no pending transaction and the
+// wires are idle — the mux's contribution to a run's termination
+// condition. A granted transaction is the bus's and its master's: the
+// master is not done before it reads the stamp.
 func (m *Mux) Drained() bool {
 	if m.reqPrev != 0 || m.gntPrev != 0 {
 		return false
 	}
 	for i := 0; i < m.n; i++ {
-		if len(m.pending[i]) > 0 || len(m.granted[i]) > 0 {
+		if len(m.pending[i]) > 0 {
 			return false
 		}
 	}
@@ -230,38 +219,22 @@ type Port struct {
 	i int
 }
 
-// Access implements the non-blocking master-side protocol through the
-// arbiter. A new transaction is queued for arbitration and answered
-// StateWait until granted; the poll after the grant returns
-// StateRequest (the acceptance the master is waiting for), and
-// subsequent polls delegate to the bus until the terminal state.
+// Access queues tr for arbitration and answers StateWait: the master
+// presents it again each cycle until the grant hands it to the bus,
+// which stamps it accepted (or done), and from then on reads the stamp
+// (core.Present). A transaction presented again while queued keeps its
+// place. As a guard, a transaction a bus took answers from its stamp,
+// with no effect.
 func (p *Port) Access(tr *ecbus.Transaction) ecbus.BusState {
-	m := p.m
-	if tr.Done {
-		// Completed while held here (granted-and-finished between the
-		// master's polls, or forwarded straight to a terminal state).
-		delete(m.granted[p.i], tr)
-		if tr.Err {
-			return ecbus.StateError
-		}
-		return ecbus.StateOK
+	switch {
+	case tr.Done:
+		return tr.Outcome()
+	case tr.Accepted:
+		return ecbus.StateWait
 	}
-	if told, ok := m.granted[p.i][tr]; ok {
-		if !told {
-			m.granted[p.i][tr] = true
-			return ecbus.StateRequest
-		}
-		st := m.bus.Access(tr)
-		if st.Done() {
-			delete(m.granted[p.i], tr)
-		}
-		return st
+	q := &p.m.pending[p.i]
+	if !slices.Contains(*q, tr) {
+		*q = append(*q, tr)
 	}
-	for _, q := range m.pending[p.i] {
-		if q == tr {
-			return ecbus.StateWait
-		}
-	}
-	m.pending[p.i] = append(m.pending[p.i], tr)
 	return ecbus.StateWait
 }

@@ -104,11 +104,9 @@ func (ln *lane) done() bool {
 func (e *Engine) masterTick(ln *lane, li int) {
 	cycle := ln.cyc
 	if ln.finCnt > 0 {
-		// The serial master polls every in-flight transaction via Access
-		// each cycle and finishes the completed ones in in-flight order;
-		// polling an unfinished one is a side-effect-free StateWait, so
-		// only the relative order of the completed transactions is
-		// observable. The bus units record at most three completions per
+		// The serial master harvests the in-flight transactions stamped
+		// done each cycle, in in-flight order, so only the relative
+		// order of the completed transactions is observable. The bus units record at most three completions per
 		// cycle (address-error, read beat, write beat); sorting those by
 		// issue ordinal restores the serial finish order.
 		if ln.finCnt > 1 {
@@ -120,11 +118,7 @@ func (e *Engine) masterTick(ln *lane, li int) {
 		}
 		for i := 0; i < ln.finCnt; i++ {
 			tr := ln.finished[i].tr
-			st := ecbus.StateOK
-			if tr.Err {
-				st = ecbus.StateError
-			}
-			e.masterFinish(ln, tr, st, cycle)
+			e.masterFinish(ln, tr, tr.Outcome(), cycle)
 			ln.finished[i] = finRec{}
 		}
 		ln.finCnt = 0

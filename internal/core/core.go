@@ -23,14 +23,32 @@ import (
 )
 
 // Initiator is the master-side bus interface shared by every layer:
-// non-blocking, invoked once per transaction per rising edge. The first
-// call submits the transaction (StateRequest, or StateWait if the bus
-// cannot accept it this cycle); subsequent calls poll until a terminal
-// state (StateOK / StateError). This is the paper's "bus master invokes
-// the bus interface every clock cycle until the bus returns error or
-// ok".
+// non-blocking, called on a rising edge to present one attempt of a
+// transaction. It answers StateRequest when a bus now holds the
+// attempt, StateWait when it was refused (category full) or queued at
+// an arbiter (present it again next cycle), and StateOK or StateError
+// when it completed on the spot. The paper's master "invokes the bus
+// interface every clock cycle until the bus returns error or ok"; here
+// a master reads a held attempt's outcome from the stamp the bus's
+// Ledger writes on retire, the cycle such a call would have answered,
+// and never presents a held or done transaction (Present). The buses
+// answer such a call without effect, as a guard.
 type Initiator interface {
 	Access(tr *ecbus.Transaction) ecbus.BusState
+}
+
+// Present presents tr to bus unless a bus already took it, and returns
+// its state: the stamped outcome once tr is done, StateRequest while a
+// bus holds it (behind an arbiter, from the grant on), and otherwise
+// bus's answer to the attempt.
+func Present(bus Initiator, tr *ecbus.Transaction) ecbus.BusState {
+	switch {
+	case tr.Done:
+		return tr.Outcome()
+	case tr.Accepted:
+		return ecbus.StateRequest
+	}
+	return bus.Access(tr)
 }
 
 // Refuser is an Initiator whose refusals are stable: Access refuses a
@@ -171,13 +189,12 @@ func NewScriptMaster(k *sim.Kernel, bus Initiator, items []Item) *ScriptMaster {
 
 // hint reports the earliest future cycle the master needs to run. Ticks
 // where the master can issue a request or harvest a finished
-// transaction execute normally. Ticks where it would only poll
-// unfinished transactions (a side-effect-free Access returning
-// StateWait) are skippable, and so are ticks that would only re-present
-// the request a Refuser just refused: that refusal stands until a
-// transaction completes, and the bus wakes the cycle after. A
-// backed-off retry or a different item falling due still wakes the
-// master.
+// transaction execute normally. Ticks where it would only find its
+// in-flight transactions unstamped are skippable, and so are ticks that
+// would only re-present the request a Refuser just refused: that
+// refusal stands until a transaction completes, and the bus wakes the
+// cycle after. A backed-off retry or a different item falling due still
+// wakes the master.
 func (m *ScriptMaster) hint(now uint64) uint64 {
 	next := sim.NoEvent
 	if len(m.retryQ) > 0 && len(m.inflight) < m.MaxInFlight {
@@ -234,12 +251,12 @@ func (m *ScriptMaster) TotalRetries() int { return m.totalRetries }
 
 func (m *ScriptMaster) tick(cycle uint64) {
 	m.refused = nil
-	// Poll in-flight transactions; the bus answers Wait until done.
+	// Harvest the in-flight transactions the bus has stamped done, in
+	// in-flight order.
 	keep := m.inflight[:0]
 	for _, tr := range m.inflight {
-		st := m.bus.Access(tr)
-		if st.Done() {
-			m.finish(tr, st, cycle)
+		if tr.Done {
+			m.finish(tr, cycle)
 		} else {
 			keep = append(keep, tr)
 		}
@@ -265,17 +282,17 @@ func (m *ScriptMaster) tick(cycle uint64) {
 	}
 }
 
-// present offers tr to the bus and reports whether the bus took it: an
-// accepted request goes in flight, one completed at once (the
-// validation failure path) is finished, and a refusal (bus full) is
-// remembered so the master can sleep until a completion if the
-// refusal is stable (see hint).
+// present offers tr to the bus and reports whether the bus took it: a
+// held request goes in flight, one completed at once (the validation
+// failure path) is finished, and a refusal (bus full) is remembered so
+// the master can sleep until a completion if the refusal is stable
+// (see hint).
 func (m *ScriptMaster) present(tr *ecbus.Transaction, cycle uint64) bool {
-	switch st := m.bus.Access(tr); st {
+	switch Present(m.bus, tr) {
 	case ecbus.StateRequest:
 		m.inflight = append(m.inflight, tr)
 	case ecbus.StateOK, ecbus.StateError:
-		m.finish(tr, st, cycle)
+		m.finish(tr, cycle)
 	default:
 		if m.refuser != nil {
 			m.refused = tr
@@ -288,8 +305,8 @@ func (m *ScriptMaster) present(tr *ecbus.Transaction, cycle uint64) bool {
 // finish applies the retry policy to a completed transaction: an
 // errored transaction with retry budget left is reset and queued for
 // re-issue after the backoff window; otherwise it is final.
-func (m *ScriptMaster) finish(tr *ecbus.Transaction, st ecbus.BusState, cycle uint64) {
-	if st == ecbus.StateError {
+func (m *ScriptMaster) finish(tr *ecbus.Transaction, cycle uint64) {
+	if tr.Err {
 		if at, ok := m.Retry.Reissue(tr, cycle); ok {
 			m.totalRetries++
 			m.Metrics.Retries(1)

@@ -42,17 +42,15 @@ func (l *Ledger) SetMetrics(m *ecbus.Map, reg *metrics.Registry) { l.m, l.mx = m
 
 // Admit answers a master's Access for tr, presented for cycle issue. A
 // finished transaction answers StateOK or StateError and an accepted
-// one StateWait, with no effect. A fresh request is refused (StateWait)
+// one StateWait, with no effect: masters present neither (Present), so
+// these answers are a guard. A fresh request is refused (StateWait)
 // while its category is full, completes at once as an error when it is
 // structurally invalid (it never reaches the wire), and is otherwise
 // accepted: stamped, counted, and answered StateRequest, which tells the
 // bus to queue it.
 func (l *Ledger) Admit(tr *ecbus.Transaction, issue uint64) ecbus.BusState {
 	if tr.Done {
-		if tr.Err {
-			return ecbus.StateError
-		}
-		return ecbus.StateOK
+		return tr.Outcome()
 	}
 	if tr.Accepted {
 		return ecbus.StateWait
@@ -61,7 +59,7 @@ func (l *Ledger) Admit(tr *ecbus.Transaction, issue uint64) ecbus.BusState {
 }
 
 // admit is the fresh-request half of Admit, kept out of line so the
-// poll answer inlines into every bus's Access.
+// guard answer inlines into every bus's Access.
 func (l *Ledger) admit(tr *ecbus.Transaction, issue uint64) ecbus.BusState {
 	c := tr.Category()
 	if l.perCat[c] >= ecbus.MaxOutstanding {

@@ -40,7 +40,9 @@ type Stats struct {
 // through the layer-independent Initiator interface. It executes at most
 // one instruction per clock cycle: ALU throughput is one per cycle with
 // fetches pipelined (or served by the I-cache); loads and stores occupy
-// the extra cycles their bus transactions take.
+// the extra cycles their bus transactions take. In its fetch and memory
+// wait states the CPU presents the transaction until a bus holds it and
+// then reads its stamp (core.Present).
 //
 // Execution fidelity: branch delay slots are architectural (the word
 // after a branch/jump executes before the target); sub-word loads and
@@ -182,7 +184,7 @@ func (c *CPU) tick(uint64) {
 	case stHalted:
 		return
 	case stMemWait:
-		bs := c.bus.Access(c.memTr)
+		bs := core.Present(c.bus, c.memTr)
 		if !bs.Done() {
 			return
 		}
@@ -196,8 +198,8 @@ func (c *CPU) tick(uint64) {
 		}
 		c.startFetch()
 	case stFetchWait:
-		bs := c.bus.Access(c.fetchTr)
-		if bs == ecbus.StateWait || bs == ecbus.StateRequest {
+		bs := core.Present(c.bus, c.fetchTr)
+		if !bs.Done() {
 			return
 		}
 		if bs == ecbus.StateError {

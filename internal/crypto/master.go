@@ -3,7 +3,6 @@ package crypto
 import (
 	"repro/internal/core"
 	"repro/internal/ecbus"
-	"repro/internal/metrics"
 	"repro/internal/sim"
 )
 
@@ -32,9 +31,12 @@ const (
 // contending for the interconnect with the CPU and the DMA engine.
 // Each block costs two word reads, Rounds*CyclesPerRound engine-busy
 // cycles (the same latency the SFR-mapped Coprocessor models), and two
-// word writes. It registers on the kernel's rising edge.
+// word writes. It registers on the kernel's rising edge; its embedded
+// SingleMaster runs each transaction and counts transactions and
+// retries.
 type Master struct {
-	bus  core.Initiator
+	core.SingleMaster
+
 	key  uint64
 	jobs []Job
 
@@ -45,28 +47,15 @@ type Master struct {
 	busyUntil uint64
 	result    uint64
 
-	tr        ecbus.Transaction
-	ids       uint64
-	notBefore uint64 // backoff gate after an errored attempt
-
-	// Retry is the bus-error reaction policy. Set it before the first
-	// kernel cycle.
-	Retry core.RetryPolicy
-
-	// Metrics, when non-nil, receives the master-side retry count.
-	Metrics *metrics.Registry
-
 	// Stats.
-	Transactions uint64 // bus transactions issued
-	Retries      uint64 // errored attempts re-issued
-	Errors       uint64 // jobs abandoned after exhausting retries
-	Blocks       uint64 // blocks encrypted and written back
+	Errors uint64 // jobs abandoned after exhausting retries
+	Blocks uint64 // blocks encrypted and written back
 }
 
 // NewMaster creates a crypto bus master over bus (a mux port or a bus
 // model directly) and registers it on the kernel's rising edge.
 func NewMaster(k *sim.Kernel, bus core.Initiator, key uint64, jobs []Job) *Master {
-	m := &Master{bus: bus, key: key, jobs: jobs}
+	m := &Master{SingleMaster: core.NewSingleMaster(bus, core.RetryPolicy{}), key: key, jobs: jobs}
 	k.AtHinted(sim.Rising, "crypto-master", m.tick, m.hint, nil)
 	return m
 }
@@ -83,21 +72,16 @@ func (m *Master) hint(now uint64) uint64 {
 	if m.state == cmBusy && m.busyUntil > now {
 		return m.busyUntil
 	}
-	if m.notBefore > now {
-		return m.notBefore
-	}
-	return now
+	return m.Hint(now)
 }
 
-// issue presents a single-word transaction for the current block.
+// issue prepares a single-word transaction for the current block.
 func (m *Master) issue(kind ecbus.Kind, addr uint64, data uint32, next int) {
-	m.ids++
-	if err := m.tr.ResetSingle(m.ids, kind, addr, ecbus.W32, data); err != nil {
+	if _, err := m.Single(kind, addr, ecbus.W32, data); err != nil {
 		m.abandon()
 		return
 	}
 	m.state = next
-	m.Transactions++
 }
 
 // abandon gives up on the current job after an unrecoverable error.
@@ -131,9 +115,6 @@ func (m *Master) start() {
 
 // tick advances the master one cycle.
 func (m *Master) tick(cycle uint64) {
-	if cycle < m.notBefore {
-		return
-	}
 	if m.state == cmBusy {
 		if cycle < m.busyUntil {
 			return
@@ -154,28 +135,20 @@ func (m *Master) tick(cycle uint64) {
 			return
 		}
 	}
-	st := m.bus.Access(&m.tr)
-	if !st.Done() {
+	switch m.Step(m.Tr(), cycle) {
+	case ecbus.StateWait:
 		return
-	}
-	if st == ecbus.StateError {
-		at, ok := m.Retry.Reissue(&m.tr, cycle)
-		if !ok {
-			m.abandon()
-			return
-		}
-		m.Retries++
-		m.Metrics.Retries(1)
-		m.notBefore = at
+	case ecbus.StateError:
+		m.abandon()
 		return
 	}
 	j := m.jobs[m.ji]
 	switch m.state {
 	case cmReadLo:
-		m.lo = m.tr.Data[0]
+		m.lo = m.Tr().Data[0]
 		m.issue(ecbus.Read, j.Src+uint64(8*m.blk)+4, 0, cmReadHi)
 	case cmReadHi:
-		m.hi = m.tr.Data[0]
+		m.hi = m.Tr().Data[0]
 		m.result = Encrypt(m.key, uint64(m.hi)<<32|uint64(m.lo))
 		m.busyUntil = cycle + Rounds*CyclesPerRound
 		m.state = cmBusy

@@ -10,7 +10,6 @@ package dma
 import (
 	"repro/internal/core"
 	"repro/internal/ecbus"
-	"repro/internal/metrics"
 	"repro/internal/sim"
 )
 
@@ -31,10 +30,12 @@ const (
 // Engine is the DMA master: it walks its descriptor list, alternating
 // read and write transactions word by word (bursts of ecbus.BurstLen
 // when both addresses are burst-aligned and enough words remain), with
-// the same retry-with-backoff error reaction as the CPU-side masters.
-// It registers on the kernel's rising edge like every master.
+// the same retry-with-backoff error reaction as the CPU-side masters,
+// which its embedded SingleMaster runs. It registers on the kernel's
+// rising edge like every master.
 type Engine struct {
-	bus   core.Initiator
+	core.SingleMaster
+
 	descs []Descriptor
 
 	di    int // current descriptor
@@ -43,28 +44,15 @@ type Engine struct {
 	chunk int // words in the in-flight transaction
 	buf   [ecbus.BurstLen]uint32
 
-	tr        ecbus.Transaction
-	ids       uint64
-	notBefore uint64 // backoff gate after an errored attempt
-
-	// Retry is the bus-error reaction policy. Set it before the first
-	// kernel cycle.
-	Retry core.RetryPolicy
-
-	// Metrics, when non-nil, receives the engine-side retry count.
-	Metrics *metrics.Registry
-
 	// Stats.
-	Transactions uint64 // bus transactions issued
-	Retries      uint64 // errored attempts re-issued
-	Errors       uint64 // descriptors abandoned after exhausting retries
-	WordsMoved   uint64 // words successfully written to the destination
+	Errors     uint64 // descriptors abandoned after exhausting retries
+	WordsMoved uint64 // words successfully written to the destination
 }
 
 // New creates a DMA engine over bus (a mux port or a bus model
 // directly) and registers it on the kernel's rising edge.
 func New(k *sim.Kernel, bus core.Initiator, descs []Descriptor) *Engine {
-	e := &Engine{bus: bus, descs: descs}
+	e := &Engine{SingleMaster: core.NewSingleMaster(bus, core.RetryPolicy{}), descs: descs}
 	k.AtHinted(sim.Rising, "dma", e.tick, e.hint, nil)
 	return e
 }
@@ -78,10 +66,7 @@ func (e *Engine) hint(now uint64) uint64 {
 	if e.Done() {
 		return sim.NoEvent
 	}
-	if e.notBefore > now {
-		return e.notBefore
-	}
-	return now
+	return e.Hint(now)
 }
 
 // burstable reports whether the next chunk of the current descriptor
@@ -98,8 +83,8 @@ func (e *Engine) burstable() bool {
 	return src%alignment == 0 && dst%alignment == 0
 }
 
-// startRead prepares and presents the read transaction of the next
-// chunk. Descriptors with nothing to move are completed on the spot.
+// startRead prepares the read transaction of the next chunk.
+// Descriptors with nothing to move are completed on the spot.
 func (e *Engine) startRead() {
 	for e.di < len(e.descs) && e.off >= e.descs[e.di].Words {
 		e.di, e.off = e.di+1, 0
@@ -107,43 +92,37 @@ func (e *Engine) startRead() {
 	if e.di >= len(e.descs) {
 		return
 	}
-	d := e.descs[e.di]
-	e.ids++
+	e.chunk = 1
 	if e.burstable() {
 		e.chunk = ecbus.BurstLen
-		if err := e.tr.ResetBurst(e.ids, ecbus.Read, d.Src+uint64(4*e.off)); err != nil {
-			e.abandon()
-			return
-		}
-	} else {
-		e.chunk = 1
-		if err := e.tr.ResetSingle(e.ids, ecbus.Read, d.Src+uint64(4*e.off), ecbus.W32, 0); err != nil {
-			e.abandon()
-			return
-		}
+	}
+	if _, err := e.reset(ecbus.Read, e.descs[e.di].Src); err != nil {
+		e.abandon()
+		return
 	}
 	e.state = stRead
-	e.Transactions++
 }
 
-// startWrite presents the write transaction carrying the chunk just
+// startWrite prepares the write transaction carrying the chunk just
 // read.
 func (e *Engine) startWrite() {
-	d := e.descs[e.di]
-	e.ids++
-	var err error
-	if e.chunk == ecbus.BurstLen {
-		err = e.tr.ResetBurst(e.ids, ecbus.Write, d.Dst+uint64(4*e.off))
-	} else {
-		err = e.tr.ResetSingle(e.ids, ecbus.Write, d.Dst+uint64(4*e.off), ecbus.W32, 0)
-	}
+	tr, err := e.reset(ecbus.Write, e.descs[e.di].Dst)
 	if err != nil {
 		e.abandon()
 		return
 	}
-	copy(e.tr.Data, e.buf[:e.chunk])
+	copy(tr.Data, e.buf[:e.chunk])
 	e.state = stWrite
-	e.Transactions++
+}
+
+// reset prepares the pooled transaction for the current chunk at
+// base's offset: a burst for a full chunk, a single word otherwise.
+func (e *Engine) reset(kind ecbus.Kind, base uint64) (*ecbus.Transaction, error) {
+	addr := base + uint64(4*e.off)
+	if e.chunk == ecbus.BurstLen {
+		return e.Burst(kind, addr)
+	}
+	return e.Single(kind, addr, ecbus.W32, 0)
 }
 
 // abandon gives up on the current descriptor after an unrecoverable
@@ -154,12 +133,9 @@ func (e *Engine) abandon() {
 	e.state = stIdle
 }
 
-// tick advances the engine one cycle: poll the in-flight transaction,
+// tick advances the engine one cycle: step the in-flight transaction,
 // react to completion, and start the next chunk when idle.
 func (e *Engine) tick(cycle uint64) {
-	if cycle < e.notBefore {
-		return
-	}
 	if e.state == stIdle {
 		if e.di >= len(e.descs) {
 			return
@@ -169,24 +145,16 @@ func (e *Engine) tick(cycle uint64) {
 			return
 		}
 	}
-	st := e.bus.Access(&e.tr)
-	if !st.Done() {
+	switch e.Step(e.Tr(), cycle) {
+	case ecbus.StateWait:
 		return
-	}
-	if st == ecbus.StateError {
-		at, ok := e.Retry.Reissue(&e.tr, cycle)
-		if !ok {
-			e.abandon()
-			return
-		}
-		e.Retries++
-		e.Metrics.Retries(1)
-		e.notBefore = at
+	case ecbus.StateError:
+		e.abandon()
 		return
 	}
 	switch e.state {
 	case stRead:
-		copy(e.buf[:e.chunk], e.tr.Data)
+		copy(e.buf[:e.chunk], e.Tr().Data)
 		e.startWrite()
 	case stWrite:
 		e.WordsMoved += uint64(e.chunk)

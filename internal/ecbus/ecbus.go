@@ -202,6 +202,15 @@ type Transaction struct {
 	DataCycle  uint64 // cycle the final data phase completed
 }
 
+// Outcome returns the outcome stamped on a done transaction: StateOK,
+// or StateError when it finished with a bus error.
+func (t *Transaction) Outcome() BusState {
+	if t.Err {
+		return StateError
+	}
+	return StateOK
+}
+
 // Words returns the number of data words the transaction moves.
 func (t *Transaction) Words() int {
 	if t.Burst {

@@ -343,42 +343,6 @@ func Run(cfg Config, w javacard.Workload, char gatepower.CharTable) (Result, err
 	return r, nil
 }
 
-// vmStepBudget bounds one configuration's interpreter run; reaching it
-// means the workload diverged, not that the bus is slow.
-const vmStepBudget = 10_000_000
-
-// cancelCheckEvery is the bytecode interval between context polls while
-// a configuration runs under a cancellable context. One bytecode
-// completes in a bounded number of kernel steps, so this bounds the
-// cancellation latency to a small fraction of a millisecond.
-const cancelCheckEvery = 1024
-
-// runVM executes the interpreter to completion, polling ctx between
-// bytecode chunks. A context that can never be cancelled takes the
-// original single-call path, so reference runs are untouched.
-func runVM(ctx context.Context, vm *javacard.VM) error {
-	if ctx.Done() == nil {
-		return vm.Run(vmStepBudget)
-	}
-	for i := uint64(0); i < vmStepBudget; i++ {
-		if vm.Halted() {
-			return nil
-		}
-		if i%cancelCheckEvery == 0 {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-		}
-		if err := vm.Step(); err != nil {
-			return err
-		}
-	}
-	if !vm.Halted() {
-		return errors.New("jcvm: step budget exhausted")
-	}
-	return nil
-}
-
 // runPrepared evaluates one configuration against prepared workload
 // state. It builds a fully private simulation context — kernel, bus,
 // power model, adapter, VM — and therefore may run concurrently with
@@ -451,9 +415,9 @@ func runTimed(ctx context.Context, cfg Config, p prepared, char gatepower.CharTa
 	res.Transactions, res.Retries = s.traffic()
 	if reg != nil {
 		// The interpreter steps the kernel itself, so the run accounting
-		// and the CPU-side retries are recorded here rather than through
-		// kernel/master hooks (the contenders report their own).
-		reg.Retries(s.cpuRetries())
+		// and every master's retries are recorded here rather than
+		// through kernel/master hooks.
+		reg.Retries(res.Retries)
 		if s.mux != nil {
 			s.mux.ReportMetrics(reg)
 		}

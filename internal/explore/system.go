@@ -126,9 +126,9 @@ func newSystem(cfg Config, p prepared, layer int, char gatepower.CharTable, reg,
 	if s.mux != nil {
 		s.mux.Bind(bus)
 		s.cm = crypto.NewMaster(s.k, s.mux.Port(portCrypto), cryptoMasterKey, contendedJobs())
-		s.cm.Retry, s.cm.Metrics = s.retry, reg
+		s.cm.Retry = s.retry
 		s.de = dma.New(s.k, s.mux.Port(portDMA), contendedDescriptors())
-		s.de.Retry, s.de.Metrics = s.retry, reg
+		s.de.Retry = s.retry
 		s.cpu = s.mux.Port(portCPU)
 	}
 	return s, nil
@@ -206,14 +206,50 @@ func (m *cpuMaster) WriteWord(addr uint64, data uint32) error {
 // masters; reaching it means a grant-protocol deadlock, not slowness.
 const contendedDrainBudget = 2_000_000
 
+// vmStepBudget bounds one configuration's interpreter run; reaching it
+// means the workload diverged, not that the bus is slow.
+const vmStepBudget = 10_000_000
+
+// cancelCheckEvery is the bytecode interval between context polls. One
+// bytecode completes in a bounded number of kernel steps, so this
+// bounds the cancellation latency to a small fraction of a millisecond.
+const cancelCheckEvery = 1024
+
+// runVM is the one interpreter loop of every run kind: it steps the
+// booted interpreter until it halts, polling ctx every
+// cancelCheckEvery bytecodes (a cancellation returns a CancelledError).
+// When cut is non-nil it is checked at every bytecode boundary, and a
+// true answer ends the run with journal.ErrPowerLost, the error a
+// bytecode cut mid-access returns.
+func (s *system) runVM(ctx context.Context, cut func() bool) error {
+	vm := s.vm
+	for i := uint64(0); i < vmStepBudget; i++ {
+		if vm.Halted() {
+			return nil
+		}
+		if i%cancelCheckEvery == 0 {
+			if err := ctx.Err(); err != nil {
+				return &CancelledError{Config: s.cfg, Workload: s.p.w.Name, Cause: err}
+			}
+		}
+		if cut != nil && cut() {
+			return journal.ErrPowerLost
+		}
+		if err := vm.Step(); err != nil {
+			return err
+		}
+	}
+	if !vm.Halted() {
+		return errors.New("jcvm: step budget exhausted")
+	}
+	return nil
+}
+
 // run executes the booted interpreter to completion under ctx, flushes
 // the adapter's staged stack traffic and, on a contended system, runs
 // the kernel until the autonomous masters and the mux are idle.
 func (s *system) run(ctx context.Context) error {
-	if err := runVM(ctx, s.vm); err != nil {
-		if ctx.Err() != nil && errors.Is(err, ctx.Err()) {
-			return &CancelledError{Config: s.cfg, Workload: s.p.w.Name, Cause: err}
-		}
+	if err := s.runVM(ctx, nil); err != nil {
 		return err
 	}
 	if err := s.adapter.Flush(); err != nil {
@@ -231,12 +267,9 @@ func (s *system) run(ctx context.Context) error {
 	return nil
 }
 
-// cpuRetries counts the CPU masters' bus-error re-issues.
-func (s *system) cpuRetries() uint64 { return s.adapter.Retries + s.fetcher.Retries }
-
 // traffic sums transactions and retries over every master on the bus.
 func (s *system) traffic() (tx, retries uint64) {
-	tx, retries = s.adapter.Transactions+s.fetcher.Transactions, s.cpuRetries()
+	tx, retries = s.adapter.Transactions+s.fetcher.Transactions, s.adapter.Retries+s.fetcher.Retries
 	if s.mux != nil {
 		tx += s.cm.Transactions + s.de.Transactions
 		retries += s.cm.Retries + s.de.Retries

@@ -159,27 +159,10 @@ func runTorn(ctx context.Context, cfg Config, p prepared, char gatepower.CharTab
 	// The interpreter loop polls the monitor at every bytecode boundary
 	// — the second observation point class, also identical between the
 	// reference and optimized paths.
-	torn := false
-	for i := uint64(0); i < vmStepBudget && !vm.Halted(); i++ {
-		if i%cancelCheckEvery == 0 {
-			if err := ctx.Err(); err != nil {
-				return Result{}, &CancelledError{Config: cfg, Workload: p.w.Name, Cause: err}
-			}
-		}
-		if mon.Check() {
-			torn = true
-			break
-		}
-		if err := vm.Step(); err != nil {
-			if errors.Is(err, journal.ErrPowerLost) {
-				torn = true
-				break
-			}
-			return Result{}, err
-		}
-	}
-	if !torn && !vm.Halted() {
-		return Result{}, errors.New("jcvm: step budget exhausted")
+	err = sa.runVM(ctx, mon.Check)
+	torn := errors.Is(err, journal.ErrPowerLost)
+	if err != nil && !torn {
+		return Result{}, err
 	}
 	if !torn {
 		// Normal completion: flush the trailing transaction, which may

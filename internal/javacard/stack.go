@@ -218,8 +218,6 @@ type MasterAdapter struct {
 	org  Organization
 
 	pend []int16 // burst batching buffer (OrgBurst)
-
-	btr ecbus.Transaction // pooled burst, run to completion like the single
 }
 
 // NewMasterAdapter binds a stack adapter to a bus and a HardStack base
@@ -284,14 +282,15 @@ func (a *MasterAdapter) Flush() error {
 		return nil
 	}
 	if len(a.pend) == 4 {
-		if err := a.btr.ResetBurst(a.NextID(), ecbus.Write, a.base+RegBurst); err != nil {
+		tr, err := a.Burst(ecbus.Write, a.base+RegBurst)
+		if err != nil {
 			return err
 		}
 		for i, v := range a.pend {
-			a.btr.Data[i] = uint32(uint16(v))
+			tr.Data[i] = uint32(uint16(v))
 		}
 		a.pend = a.pend[:0]
-		_, err := a.complete(&a.btr)
+		_, err = a.complete(tr)
 		return err
 	}
 	vals := append([]int16(nil), a.pend...)

@@ -182,10 +182,11 @@ func (b *Bus) onSkip(n uint64) {
 }
 
 // Access is the master-side non-blocking interface, shared semantics with
-// the layer-1 model: the first call for a transaction submits it
-// (StateRequest) or rejects it (StateWait, category full — retry next
-// cycle); subsequent calls poll (StateWait until the transaction is
-// Done, then StateOK or StateError). Masters call it on rising edges.
+// the layer-1 model: a call presents one attempt and either accepts it
+// (StateRequest) or rejects it (StateWait, category full — present
+// again next cycle). An accepted transaction's outcome is the stamp
+// the ledger writes when it retires; the master reads it and does not
+// call again. Masters call it on rising edges.
 func (b *Bus) Access(tr *ecbus.Transaction) ecbus.BusState {
 	st := b.Admit(tr, b.cycle+1) // accepted for the cycle now being issued
 	if st == ecbus.StateRequest {

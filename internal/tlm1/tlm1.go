@@ -216,8 +216,10 @@ func (b *Bus) Idle() bool {
 // the data interface dispatch here; the transaction kind distinguishes
 // them). Semantics per the paper: "request means the request has been
 // accepted, wait means the request is in progress, error indicates a bus
-// error, ok indicates a finished bus request", and the master keeps
-// invoking it until ok or error.
+// error, ok indicates a finished bus request". Where the paper's master
+// keeps invoking it until ok or error, this master presents a request
+// until it is accepted and then reads the outcome the ledger stamps on
+// the transaction, on the cycle that invocation would have returned it.
 func (b *Bus) Access(tr *ecbus.Transaction) ecbus.BusState {
 	st := b.Admit(tr, b.cycle+1)
 	if st == ecbus.StateRequest {

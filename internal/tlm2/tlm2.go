@@ -202,7 +202,8 @@ func (b *Bus) Idle() bool {
 // Access is the master interface, with layer-1 semantics so the
 // hierarchical framework drives every layer with one master. The first
 // call creates the request in the shared list, sampling the slave state
-// immediately as the paper's model does; later calls poll.
+// immediately as the paper's model does; the master then reads the
+// outcome the ledger stamps.
 func (b *Bus) Access(tr *ecbus.Transaction) ecbus.BusState {
 	st := b.Admit(tr, b.cycle+1)
 	if st == ecbus.StateRequest {

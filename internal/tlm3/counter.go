@@ -92,8 +92,10 @@ func (c *Counter) Cycles() uint64 { return c.cycles }
 
 // Access completes tr immediately, counting its events. It never
 // returns a non-terminal state: masters built for the timed layers
-// (retry loops stepping the kernel between polls) work unchanged, they
-// just never observe a wait.
+// (which present a transaction until a bus holds it, then read its
+// stamp) work unchanged, they just never observe a wait. It keeps no
+// guard: presenting a done transaction counts it again, which no master
+// does (core.Present).
 func (c *Counter) Access(tr *ecbus.Transaction) ecbus.BusState {
 	c.f.AddrPhases++
 	if tr.Kind == ecbus.Fetch {

@@ -32,6 +32,9 @@ type Record struct {
 // transaction once: its first attempt's acceptance, so a retry is not
 // recorded again, while a pooled transaction reset for its next use is.
 // It is transparent: masters drive it exactly like the underlying bus.
+// It records what the wrapped Access accepts, so it wraps a bus: behind
+// an arbitration port the grant hands a transaction to the bus without
+// a call through the Recorder, and the transaction goes unrecorded.
 // A refusal passes through unrecorded, so Unwrap
 // exposes the bus: a master behind the Recorder sleeps through a full
 // bus (core.Refuser) exactly as it would on the bus itself.

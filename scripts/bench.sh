@@ -11,13 +11,15 @@
 # alongside the usual go test output.
 #
 #   BENCHTIME=20x ./scripts/bench.sh       # per-benchmark time/iterations
-#   BENCH_OUT=path.json ./scripts/bench.sh # where the JSON table goes
+#   BENCH_OUT=path.json ./scripts/bench.sh # where the JSON table goes;
+#       the default, $TMPDIR/bench.json, is outside the tree, so a plain
+#       run never overwrites a committed BENCH_*.json
 #   BENCH_RE='BenchmarkSweep' ./scripts/bench.sh  # benchmark selection
 set -eu
 cd "$(dirname "$0")/.."
 
 BENCHTIME="${BENCHTIME:-10x}"
-BENCH_OUT="${BENCH_OUT:-BENCH_10.json}"
+BENCH_OUT="${BENCH_OUT:-${TMPDIR:-/tmp}/bench.json}"
 BENCH_RE="${BENCH_RE:-BenchmarkTable3_|BenchmarkBatchCorpus_|BenchmarkScreenConfig|BenchmarkSweepMultiFidelity|BenchmarkSweepExhaustive|BenchmarkClusterCached|BenchmarkTearSession}"
 
 out=$(go test -run '^$' -bench "$BENCH_RE" \
