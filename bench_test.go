@@ -338,13 +338,7 @@ func BenchmarkObserve_Dense(b *testing.B) {
 	est := gatepower.NewEstimator(gatepower.DefaultConfig())
 	var w ecbus.Bundle
 	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		flip := ^uint64(0) * uint64(i&1)
-		for id := ecbus.SignalID(0); id < ecbus.NumSignals; id++ {
-			w.Set(id, flip)
-		}
-		est.Observe(&w)
-	}
+	observeDense(est, &w, b.N)
 }
 
 // Ring-queue churn: back-to-back bursts rotating through the layer-1

@@ -529,17 +529,6 @@ func (e *Engine) loadRun(li int, run Run, idx int) {
 	ln.items = run.Items
 	ln.cyc = ^uint64(0) // first tick pre-increments to cycle 0
 	ln.m = e.cfg.NewMap()
-	// The data/wait path works on the unwrapped slaves: transparent
-	// wrappers (empty-plan fault injectors) delegate every call verbatim,
-	// so bypassing them changes no observable behaviour.
-	ln.slaves = ln.slaves[:0]
-	ln.waiters = ln.waiters[:0]
-	for _, s := range ln.m.Slaves() {
-		u := ecbus.Unwrap(s)
-		d, _ := u.(ecbus.DynamicWaiter)
-		ln.slaves = append(ln.slaves, u)
-		ln.waiters = append(ln.waiters, d)
-	}
 	e.active |= 1 << uint(li)
 }
 
@@ -559,8 +548,7 @@ func (e *Engine) clearLane(ln *lane, li int) {
 	e.decE[li] = 0
 	e.eCycle[li], e.totalE[li] = 0, 0
 	e.sleeping &^= bit
-	*ln = lane{retryQ: ln.retryQ[:0],
-		slaves: ln.slaves[:0], waiters: ln.waiters[:0]}
+	*ln = lane{retryQ: ln.retryQ[:0]}
 }
 
 // reset returns the whole engine to its post-construction state.

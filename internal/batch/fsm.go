@@ -50,11 +50,9 @@ type finRec struct {
 // (lane-local fault ordinals), master bookkeeping and bus queues. Wire
 // values live in the engine's shared lattice, indexed by lane.
 type lane struct {
-	runIdx  int
-	cyc     uint64 // current cycle; starts at all-ones, pre-incremented per tick
-	m       *ecbus.Map
-	slaves  []ecbus.Slave         // ln.m.Slaves(), cached for per-beat lookup
-	waiters []ecbus.DynamicWaiter // per-slave DynamicWaiter, nil when not implemented
+	runIdx int
+	cyc    uint64 // current cycle; starts at all-ones, pre-incremented per tick
+	m      *ecbus.Map
 
 	// Master (core.ScriptMaster port). In-flight transactions are a
 	// count plus a completion ring: the serial master's in-flight SLICE
@@ -202,33 +200,25 @@ func (ln *lane) access(tr *ecbus.Transaction) ecbus.BusState {
 }
 
 // sampleSlave samples the slave control interface at address-phase
-// start: wait states and access legality, in the exact decision order
-// of ecbus.Map.Check (decode, range, rights). Data wait states come
-// from the static slave configuration, so sampling them here (as tlm1
-// does) is identical to layer 0's sampling at data-phase start.
+// start: one ecbus.Map.Lookup gives the slave index and access
+// legality, then the wait states. Data wait states come from the
+// static slave configuration, so sampling them here (as tlm1 does) is
+// identical to layer 0's sampling at data-phase start.
 func (e *Engine) sampleSlave(ln *lane, en *laneEntry) {
 	tr := en.tr
-	idx := ln.m.Index(tr.Addr)
+	idx, ok := ln.m.Lookup(tr.Kind, tr.Addr, tr.Words()*4)
 	en.sel = int16(idx)
-	if idx < 0 {
+	if !ok {
 		en.err = true
 		en.aw = 0 // errors terminate after a 1-cycle address phase
 		return
 	}
-	cfg := ln.m.ConfigAt(idx)
-	if !cfg.Contains(tr.Addr+uint64(tr.Words()*4)-1) || !cfg.Allows(tr.Kind) {
-		en.err = true
-		en.aw = 0
-		return
-	}
-	en.aw = int32(cfg.AddrWait)
-	if d := ln.waiters[idx]; d != nil {
-		en.aw += int32(d.ExtraWait(tr.Kind, tr.Addr))
-	}
+	t := ln.m.Target(idx)
+	en.aw = int32(t.Config.AddrWait + t.ExtraWait(tr.Kind, tr.Addr))
 	if tr.Kind.IsRead() {
-		en.dw = int32(cfg.ReadWait)
+		en.dw = int32(t.Config.ReadWait)
 	} else {
-		en.dw = int32(cfg.WriteWait)
+		en.dw = int32(t.Config.WriteWait)
 	}
 }
 
@@ -311,7 +301,7 @@ func (e *Engine) completeError(ln *lane, li int, en *laneEntry) {
 	} else {
 		e.setPacked(ecbus.SigWBErr, li, true)
 	}
-	ln.tx.Retire(en.tr, ln.cyc, true)
+	ln.tx.Retire(en.tr, ln.cyc, true, int(en.sel))
 	ln.finished[ln.finCnt] = finRec{tr: en.tr, seq: en.seq}
 	ln.finCnt++
 	ln.inflight--
@@ -341,7 +331,7 @@ func (e *Engine) readUnit(ln *lane, li int) {
 	}
 	// The checked range lies within one slave, so the sampled slave is
 	// the per-beat decode result of the layer-0 model.
-	data, ok := ln.slaves[en.sel].ReadWord(addr, w)
+	data, ok := ln.m.Target(int(en.sel)).Slave.ReadWord(addr, w)
 	e.setVal(ecbus.SigRData, li, uint64(data))
 	en.tr.Data[i] = data
 	en.beat++
@@ -385,7 +375,7 @@ func (e *Engine) writeUnit(ln *lane, li int) {
 	if en.tr.Burst {
 		w = ecbus.W32
 	}
-	ok := ln.slaves[en.sel].WriteWord(addr, en.tr.Data[i], w)
+	ok := ln.m.Target(int(en.sel)).Slave.WriteWord(addr, en.tr.Data[i], w)
 	en.beat++
 	if !ok {
 		// Mirror of the read-side rule: the write-error strobe replaces
@@ -485,7 +475,7 @@ func (e *Engine) nextWake(ln *lane, li int) uint64 {
 // finishData retires the head of a data queue.
 func (e *Engine) finishData(ln *lane, q *ecbus.Ring[laneEntry], en *laneEntry, err bool) {
 	tr := en.tr
-	ln.tx.Retire(tr, ln.cyc, err)
+	ln.tx.Retire(tr, ln.cyc, err, int(en.sel))
 	ln.finished[ln.finCnt] = finRec{tr: tr, seq: en.seq}
 	ln.finCnt++
 	q.Pop()

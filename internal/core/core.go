@@ -54,12 +54,16 @@ func Present(bus Initiator, tr *ecbus.Transaction) ecbus.BusState {
 // Refuser is an Initiator whose refusals are stable: Access refuses a
 // request only because its category is full, the refusal has no effect
 // but being counted, and it cannot turn into an acceptance before a
-// transaction on the bus completes. The bus executes the cycle after
-// every such completion whatever the hints say, so a refused master may
-// sleep until then; Refused books the n refusals it would have made on
-// the cycles the kernel skipped. The exact bus models (rtlbus, tlm1,
-// tlm2) are Refusers. An arbitrated port is not: its refusal queues the
-// request, and the grant arrives without any completion.
+// transaction in that category retires. The bus executes the cycle
+// after every such retire whatever the hints say, so a refused master
+// may sleep until then; Refused books the n refusals it would have made
+// on the cycles the kernel skipped, or the one it would have drawn by
+// presenting to a category Full still reports full. Retired counts the
+// bus's retires, so a master that sees it unchanged knows none of its
+// held transactions was stamped done. The exact bus models (rtlbus,
+// tlm1, tlm2) are Refusers, through their core.Ledger. An arbitrated
+// port is not: its refusal queues the request, and the grant arrives
+// without any completion.
 //
 // A wrapper that hands every refusal to the bus it wraps unchanged, and
 // adds no effect of its own to it, exposes that bus through
@@ -67,6 +71,8 @@ func Present(bus Initiator, tr *ecbus.Transaction) ecbus.BusState {
 type Refuser interface {
 	Initiator
 	Refused(n uint64)
+	Retired() uint64
+	Full(c ecbus.Category) bool
 }
 
 // refuserOf returns the Refuser that answers bus's refusals, looking
@@ -140,16 +146,25 @@ func (p RetryPolicy) Reissue(tr *ecbus.Transaction, cycle uint64) (uint64, bool)
 // replaying traced transaction sequences into the transaction-level
 // models (paper §4.1).
 type ScriptMaster struct {
-	bus      Initiator
-	items    []Item
-	next     int
-	inflight []*ecbus.Transaction
+	bus   Initiator
+	items []Item
+	next  int
 
-	// refuser books the refusals of skipped cycles (nil: bus refusals
-	// are not stable, and the master asks again every cycle); refused is
-	// the transaction the last tick's Access refused, if any.
+	// inflight holds the items a bus holds, in presentation order, and
+	// retryQ the errored ones awaiting re-issue. Both name an item by
+	// its index, so the per-cycle bookkeeping writes no pointers.
+	inflight []int
+	retryQ   []reissue
+
+	// refuser books the refusals of skipped cycles and answers whether
+	// a category is full and how many transactions retired (nil: bus
+	// refusals are not stable, so the master presents again every cycle
+	// and scans its in-flight list for done stamps). refused is the item
+	// the last tick saw refused, or -1; seen is the refuser's Retired
+	// count at the last in-flight scan.
 	refuser Refuser
-	refused *ecbus.Transaction
+	refused int
+	seen    uint64
 
 	// MaxInFlight limits pipelining; the EC categories independently cap
 	// outstanding transactions at 4 each, so 12 means "as pipelined as
@@ -165,11 +180,16 @@ type ScriptMaster struct {
 	// and the sum of Transaction.Retries over final completions.
 	Metrics *metrics.Registry
 
-	retryQ       []Item // errored transactions awaiting re-issue
 	totalRetries int
 
 	completed []*ecbus.Transaction
 	errors    int
+}
+
+// reissue is errored item i, queued for re-issue at cycle at or later.
+type reissue struct {
+	i  int
+	at uint64
 }
 
 // NewScriptMaster creates a script master over bus and registers it on
@@ -179,9 +199,10 @@ func NewScriptMaster(k *sim.Kernel, bus Initiator, items []Item) *ScriptMaster {
 		bus:         bus,
 		items:       items,
 		MaxInFlight: 3 * ecbus.MaxOutstanding,
-		inflight:    make([]*ecbus.Transaction, 0, 3*ecbus.MaxOutstanding),
+		inflight:    make([]int, 0, 3*ecbus.MaxOutstanding),
 		completed:   make([]*ecbus.Transaction, 0, len(items)),
 		refuser:     refuserOf(bus),
+		refused:     -1,
 	}
 	k.AtHinted(sim.Rising, "script-master", m.tick, m.hint, m.onSkip)
 	return m
@@ -198,31 +219,45 @@ func NewScriptMaster(k *sim.Kernel, bus Initiator, items []Item) *ScriptMaster {
 func (m *ScriptMaster) hint(now uint64) uint64 {
 	next := sim.NoEvent
 	if len(m.retryQ) > 0 && len(m.inflight) < m.MaxInFlight {
-		if it := m.retryQ[0]; it.NotBefore > now {
-			next = it.NotBefore
-		} else if it.Tr != m.refused {
+		if r := m.retryQ[0]; r.at > now {
+			next = r.at
+		} else if r.i != m.refused {
 			return now // a backed-off transaction is due for re-issue
 		}
 	}
 	if m.next < len(m.items) && len(m.inflight) < m.MaxInFlight {
-		if it := m.items[m.next]; it.NotBefore > now {
-			next = min(next, it.NotBefore)
-		} else if it.Tr != m.refused {
+		if at := m.items[m.next].NotBefore; at > now {
+			next = min(next, at)
+		} else if m.next != m.refused {
 			return now // can issue this cycle
 		}
 	}
-	for _, tr := range m.inflight {
-		if tr.Done {
-			return now // completion to harvest
-		}
+	if m.stamped() {
+		return now // completion to harvest
 	}
 	return next
+}
+
+// stamped reports whether an in-flight transaction is done. Behind a
+// Refuser it scans only when the bus retired something since the last
+// harvest: every done stamp on a held transaction is a retire of that
+// bus.
+func (m *ScriptMaster) stamped() bool {
+	if m.refuser != nil && m.refuser.Retired() == m.seen {
+		return false
+	}
+	for _, i := range m.inflight {
+		if m.items[i].Tr.Done {
+			return true
+		}
+	}
+	return false
 }
 
 // onSkip books the refusals the skipped ticks would have drawn: each
 // would have re-presented the refused request to a still-full bus.
 func (m *ScriptMaster) onSkip(n uint64) {
-	if m.refused != nil {
+	if m.refused >= 0 {
 		m.refuser.Refused(n)
 	}
 }
@@ -250,24 +285,14 @@ func (m *ScriptMaster) Errors() int { return m.errors }
 func (m *ScriptMaster) TotalRetries() int { return m.totalRetries }
 
 func (m *ScriptMaster) tick(cycle uint64) {
-	m.refused = nil
-	// Harvest the in-flight transactions the bus has stamped done, in
-	// in-flight order.
-	keep := m.inflight[:0]
-	for _, tr := range m.inflight {
-		if tr.Done {
-			m.finish(tr, cycle)
-		} else {
-			keep = append(keep, tr)
-		}
-	}
-	m.inflight = keep
+	m.refused = -1
+	m.harvest(cycle)
 
 	// Re-issue backed-off errored transactions first, oldest first, so a
 	// retry precedes every scripted item that was submitted after the
 	// failing transaction.
-	for len(m.retryQ) > 0 && len(m.inflight) < m.MaxInFlight && m.retryQ[0].NotBefore <= cycle {
-		if !m.present(m.retryQ[0].Tr, cycle) {
+	for len(m.retryQ) > 0 && len(m.inflight) < m.MaxInFlight && m.retryQ[0].at <= cycle {
+		if !m.present(m.retryQ[0].i, cycle) {
 			return
 		}
 		m.retryQ = m.retryQ[1:]
@@ -275,42 +300,79 @@ func (m *ScriptMaster) tick(cycle uint64) {
 
 	// Issue new requests while the script and the bus allow.
 	for m.next < len(m.items) && len(m.inflight) < m.MaxInFlight && m.items[m.next].NotBefore <= cycle {
-		if !m.present(m.items[m.next].Tr, cycle) {
+		if !m.present(m.next, cycle) {
 			return // preserve program order
 		}
 		m.next++
 	}
 }
 
-// present offers tr to the bus and reports whether the bus took it: a
-// held request goes in flight, one completed at once (the validation
-// failure path) is finished, and a refusal (bus full) is remembered so
-// the master can sleep until a completion if the refusal is stable
-// (see hint).
-func (m *ScriptMaster) present(tr *ecbus.Transaction, cycle uint64) bool {
+// harvest finishes the in-flight transactions the bus has stamped done,
+// in in-flight order. Behind a Refuser each done stamp is one retire,
+// so the move of its Retired count since the last harvest bounds them:
+// with no move there is none, and the scan stops at the last one.
+func (m *ScriptMaster) harvest(cycle uint64) {
+	left := ^uint64(0)
+	if m.refuser != nil {
+		r := m.refuser.Retired()
+		if left = r - m.seen; left == 0 {
+			return
+		}
+		m.seen = r
+	}
+	keep := m.inflight[:0]
+	for j, i := range m.inflight {
+		if !m.items[i].Tr.Done {
+			keep = append(keep, i)
+			continue
+		}
+		m.finish(i, cycle)
+		if left--; left == 0 {
+			keep = append(keep, m.inflight[j+1:]...)
+			break
+		}
+	}
+	m.inflight = keep
+}
+
+// present offers item i to the bus and reports whether the bus took
+// it: a held request goes in flight, one completed at once (the
+// validation failure path) is finished, and a refusal (bus full) is
+// remembered so the master can sleep until a completion if the refusal
+// is stable (see hint). A fresh request whose category a Refuser
+// reports Full is refused without the call: the bus would refuse it the
+// same way, and the refusal is booked as the bus books it.
+func (m *ScriptMaster) present(i int, cycle uint64) bool {
+	tr := m.items[i].Tr
+	if m.refuser != nil && !tr.Done && !tr.Accepted && m.refuser.Full(tr.Category()) {
+		m.refuser.Refused(1)
+		m.refused = i
+		return false
+	}
 	switch Present(m.bus, tr) {
 	case ecbus.StateRequest:
-		m.inflight = append(m.inflight, tr)
+		m.inflight = append(m.inflight, i)
 	case ecbus.StateOK, ecbus.StateError:
-		m.finish(tr, cycle)
+		m.finish(i, cycle)
 	default:
 		if m.refuser != nil {
-			m.refused = tr
+			m.refused = i
 		}
 		return false
 	}
 	return true
 }
 
-// finish applies the retry policy to a completed transaction: an
-// errored transaction with retry budget left is reset and queued for
-// re-issue after the backoff window; otherwise it is final.
-func (m *ScriptMaster) finish(tr *ecbus.Transaction, cycle uint64) {
+// finish applies the retry policy to completed item i: an errored
+// transaction with retry budget left is reset and queued for re-issue
+// after the backoff window; otherwise it is final.
+func (m *ScriptMaster) finish(i int, cycle uint64) {
+	tr := m.items[i].Tr
 	if tr.Err {
 		if at, ok := m.Retry.Reissue(tr, cycle); ok {
 			m.totalRetries++
 			m.Metrics.Retries(1)
-			m.retryQ = append(m.retryQ, Item{Tr: tr, NotBefore: at})
+			m.retryQ = append(m.retryQ, reissue{i, at})
 			return
 		}
 		m.errors++

@@ -40,6 +40,7 @@ type goldenCapture struct {
 	stats    string // the bus's Stats, rejections included
 	counts   string // the registry's transaction counters ("" unmetered)
 	rejected uint64 // the bus's Stats.Rejected, for the exercised checks
+	waits    uint64 // the registry's wait cycles (0 unmetered), checked by TestGoldenWaitCycles
 	skipped  uint64 // diagnostics only, NOT compared
 }
 
@@ -209,6 +210,7 @@ func goldenRunMetered(t *testing.T, layer int, items []core.Item, char gatepower
 		snap := reg.Snapshot()
 		cap.counts = fmt.Sprintf("accepted=%d completed=%d errored=%d rejected=%d",
 			snap.Accepted, snap.Completed, snap.Errored, snap.Rejected)
+		cap.waits = snap.WaitCycles
 	}
 
 	var tb strings.Builder
@@ -279,6 +281,28 @@ func TestGoldenEquivalence(t *testing.T) {
 		for layer := 0; layer <= 2; layer++ {
 			t.Run(fmt.Sprintf("%s/layer%d", name, layer), func(t *testing.T) {
 				checkGolden(t, layer, gc.items, char, gc.mp, core.RetryPolicy{})
+			})
+		}
+	}
+}
+
+// TestGoldenWaitCycles requires the registry's wait-cycle count to be
+// the same on both paths: a cycle the kernel skips must book the wait
+// states the executed countdown tick would have booked.
+func TestGoldenWaitCycles(t *testing.T) {
+	char := characterize(t)
+	for name, gc := range goldenCorpora() {
+		for layer := 0; layer <= 2; layer++ {
+			t.Run(fmt.Sprintf("%s/layer%d", name, layer), func(t *testing.T) {
+				run := func() goldenCapture {
+					reg := metrics.New(fmt.Sprintf("L%d", layer))
+					return goldenRunMetered(t, layer, core.CloneItems(gc.items), char, gc.mp, core.RetryPolicy{}, reg)
+				}
+				var ref goldenCapture
+				withReference(t, func() { ref = run() })
+				if opt := run(); opt.waits != ref.waits {
+					t.Errorf("wait cycles: ref %d, opt %d (opt skipped %d)", ref.waits, opt.waits, opt.skipped)
+				}
 			})
 		}
 	}

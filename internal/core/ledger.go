@@ -32,13 +32,12 @@ type Ledger struct {
 	wake    uint64                   // the cycle after the retire that ended a refusal
 	counts  TxCounts
 
-	m  *ecbus.Map // decodes a retired transaction's slave for mx
 	mx *metrics.Registry
 }
 
 // SetMetrics books the ledger's accepts, refusals and retires to reg
-// (nil detaches); a retire names its slave by its index in m.
-func (l *Ledger) SetMetrics(m *ecbus.Map, reg *metrics.Registry) { l.m, l.mx = m, reg }
+// (nil detaches).
+func (l *Ledger) SetMetrics(reg *metrics.Registry) { l.mx = reg }
 
 // Admit answers a master's Access for tr, presented for cycle issue. A
 // finished transaction answers StateOK or StateError and an accepted
@@ -62,7 +61,7 @@ func (l *Ledger) Admit(tr *ecbus.Transaction, issue uint64) ecbus.BusState {
 // guard answer inlines into every bus's Access.
 func (l *Ledger) admit(tr *ecbus.Transaction, issue uint64) ecbus.BusState {
 	c := tr.Category()
-	if l.perCat[c] >= ecbus.MaxOutstanding {
+	if l.Full(c) {
 		l.Refused(1)
 		return ecbus.StateWait
 	}
@@ -89,9 +88,11 @@ func (l *Ledger) Refused(n uint64) {
 }
 
 // Retire completes tr on cycle, with a bus error if err: it stamps the
-// outcome, uncounts tr and books it. A retire that frees capacity while
-// a refused request waits makes the next cycle a wake cycle.
-func (l *Ledger) Retire(tr *ecbus.Transaction, cycle uint64, err bool) {
+// outcome, uncounts tr and books it to the slave the bus decoded it to
+// (its ecbus.Map index, -1 on a decode miss). A retire that frees
+// capacity while a refused request waits makes the next cycle a wake
+// cycle.
+func (l *Ledger) Retire(tr *ecbus.Transaction, cycle uint64, err bool, slave int) {
 	tr.Done, tr.Err = true, err
 	tr.DataCycle = cycle
 	l.perCat[tr.Category()]--
@@ -105,7 +106,7 @@ func (l *Ledger) Retire(tr *ecbus.Transaction, cycle uint64, err bool) {
 		l.counts.Completed++
 	}
 	if l.mx != nil {
-		l.mx.TxRetired(tr, l.m.Index(tr.Addr), err)
+		l.mx.TxRetired(tr, slave, err)
 	}
 }
 
@@ -113,6 +114,17 @@ func (l *Ledger) Retire(tr *ecbus.Transaction, cycle uint64, err bool) {
 // sleep until a transaction completes, so the bus hint demands the cycle
 // after the retire and the retry lands when the reference path's would.
 func (l *Ledger) Wake(cycle uint64) bool { return l.wake != 0 && l.wake == cycle }
+
+// Retired returns the number of transactions retired so far, with or
+// without a bus error. A master that has seen this count unchanged since
+// it last looked knows no transaction of this bus was stamped done in
+// between.
+func (l *Ledger) Retired() uint64 { return l.counts.Completed + l.counts.Errors }
+
+// Full reports whether category c holds MaxOutstanding accepted
+// transactions, so Admit would refuse a fresh request in it. Only a
+// retire in c ends that.
+func (l *Ledger) Full(c ecbus.Category) bool { return l.perCat[c] >= ecbus.MaxOutstanding }
 
 // Counts returns a copy of the transaction counters.
 func (l *Ledger) Counts() TxCounts { return l.counts }

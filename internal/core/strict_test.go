@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/arb"
@@ -17,6 +18,7 @@ import (
 	"repro/internal/tlm1"
 	"repro/internal/tlm2"
 	"repro/internal/tlm3"
+	"repro/internal/trace"
 )
 
 // strictBus holds the masters in front of it to the present-once
@@ -194,5 +196,188 @@ func TestStrictCPU(t *testing.T) {
 			}
 			strict.check(t, name)
 		}
+	}
+}
+
+// refusalBus watches the refusals that pass through it. It learns of a
+// retire from the transactions it saw accepted: one no longer held
+// (done, or reset for a retry) has retired. A refusal is stable when
+// the bus never accepts a transaction it refused before a transaction
+// of its category retires (unstable counts the breaches); a master keeps
+// the stable-refusal rule when it never presents such a transaction to
+// be refused again in the meantime (repeats counts those). Unwrap
+// exposes the bus, so a master behind it finds its Refuser.
+type refusalBus struct {
+	inner     core.Initiator
+	held      [ecbus.NumCategories][]*ecbus.Transaction
+	retires   [ecbus.NumCategories]int
+	refusedAt map[*ecbus.Transaction]int // retires in tr's category at tr's last refusal
+	refusals  int
+	repeats   int
+	unstable  int
+	first     string
+}
+
+func newRefusalBus(inner core.Initiator) *refusalBus {
+	return &refusalBus{inner: inner, refusedAt: map[*ecbus.Transaction]int{}}
+}
+
+func (b *refusalBus) Access(tr *ecbus.Transaction) ecbus.BusState {
+	for c := range b.held {
+		keep := b.held[c][:0]
+		for _, h := range b.held[c] {
+			if h.Accepted && !h.Done {
+				keep = append(keep, h)
+			} else {
+				b.retires[c]++
+			}
+		}
+		b.held[c] = keep
+	}
+	st := b.inner.Access(tr)
+	c := tr.Category()
+	n, wasRefused := b.refusedAt[tr]
+	stuck := wasRefused && n == b.retires[c]
+	switch st {
+	case ecbus.StateRequest:
+		b.held[c] = append(b.held[c], tr)
+		delete(b.refusedAt, tr)
+		if stuck {
+			b.unstable++
+		}
+	case ecbus.StateWait:
+		b.refusals++
+		if stuck {
+			if b.repeats == 0 {
+				b.first = fmt.Sprintf("tx %d refused again with no %v retire since", tr.ID, c)
+			}
+			b.repeats++
+		}
+		b.refusedAt[tr] = b.retires[c]
+	default:
+		delete(b.refusedAt, tr)
+	}
+	return st
+}
+
+func (b *refusalBus) Unwrap() core.Initiator { return b.inner }
+
+// opaqueBus hides the bus it wraps: it has no Unwrap, so a master behind
+// it finds no Refuser and takes the per-cycle path, presenting a refused
+// request again on every cycle and scanning its in-flight list.
+type opaqueBus struct{ inner core.Initiator }
+
+func (b opaqueBus) Access(tr *ecbus.Transaction) ecbus.BusState { return b.inner.Access(tr) }
+
+// refusalOutcome is what one TestStrictRefusals run reports.
+type refusalOutcome struct {
+	rejected      uint64
+	completed     int
+	errors        int
+	retries       int
+	cycles        uint64
+	timing, trace string
+}
+
+// runRefusals drives a crowded pipelined script with the flaky plan and
+// retries through a trace.Recorder on a fresh bus of the given layer,
+// the master presenting to wrap(recorder) under a strict wrapper. It
+// returns the outcome and the refusalBus wrap put in the stack.
+func runRefusals(t *testing.T, layer string, wrap func(*refusalBus) core.Initiator) (refusalOutcome, *refusalBus) {
+	t.Helper()
+	flaky, _ := fault.Named("flaky")
+	items := core.RandomCorpus(11, 400, lay)
+	for i := range items {
+		items[i].NotBefore /= 4 // crowd the bus so categories fill
+	}
+	k := sim.New(0)
+	bmap := faultMap(flaky)
+	var bus core.Initiator
+	var rejected func() uint64
+	switch layer {
+	case "L0":
+		b := rtlbus.New(k, bmap)
+		bus, rejected = b, func() uint64 { return b.Stats().Rejected }
+	case "TL1":
+		b := tlm1.New(k, bmap)
+		bus, rejected = b, func() uint64 { return b.Stats().Rejected }
+	default:
+		b := tlm2.New(k, bmap)
+		bus, rejected = b, func() uint64 { return b.Stats().Rejected }
+	}
+	rec := trace.NewRecorder(bus)
+	rb := newRefusalBus(rec)
+	strict := &strictBus{inner: wrap(rb)}
+	m := core.NewScriptMaster(k, strict, items)
+	m.Retry = eqRetry
+	n, done := k.RunUntil(1_000_000, m.Done)
+	if !done {
+		t.Fatal("run did not finish")
+	}
+	strict.check(t, layer)
+	if rb.unstable > 0 {
+		t.Errorf("%s: the bus accepted %d refused transactions with no retire in their category since", layer, rb.unstable)
+	}
+	var tb, sb strings.Builder
+	for _, tr := range m.Completed() {
+		fmt.Fprintf(&tb, "%d:%d/%d/%d/%v ", tr.ID, tr.IssueCycle, tr.AddrCycle, tr.DataCycle, tr.Err)
+	}
+	if err := trace.Save(&sb, rec.Records()); err != nil {
+		t.Fatal(err)
+	}
+	return refusalOutcome{rejected(), len(m.Completed()), m.Errors(), m.TotalRetries(), n, tb.String(), sb.String()}, rb
+}
+
+func exposed(rb *refusalBus) core.Initiator { return rb }
+func hidden(rb *refusalBus) core.Initiator  { return opaqueBus{rb} }
+
+// TestStrictRefusals runs the same crowded, faulted script at every
+// cycle-level layer twice: with the bus exposed, so the master takes
+// its Refuser path (it sleeps through a full category, books the
+// refusals it does not present and harvests only after a retire), and
+// behind opaqueBus, the per-cycle path. Refusals must be stable on
+// both, both must draw the same refusals, completions, retries, timing
+// and trace, and the per-cycle path must present every refusal it
+// draws, so the fallback stays covered.
+func TestStrictRefusals(t *testing.T) {
+	for _, layer := range []string{"L0", "TL1", "TL2"} {
+		t.Run(layer, func(t *testing.T) {
+			fast, _ := runRefusals(t, layer, exposed)
+			slow, ob := runRefusals(t, layer, hidden)
+			if fast.retries == 0 || fast.rejected == 0 {
+				t.Fatalf("retries %d, refusals %d: the run exercised neither retries nor a full category",
+					fast.retries, fast.rejected)
+			}
+			if fast.rejected != slow.rejected || fast.completed != slow.completed ||
+				fast.errors != slow.errors || fast.retries != slow.retries || fast.cycles != slow.cycles {
+				t.Errorf("totals differ: refuser path rejected %d completed %d errors %d retries %d cycles %d; "+
+					"per-cycle path %d %d %d %d %d",
+					fast.rejected, fast.completed, fast.errors, fast.retries, fast.cycles,
+					slow.rejected, slow.completed, slow.errors, slow.retries, slow.cycles)
+			}
+			if fast.timing != slow.timing || fast.trace != slow.trace {
+				t.Error("refuser and per-cycle paths differ in per-transaction timing or trace")
+			}
+			if uint64(ob.refusals) != slow.rejected || ob.repeats == 0 {
+				t.Errorf("per-cycle path: %d Access refusals (%d repeated) for %d booked; want every refusal presented",
+					ob.refusals, ob.repeats, slow.rejected)
+			}
+		})
+	}
+}
+
+// TestStrictNoRepeatedRefusal holds the Refuser path to the
+// stable-refusal rule: no Access is refused twice in a row for one
+// transaction without a retire in its category in between. A master
+// that knows the category is still full books the refusal itself.
+func TestStrictNoRepeatedRefusal(t *testing.T) {
+	for _, layer := range []string{"L0", "TL1", "TL2"} {
+		t.Run(layer, func(t *testing.T) {
+			_, rb := runRefusals(t, layer, exposed)
+			if rb.repeats > 0 {
+				t.Errorf("%d of %d refusals repeated one with no retire in between; first: %s",
+					rb.repeats, rb.refusals, rb.first)
+			}
+		})
 	}
 }

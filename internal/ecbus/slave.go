@@ -117,14 +117,35 @@ type EnergyReporter interface {
 	AccessEnergy(k Kind) float64
 }
 
+// Target is one slave of a Map as the bus controller resolved it when
+// the slave was added: the slave with its transparent wrappers peeled
+// (Unwrap: every call on it is the call the wrapper would have passed
+// on), its snapshotted config and its dynamic-wait extension (nil when
+// it has none). A bus decodes a transaction to a Target index once and
+// reads everything from here.
+type Target struct {
+	Slave  Slave
+	Config SlaveConfig
+	Waiter DynamicWaiter
+}
+
+// ExtraWait returns the slave's dynamic extra wait for the access, or
+// 0 when it has none.
+func (t *Target) ExtraWait(k Kind, addr uint64) int {
+	if t.Waiter == nil {
+		return 0
+	}
+	return t.Waiter.ExtraWait(k, addr)
+}
+
 // Map is the bus controller's address decoder: an ordered set of
-// non-overlapping slave ranges. The configs are snapshotted at Add time
-// — every Slave in this codebase returns a fixed config — so the decode
-// fast path runs on a flat array instead of chasing Config() through
-// wrapper interfaces on every lookup.
+// non-overlapping slave ranges. Each slave is resolved into a Target at
+// Add time — every Slave in this codebase returns a fixed config — so
+// decoding runs on a flat array instead of chasing Config() and type
+// assertions through wrapper interfaces on every transaction.
 type Map struct {
 	slaves  []Slave
-	configs []SlaveConfig
+	targets []Target
 }
 
 // NewMap builds an address map from the given slaves, rejecting invalid
@@ -154,34 +175,22 @@ func (m *Map) Add(s Slave) error {
 	if err := c.Validate(); err != nil {
 		return err
 	}
-	for _, ex := range m.slaves {
-		e := ex.Config()
+	for _, ex := range m.targets {
+		e := ex.Config
 		if c.Base < e.End() && e.Base < c.End() {
 			return fmt.Errorf("ecbus: slave %q [%#x,%#x) overlaps %q [%#x,%#x)",
 				c.Name, c.Base, c.End(), e.Name, e.Base, e.End())
 		}
 	}
+	u := Unwrap(s)
+	w, _ := u.(DynamicWaiter)
 	m.slaves = append(m.slaves, s)
-	m.configs = append(m.configs, c)
+	m.targets = append(m.targets, Target{Slave: u, Config: c, Waiter: w})
 	// Keep sorted by base for deterministic decode and iteration.
 	for i := len(m.slaves) - 1; i > 0; i-- {
-		if m.configs[i].Base < m.configs[i-1].Base {
+		if m.targets[i].Config.Base < m.targets[i-1].Config.Base {
 			m.slaves[i], m.slaves[i-1] = m.slaves[i-1], m.slaves[i]
-			m.configs[i], m.configs[i-1] = m.configs[i-1], m.configs[i]
-		}
-	}
-	return nil
-}
-
-// Decode returns the slave containing addr, or nil for a decode miss
-// (which the bus controller turns into a bus error).
-func (m *Map) Decode(addr uint64) Slave {
-	// Linear scan: smart-card maps have a handful of slaves, and this is
-	// on the simulator fast path, where branch-predictable scans beat
-	// binary search at these sizes.
-	for i := range m.configs {
-		if m.configs[i].Contains(addr) {
-			return m.slaves[i]
+			m.targets[i], m.targets[i-1] = m.targets[i-1], m.targets[i]
 		}
 	}
 	return nil
@@ -190,36 +199,26 @@ func (m *Map) Decode(addr uint64) Slave {
 // Slaves returns the slaves in ascending base-address order.
 func (m *Map) Slaves() []Slave { return m.slaves }
 
-// ConfigAt returns the snapshotted config of the i-th slave (the Index
-// numbering) without an interface call through the slave.
-func (m *Map) ConfigAt(i int) SlaveConfig { return m.configs[i] }
+// Target returns the i-th slave's resolved target (the Lookup
+// numbering).
+func (m *Map) Target(i int) *Target { return &m.targets[i] }
 
-// Check verifies that an access of the given kind/extent decodes to one
-// slave with sufficient rights. It returns the slave and nil, or nil and
-// a descriptive error.
-func (m *Map) Check(kind Kind, addr uint64, bytes int) (Slave, error) {
-	i := m.Index(addr)
-	if i < 0 {
-		return nil, fmt.Errorf("ecbus: decode miss at %#x", addr)
-	}
-	c := &m.configs[i]
-	if bytes > 0 && !c.Contains(addr+uint64(bytes)-1) {
-		return nil, fmt.Errorf("ecbus: access [%#x,+%d) crosses end of slave %q", addr, bytes, c.Name)
-	}
-	if !c.Allows(kind) {
-		return nil, fmt.Errorf("ecbus: %v access to %q at %#x denied", kind, c.Name, addr)
-	}
-	return m.slaves[i], nil
-}
-
-// Index returns the position of the slave whose range contains addr, or
-// -1. The index is used by the layer-0 model as the decoder select value
-// (and so contributes decoder output transitions to the energy model).
-func (m *Map) Index(addr uint64) int {
-	for i := range m.configs {
-		if m.configs[i].Contains(addr) {
-			return i
+// Lookup decodes an access of the given kind and extent once. It
+// returns the index of the slave whose range contains addr, or -1 on a
+// decode miss; the index is the layer-0 decoder select value (and so
+// contributes decoder output transitions to the energy model). ok
+// reports whether the access is legal: it decodes, stays inside the
+// slave's range and is allowed by its rights bits. An illegal access is
+// one the bus controller terminates with a bus error.
+func (m *Map) Lookup(kind Kind, addr uint64, bytes int) (i int, ok bool) {
+	// Linear scan: smart-card maps have a handful of slaves, and this is
+	// on the simulator fast path, where branch-predictable scans beat
+	// binary search at these sizes.
+	for i := range m.targets {
+		c := &m.targets[i].Config
+		if c.Contains(addr) {
+			return i, (bytes <= 0 || c.Contains(addr+uint64(bytes)-1)) && c.Allows(kind)
 		}
 	}
-	return -1
+	return -1, false
 }

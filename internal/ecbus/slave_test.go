@@ -70,20 +70,21 @@ func TestMapDecode(t *testing.T) {
 		newFake("ram", 0x8000, 0x800),
 		newFake("uart", 0xF000, 0x100),
 	)
-	if s := m.Decode(0x10); s == nil || s.Config().Name != "rom" {
-		t.Fatal("rom not decoded")
+	for _, c := range []struct {
+		addr uint64
+		want string
+		sel  int
+	}{{0x10, "rom", 0}, {0x8123, "ram", 1}, {0xF020, "uart", 2}} {
+		i, ok := m.Lookup(Read, c.addr, 4)
+		if i != c.sel || !ok {
+			t.Fatalf("Lookup(%#x) = %d, %v; want %d, true", c.addr, i, ok, c.sel)
+		}
+		if tg := m.Target(i); tg.Slave.Config().Name != c.want || tg.Config.Name != c.want {
+			t.Fatalf("Lookup(%#x) decoded to %q", c.addr, tg.Config.Name)
+		}
 	}
-	if s := m.Decode(0x8123); s == nil || s.Config().Name != "ram" {
-		t.Fatal("ram not decoded")
-	}
-	if s := m.Decode(0x7000); s != nil {
-		t.Fatal("hole decoded to a slave")
-	}
-	if m.Index(0xF020) != 2 {
-		t.Fatalf("Index(uart) = %d, want 2", m.Index(0xF020))
-	}
-	if m.Index(0x7000) != -1 {
-		t.Fatal("Index of hole != -1")
+	if i, ok := m.Lookup(Read, 0x7000, 4); i != -1 || ok {
+		t.Fatalf("hole decoded to %d, %v; want -1, false", i, ok)
 	}
 }
 
@@ -113,17 +114,19 @@ func TestMapCheck(t *testing.T) {
 	ro.cfg.Writable = false
 	m := MustMap(ro, newFake("ram", 0x200, 0x100))
 
-	if _, err := m.Check(Read, 0x10, 4); err != nil {
-		t.Fatalf("legal read rejected: %v", err)
+	if i, ok := m.Lookup(Read, 0x10, 4); i != 0 || !ok {
+		t.Fatalf("legal read: %d, %v", i, ok)
 	}
-	if _, err := m.Check(Write, 0x10, 4); err == nil {
-		t.Fatal("write to read-only rom allowed")
+	// A rights violation or a range overrun still names its slave: the
+	// decoder selects it and the bus answers with an error.
+	if i, ok := m.Lookup(Write, 0x10, 4); i != 0 || ok {
+		t.Fatalf("write to read-only rom: %d, %v", i, ok)
 	}
-	if _, err := m.Check(Read, 0x150, 4); err == nil {
-		t.Fatal("decode miss not reported")
+	if i, ok := m.Lookup(Read, 0x150, 4); i != -1 || ok {
+		t.Fatalf("decode miss: %d, %v", i, ok)
 	}
-	if _, err := m.Check(Read, 0xFC, 16); err == nil {
-		t.Fatal("burst crossing slave end allowed")
+	if i, ok := m.Lookup(Read, 0xFC, 16); i != 0 || ok {
+		t.Fatalf("burst crossing slave end: %d, %v", i, ok)
 	}
 }
 
@@ -133,9 +136,16 @@ func TestExtraWaitOf(t *testing.T) {
 	if got := ExtraWaitOf(f, Read, 0); got != 7 {
 		t.Fatalf("ExtraWaitOf = %d, want 7", got)
 	}
-	// A slave without the extension contributes zero.
-	plain := struct{ Slave }{f}
-	_ = plain
+	// The map resolves the extension once, at Add; a slave without it
+	// contributes zero.
+	plain := struct{ Slave }{newFake("rom", 0x100, 0x100)}
+	m := MustMap(f, plain)
+	if got := m.Target(0).ExtraWait(Read, 0); got != 7 {
+		t.Fatalf("Target(ee).ExtraWait = %d, want 7", got)
+	}
+	if tg := m.Target(1); tg.Waiter != nil || tg.ExtraWait(Read, 0x100) != 0 {
+		t.Fatal("a slave without DynamicWaiter resolved a waiter")
+	}
 }
 
 func TestBundleSetGet(t *testing.T) {

@@ -22,7 +22,7 @@ import (
 // sample sees the cycle's energy already integrated.
 func (b *Bus) AttachMetrics(k *sim.Kernel, reg *metrics.Registry, total func() float64) *Bus {
 	b.mx = reg
-	b.SetMetrics(b.m, reg)
+	b.SetMetrics(reg)
 	b.mxKind, b.mxSlave = metrics.PhaseIdle, -1
 	names := make([]string, 0, len(b.m.Slaves()))
 	for _, s := range b.m.Slaves() {

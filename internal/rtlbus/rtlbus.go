@@ -62,12 +62,14 @@ type Bus struct {
 	addrQ     ecbus.Ring[*ecbus.Transaction]
 	addrCnt   int  // cycles already spent on the head's address phase
 	addrWaits int  // total wait states for the head (sampled at start)
+	addrSel   int  // head's slave index in m, decoded at start; -1 on a miss
 	addrErr   bool // head fails decode/rights
 	addrNew   bool // head not yet started
 
-	// Data units (per direction).
-	readQ  ecbus.Ring[*ecbus.Transaction]
-	writeQ ecbus.Ring[*ecbus.Transaction]
+	// Data units (per direction), fed by the address unit with the
+	// slave index it decoded.
+	readQ  ecbus.Ring[entry]
+	writeQ ecbus.Ring[entry]
 	rBeat  beatState
 	wBeat  beatState
 
@@ -82,6 +84,13 @@ type Bus struct {
 	mxSlave int
 
 	stats Stats
+}
+
+// entry is a transaction past its address phase and the index of the
+// slave it decoded to.
+type entry struct {
+	tr  *ecbus.Transaction
+	sel int
 }
 
 // beatState tracks the data-phase progress of the head of a data queue.
@@ -172,12 +181,15 @@ func (b *Bus) onSkip(n uint64) {
 	if !b.addrQ.Empty() && b.addrNew && b.addrCnt < b.addrWaits {
 		b.addrCnt += int(n)
 		b.stats.AddrCycles += n // each skipped tick had an active address phase
+		b.mx.WaitCycles(n)
 	}
 	if !b.readQ.Empty() && b.rBeat.fresh && b.rBeat.cnt < b.rBeat.waits {
 		b.rBeat.cnt += int(n)
+		b.mx.WaitCycles(n)
 	}
 	if !b.writeQ.Empty() && b.wBeat.fresh && b.wBeat.cnt > 0 && b.wBeat.cnt < b.wBeat.waits {
 		b.wBeat.cnt += int(n)
+		b.mx.WaitCycles(n)
 	}
 }
 
@@ -249,7 +261,7 @@ func (b *Bus) addrUnit(cycle uint64) {
 	b.stats.AddrCycles++
 	b.driveAddrWires(tr)
 	if b.mx != nil {
-		b.mark(metrics.PhaseAddress, b.m.Index(tr.Addr))
+		b.mark(metrics.PhaseAddress, b.addrSel)
 	}
 
 	if b.addrCnt < b.addrWaits {
@@ -267,27 +279,27 @@ func (b *Bus) addrUnit(cycle uint64) {
 		return
 	}
 	if tr.Kind.IsRead() {
-		b.readQ.Push(tr)
+		b.readQ.Push(entry{tr, b.addrSel})
 	} else {
-		b.writeQ.Push(tr)
+		b.writeQ.Push(entry{tr, b.addrSel})
 	}
 }
 
 func (b *Bus) addrNewStarted() bool { return b.addrNew }
 
-// startAddrPhase samples the slave state for the head transaction: total
-// address wait states and decode/rights legality.
+// startAddrPhase decodes the head transaction, once: its slave index,
+// decode/rights legality and total address wait states.
 func (b *Bus) startAddrPhase(tr *ecbus.Transaction) {
 	b.addrNew = true
 	b.addrCnt = 0
-	b.addrErr = false
-	sl, err := b.m.Check(tr.Kind, tr.Addr, tr.Words()*4)
-	if err != nil {
-		b.addrErr = true
+	sel, ok := b.m.Lookup(tr.Kind, tr.Addr, tr.Words()*4)
+	b.addrSel, b.addrErr = sel, !ok
+	if !ok {
 		b.addrWaits = 0 // errors terminate after a 1-cycle address phase
 		return
 	}
-	b.addrWaits = sl.Config().AddrWait + ecbus.ExtraWaitOf(sl, tr.Kind, tr.Addr)
+	t := b.m.Target(sel)
+	b.addrWaits = t.Config.AddrWait + t.ExtraWait(tr.Kind, tr.Addr)
 }
 
 // driveAddrWires drives the address-phase wires for the active head.
@@ -304,7 +316,7 @@ func (b *Bus) driveAddrWires(tr *ecbus.Transaction) {
 		be, _ = ecbus.ByteEnables(tr.Addr, tr.Width)
 	}
 	b.wires.Set(ecbus.SigBE, uint64(be))
-	idx := b.m.Index(tr.Addr)
+	idx := b.addrSel
 	if idx < 0 {
 		idx = 7 // decoder "no select" pattern
 	}
@@ -319,15 +331,15 @@ func (b *Bus) completeError(tr *ecbus.Transaction, cycle uint64) {
 	} else {
 		b.wires.SetBool(ecbus.SigWBErr, true)
 	}
-	b.retire(tr, cycle, true)
+	b.retire(tr, cycle, true, b.addrSel)
 }
 
-// retire hands a finished transaction to the ledger and classifies a
-// bus error's cycle for energy attribution.
-func (b *Bus) retire(tr *ecbus.Transaction, cycle uint64, err bool) {
-	b.Retire(tr, cycle, err)
+// retire hands a finished transaction, decoded to slave sel, to the
+// ledger and classifies a bus error's cycle for energy attribution.
+func (b *Bus) retire(tr *ecbus.Transaction, cycle uint64, err bool, sel int) {
+	b.Retire(tr, cycle, err, sel)
 	if err && b.mx != nil {
-		b.mark(metrics.PhaseError, b.m.Index(tr.Addr))
+		b.mark(metrics.PhaseError, sel)
 	}
 }
 
@@ -336,10 +348,10 @@ func (b *Bus) readUnit(cycle uint64) {
 	if b.readQ.Empty() {
 		return
 	}
-	tr := *b.readQ.Front()
+	e := *b.readQ.Front()
+	tr, t := e.tr, b.m.Target(e.sel)
 	if !b.rBeat.fresh {
-		sl := b.m.Decode(tr.Addr)
-		b.rBeat = beatState{waits: sl.Config().ReadWait, fresh: true}
+		b.rBeat = beatState{waits: t.Config.ReadWait, fresh: true}
 	}
 	if b.rBeat.cnt < b.rBeat.waits {
 		b.rBeat.cnt++
@@ -349,16 +361,15 @@ func (b *Bus) readUnit(cycle uint64) {
 	// Deliver beat.
 	i := b.rBeat.beat
 	addr := tr.Addr + uint64(4*i)
-	sl := b.m.Decode(addr)
 	w := tr.Width
 	if tr.Burst {
 		w = ecbus.W32
 	}
-	data, ok := sl.ReadWord(addr, w)
+	data, ok := t.Slave.ReadWord(addr, w)
 	b.wires.Set(ecbus.SigRData, uint64(data))
 	b.stats.DataBeats++
 	if b.mx != nil {
-		b.mark(metrics.PhaseReadData, b.m.Index(tr.Addr))
+		b.mark(metrics.PhaseReadData, e.sel)
 		b.mx.Beat()
 	}
 	tr.Data[i] = data
@@ -380,7 +391,7 @@ func (b *Bus) readUnit(cycle uint64) {
 	}
 	b.readQ.Pop()
 	b.rBeat = beatState{}
-	b.retire(tr, cycle, !ok)
+	b.retire(tr, cycle, !ok, e.sel)
 }
 
 // writeUnit serves one write data beat per cycle.
@@ -388,10 +399,10 @@ func (b *Bus) writeUnit(cycle uint64) {
 	if b.writeQ.Empty() {
 		return
 	}
-	tr := *b.writeQ.Front()
+	e := *b.writeQ.Front()
+	tr, t := e.tr, b.m.Target(e.sel)
 	if !b.wBeat.fresh {
-		sl := b.m.Decode(tr.Addr)
-		b.wBeat = beatState{waits: sl.Config().WriteWait, fresh: true}
+		b.wBeat = beatState{waits: t.Config.WriteWait, fresh: true}
 	}
 	// The master drives the write data bus while the beat is pending.
 	i := b.wBeat.beat
@@ -399,7 +410,7 @@ func (b *Bus) writeUnit(cycle uint64) {
 	if b.mx != nil {
 		// The write unit drives wires even on wait cycles, so every
 		// cycle it acts is classified write-data.
-		b.mark(metrics.PhaseWriteData, b.m.Index(tr.Addr))
+		b.mark(metrics.PhaseWriteData, e.sel)
 	}
 	if b.wBeat.cnt < b.wBeat.waits {
 		b.wBeat.cnt++
@@ -407,12 +418,11 @@ func (b *Bus) writeUnit(cycle uint64) {
 		return
 	}
 	addr := tr.Addr + uint64(4*i)
-	sl := b.m.Decode(addr)
 	w := tr.Width
 	if tr.Burst {
 		w = ecbus.W32
 	}
-	ok := sl.WriteWord(addr, tr.Data[i], w)
+	ok := t.Slave.WriteWord(addr, tr.Data[i], w)
 	b.stats.DataBeats++
 	b.mx.Beat()
 	b.wBeat.beat++
@@ -431,5 +441,5 @@ func (b *Bus) writeUnit(cycle uint64) {
 	}
 	b.writeQ.Pop()
 	b.wBeat = beatState{}
-	b.retire(tr, cycle, !ok)
+	b.retire(tr, cycle, !ok, e.sel)
 }

@@ -38,11 +38,11 @@ import (
 // entry is a request in flight, carrying the slave state sampled by
 // getSlaveState at its address-phase start.
 type entry struct {
-	tr    *ecbus.Transaction
-	slave ecbus.Slave
-	err   bool
-	aw    int // address wait states (incl. dynamic extra)
-	dw    int // data wait states per beat
+	tr  *ecbus.Transaction
+	sel int // slave index in the map; -1 on a decode miss
+	err bool
+	aw  int // address wait states (incl. dynamic extra)
+	dw  int // data wait states per beat
 
 	beat    int
 	beatCnt int
@@ -146,16 +146,19 @@ func (b *Bus) onSkip(n uint64) {
 	if !b.requestQ.Empty() && b.addrStarted {
 		if e := b.requestQ.Front(); b.addrCnt < e.aw {
 			b.addrCnt += int(n)
+			b.mx.WaitCycles(n)
 		}
 	}
 	if !b.readQ.Empty() {
 		if e := b.readQ.Front(); e.beatCnt < e.dw {
 			e.beatCnt += int(n)
+			b.mx.WaitCycles(n)
 		}
 	}
 	if !b.writeQ.Empty() {
 		if e := b.writeQ.Front(); e.beatCnt < e.dw {
 			e.beatCnt += int(n)
+			b.mx.WaitCycles(n)
 		}
 	}
 	if b.power != nil {
@@ -183,7 +186,7 @@ func (b *Bus) Power() *PowerModel { return b.power }
 // layer, so they need no sample.
 func (b *Bus) AttachMetrics(reg *metrics.Registry) *Bus {
 	b.mx = reg
-	b.SetMetrics(b.m, reg)
+	b.SetMetrics(reg)
 	names := make([]string, 0, len(b.m.Slaves()))
 	for _, s := range b.m.Slaves() {
 		names = append(names, s.Config().Name)
@@ -255,21 +258,22 @@ func (b *Bus) busProcess(cycle uint64) {
 // getSlaveState samples the slave control interface for the request at
 // the head of the request queue: "the address range of the slave, wait
 // states for address, read, and write phases, and bits to indicate the
-// access rights".
+// access rights". It decodes the request once; every later phase reads
+// the slave index it leaves in the entry.
 func (b *Bus) getSlaveState(e *entry) {
-	sl, err := b.m.Check(e.tr.Kind, e.tr.Addr, e.tr.Words()*4)
-	if err != nil {
+	sel, ok := b.m.Lookup(e.tr.Kind, e.tr.Addr, e.tr.Words()*4)
+	e.sel = sel
+	if !ok {
 		e.err = true
 		e.aw = 0
 		return
 	}
-	e.slave = sl
-	cfg := sl.Config()
-	e.aw = cfg.AddrWait + ecbus.ExtraWaitOf(sl, e.tr.Kind, e.tr.Addr)
+	t := b.m.Target(sel)
+	e.aw = t.Config.AddrWait + t.ExtraWait(e.tr.Kind, e.tr.Addr)
 	if e.tr.Kind.IsRead() {
-		e.dw = cfg.ReadWait
+		e.dw = t.Config.ReadWait
 	} else {
-		e.dw = cfg.WriteWait
+		e.dw = t.Config.WriteWait
 	}
 }
 
@@ -291,7 +295,7 @@ func (b *Bus) addressPhase(cycle uint64) {
 		b.power.driveAddress(e.tr)
 	}
 	if b.mx != nil {
-		b.mark(metrics.PhaseAddress, b.m.Index(e.tr.Addr))
+		b.mark(metrics.PhaseAddress, e.sel)
 	}
 	if b.addrCnt < e.aw {
 		b.addrCnt++
@@ -307,7 +311,7 @@ func (b *Bus) addressPhase(cycle uint64) {
 	}
 	switch {
 	case ent.err:
-		b.retire(ent.tr, cycle, true)
+		b.retire(ent.tr, cycle, true, ent.sel)
 	case ent.tr.Kind.IsRead():
 		b.readQ.Push(ent)
 	default:
@@ -315,11 +319,11 @@ func (b *Bus) addressPhase(cycle uint64) {
 	}
 }
 
-// retire hands a finished transaction to the ledger; a bus error
-// raises the error strobe of its direction and classifies the cycle for
-// energy attribution.
-func (b *Bus) retire(tr *ecbus.Transaction, cycle uint64, err bool) {
-	b.Retire(tr, cycle, err)
+// retire hands a finished transaction, decoded to slave sel, to the
+// ledger; a bus error raises the error strobe of its direction and
+// classifies the cycle for energy attribution.
+func (b *Bus) retire(tr *ecbus.Transaction, cycle uint64, err bool, sel int) {
+	b.Retire(tr, cycle, err, sel)
 	if !err {
 		return
 	}
@@ -327,7 +331,7 @@ func (b *Bus) retire(tr *ecbus.Transaction, cycle uint64, err bool) {
 		b.power.driveError(tr.Kind)
 	}
 	if b.mx != nil {
-		b.mark(metrics.PhaseError, b.m.Index(tr.Addr))
+		b.mark(metrics.PhaseError, sel)
 	}
 }
 
@@ -349,11 +353,11 @@ func (b *Bus) readPhase(cycle uint64) {
 	if e.tr.Burst {
 		w = ecbus.W32
 	}
-	data, ok := e.slave.ReadWord(addr, w)
+	data, ok := b.m.Target(e.sel).Slave.ReadWord(addr, w)
 	e.tr.Data[i] = data
 	b.stats.DataBeats++
 	if b.mx != nil {
-		b.mark(metrics.PhaseReadData, b.m.Index(e.tr.Addr))
+		b.mark(metrics.PhaseReadData, e.sel)
 		b.mx.Beat()
 	}
 	if b.power != nil {
@@ -372,9 +376,9 @@ func (b *Bus) readPhase(cycle uint64) {
 	if ok && e.beat < e.tr.Words() {
 		return
 	}
-	tr := e.tr
+	tr, sel := e.tr, e.sel
 	b.readQ.Pop() // invalidates e
-	b.retire(tr, cycle, !ok)
+	b.retire(tr, cycle, !ok, sel)
 }
 
 // writePhase serves one write beat per cycle from the head of the write
@@ -392,7 +396,7 @@ func (b *Bus) writePhase(cycle uint64) {
 	if b.mx != nil {
 		// The write unit drives wires even on wait cycles, so every
 		// cycle it acts is classified write-data.
-		b.mark(metrics.PhaseWriteData, b.m.Index(e.tr.Addr))
+		b.mark(metrics.PhaseWriteData, e.sel)
 	}
 	if e.beatCnt < e.dw {
 		e.beatCnt++
@@ -404,7 +408,7 @@ func (b *Bus) writePhase(cycle uint64) {
 	if e.tr.Burst {
 		w = ecbus.W32
 	}
-	ok := e.slave.WriteWord(addr, e.tr.Data[i], w)
+	ok := b.m.Target(e.sel).Slave.WriteWord(addr, e.tr.Data[i], w)
 	b.stats.DataBeats++
 	b.mx.Beat()
 	if b.power != nil && ok {
@@ -417,7 +421,7 @@ func (b *Bus) writePhase(cycle uint64) {
 	if ok && e.beat < e.tr.Words() {
 		return
 	}
-	tr := e.tr
+	tr, sel := e.tr, e.sel
 	b.writeQ.Pop() // invalidates e
-	b.retire(tr, cycle, !ok)
+	b.retire(tr, cycle, !ok, sel)
 }

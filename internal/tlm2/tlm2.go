@@ -37,9 +37,9 @@ import (
 
 // request is the entry of the shared request data structure.
 type request struct {
-	tr    *ecbus.Transaction
-	slave ecbus.Slave
-	err   bool
+	tr  *ecbus.Transaction
+	sel int // slave index in the map, decoded at creation; -1 on a miss
+	err bool
 
 	started bool   // address phase began (wait count re-sampled)
 	addrCnt int    // remaining address wait states
@@ -171,7 +171,7 @@ func (b *Bus) Power() *PowerModel { return b.power }
 // attribution is exact per phase kind and per slave.
 func (b *Bus) AttachMetrics(reg *metrics.Registry) *Bus {
 	b.mx = reg
-	b.SetMetrics(b.m, reg)
+	b.SetMetrics(reg)
 	names := make([]string, 0, len(b.m.Slaves()))
 	for _, s := range b.m.Slaves() {
 		names = append(names, s.Config().Name)
@@ -181,14 +181,14 @@ func (b *Bus) AttachMetrics(reg *metrics.Registry) *Bus {
 }
 
 // sampleEnergy attributes everything the power model booked since the
-// previous sample to one phase kind and the slave decoded from addr.
-// Only called when a registry is attached.
-func (b *Bus) sampleEnergy(kind metrics.PhaseKind, addr uint64) {
+// previous sample to one phase kind and the slave with index sel. Only
+// called when a registry is attached.
+func (b *Bus) sampleEnergy(kind metrics.PhaseKind, sel int) {
 	var t float64
 	if b.power != nil {
 		t = b.power.TotalEnergy()
 	}
-	b.mx.EnergySample(kind, b.m.Index(addr), t)
+	b.mx.EnergySample(kind, sel, t)
 }
 
 // Stats returns a copy of the activity counters.
@@ -213,24 +213,25 @@ func (b *Bus) Access(tr *ecbus.Transaction) ecbus.BusState {
 	return st
 }
 
-// sampleSlaveState requests the slave's wait states and rights at
-// request creation ("during the first interface call"). The dynamic
-// extra wait is requested here to honour the paper's first-call slave
-// interaction, but its value is discarded: addrCnt is written only by
-// startAddrPhase, so neither the countdown nor the idle-skip hint can
-// ever see a stale creation-time busy-window sample.
+// sampleSlaveState decodes the request once and requests the slave's
+// wait states and rights at request creation ("during the first
+// interface call"). The dynamic extra wait is requested here to honour
+// the paper's first-call slave interaction, but its value is discarded:
+// addrCnt is written only by startAddrPhase, so neither the countdown
+// nor the idle-skip hint can ever see a stale creation-time busy-window
+// sample.
 func (b *Bus) sampleSlaveState(r *request) {
-	sl, err := b.m.Check(r.tr.Kind, r.tr.Addr, r.tr.Words()*4)
-	if err != nil {
+	sel, ok := b.m.Lookup(r.tr.Kind, r.tr.Addr, r.tr.Words()*4)
+	r.sel = sel
+	if !ok {
 		r.err = true
 		return
 	}
-	r.slave = sl
-	cfg := sl.Config()
-	_ = ecbus.ExtraWaitOf(sl, r.tr.Kind, r.tr.Addr)
-	dw := cfg.WriteWait
+	t := b.m.Target(sel)
+	_ = t.ExtraWait(r.tr.Kind, r.tr.Addr)
+	dw := t.Config.WriteWait
 	if r.tr.Kind.IsRead() {
-		dw = cfg.ReadWait
+		dw = t.Config.ReadWait
 	}
 	n := r.tr.Words()
 	// Whole data phase as one block: first beat after dw waits, each
@@ -244,9 +245,9 @@ func (b *Bus) sampleSlaveState(r *request) {
 // static and keep their creation-time values.
 func (b *Bus) startAddrPhase(r *request) {
 	r.started = true
-	if r.slave != nil {
-		cfg := r.slave.Config()
-		r.addrCnt = cfg.AddrWait + ecbus.ExtraWaitOf(r.slave, r.tr.Kind, r.tr.Addr)
+	if !r.err {
+		t := b.m.Target(r.sel)
+		r.addrCnt = t.Config.AddrWait + t.ExtraWait(r.tr.Kind, r.tr.Addr)
 	}
 }
 
@@ -280,16 +281,16 @@ func (b *Bus) addressPhase(cycle uint64) {
 		b.power.addressPhaseEnergy(r.tr)
 	}
 	if b.mx != nil {
-		b.sampleEnergy(metrics.PhaseAddress, r.tr.Addr)
+		b.sampleEnergy(metrics.PhaseAddress, r.sel)
 	}
 	if r.err {
 		if b.power != nil {
 			b.power.errorEnergy(r.tr.Kind)
 		}
 		if b.mx != nil {
-			b.sampleEnergy(metrics.PhaseError, r.tr.Addr)
+			b.sampleEnergy(metrics.PhaseError, r.sel)
 		}
-		b.Retire(r.tr, cycle, true)
+		b.Retire(r.tr, cycle, true, r.sel)
 		b.addrQ.Pop()
 		return
 	}
@@ -326,7 +327,7 @@ func (b *Bus) dataPhase(cycle uint64, q *ecbus.Ring[request]) {
 // performed at once (pointer passing) and the energy of the whole phase
 // is estimated in one step.
 func (b *Bus) completeData(r *request, cycle uint64) {
-	tr := r.tr
+	tr, sl := r.tr, b.m.Target(r.sel).Slave
 	ok := true
 	w := tr.Width
 	if tr.Burst {
@@ -337,10 +338,10 @@ func (b *Bus) completeData(r *request, cycle uint64) {
 		addr := tr.Addr + uint64(4*i)
 		if tr.Kind.IsRead() {
 			var v uint32
-			v, ok = r.slave.ReadWord(addr, w)
+			v, ok = sl.ReadWord(addr, w)
 			tr.Data[i] = v
 		} else {
-			ok = r.slave.WriteWord(addr, tr.Data[i], w)
+			ok = sl.WriteWord(addr, tr.Data[i], w)
 		}
 		delivered++
 		if !ok {
@@ -355,16 +356,16 @@ func (b *Bus) completeData(r *request, cycle uint64) {
 		if tr.Kind.IsRead() {
 			kind = metrics.PhaseReadData
 		}
-		b.sampleEnergy(kind, tr.Addr)
+		b.sampleEnergy(kind, r.sel)
 	}
 	if !ok && b.power != nil {
 		b.power.errorEnergy(tr.Kind)
 	}
 	if b.mx != nil {
 		if !ok {
-			b.sampleEnergy(metrics.PhaseError, tr.Addr)
+			b.sampleEnergy(metrics.PhaseError, r.sel)
 		}
 		b.mx.Beats(delivered)
 	}
-	b.Retire(tr, cycle, !ok)
+	b.Retire(tr, cycle, !ok, r.sel)
 }

@@ -107,19 +107,20 @@ func (c *Counter) Access(tr *ecbus.Transaction) ecbus.BusState {
 	c.f.AddrHamming += uint64(logic.Hamming(c.lastAddr, tr.Addr, ecbus.AddrBits))
 	c.lastAddr = tr.Addr
 
-	sl, err := c.m.Check(tr.Kind, tr.Addr, tr.Words()*4)
-	if err != nil {
+	sel, ok := c.m.Lookup(tr.Kind, tr.Addr, tr.Words()*4)
+	if !ok {
 		c.cycles++
 		c.f.ErrorPhases++
 		tr.Done, tr.Err = true, true
 		tr.AddrCycle, tr.DataCycle = c.cycles, c.cycles
 		return ecbus.StateError
 	}
-	cfg := sl.Config()
+	t := c.m.Target(sel)
+	sl, cfg := t.Slave, &t.Config
 	// Same sampling point as the timed layers: the injected extra wait
 	// is a pure function of (kind, addr), so the value matches whatever
 	// cycle the timed run samples it on.
-	aw := cfg.AddrWait + ecbus.ExtraWaitOf(sl, tr.Kind, tr.Addr)
+	aw := cfg.AddrWait + t.ExtraWait(tr.Kind, tr.Addr)
 	dw := cfg.ReadWait
 	if tr.Kind == ecbus.Write {
 		dw = cfg.WriteWait
@@ -132,7 +133,6 @@ func (c *Counter) Access(tr *ecbus.Transaction) ecbus.BusState {
 	if tr.Burst {
 		w = ecbus.W32
 	}
-	ok := true
 	for i := range tr.Data {
 		c.f.WaitCycles += uint64(dw)
 		c.cycles += uint64(1 + dw)
