@@ -129,7 +129,7 @@ func (m *Mux) tick(cycle uint64) {
 			// Accepted (or completed on the spot: zero-time counting bus,
 			// or a validation failure). The bus holds the transaction
 			// now; its master reads the stamp.
-			m.pending[w] = m.pending[w][1:]
+			m.pop(w)
 			m.a.Commit(w)
 			gnt = 1 << uint(w)
 			m.grants[w]++
@@ -151,6 +151,17 @@ func (m *Mux) tick(cycle uint64) {
 	if m.obs != nil {
 		m.obs(cycle, req, gnt)
 	}
+}
+
+// pop removes port w's granted head transaction in place: the queue
+// keeps its backing array, so the next presentation appends without
+// allocating, and the vacated tail slot is cleared so the queue does
+// not pin a transaction the bus now holds.
+func (m *Mux) pop(w int) {
+	q := m.pending[w]
+	n := copy(q, q[1:])
+	q[n] = nil
+	m.pending[w] = q[:n]
 }
 
 // Drained reports whether the mux holds no pending transaction and the

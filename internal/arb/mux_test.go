@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/arb"
 	"repro/internal/core"
+	"repro/internal/ecbus"
 	"repro/internal/gatepower"
 	"repro/internal/platform"
 	"repro/internal/rtlbus"
@@ -105,5 +106,31 @@ func TestMuxTransparency(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestMuxGrantAllocFree checks that the arbitration queue reuses its
+// storage: once warm, presenting a transaction through a port, granting
+// it to the bus and retiring it allocates nothing.
+func TestMuxGrantAllocFree(t *testing.T) {
+	k := sim.New(0)
+	mux := arb.NewMux(k, arb.RoundRobin, 2)
+	mux.Bind(tlm1.New(k, testMap()))
+	port := mux.Port(1)
+	tr := new(ecbus.Transaction)
+	var id uint64
+	cycle := func() {
+		id++
+		if err := tr.ResetSingle(id, ecbus.Write, lay.Fast, ecbus.W32, uint32(id)); err != nil {
+			t.Fatal(err)
+		}
+		port.Access(tr)
+		for !tr.Done || !mux.Drained() {
+			k.Step()
+		}
+	}
+	cycle()
+	if n := testing.AllocsPerRun(100, cycle); n != 0 {
+		t.Fatalf("present, grant and retire allocate %.1f times", n)
 	}
 }

@@ -21,7 +21,9 @@ type SlaveConfig struct {
 }
 
 // Contains reports whether the address falls inside the slave's range.
-func (c SlaveConfig) Contains(addr uint64) bool {
+// Like Allows, it takes a pointer: address decode calls both on every
+// access, and a value receiver copies the whole config each call.
+func (c *SlaveConfig) Contains(addr uint64) bool {
 	return addr >= c.Base && addr < c.Base+c.Size
 }
 
@@ -29,7 +31,7 @@ func (c SlaveConfig) Contains(addr uint64) bool {
 func (c SlaveConfig) End() uint64 { return c.Base + c.Size }
 
 // Allows reports whether the access kind is permitted by the rights bits.
-func (c SlaveConfig) Allows(k Kind) bool {
+func (c *SlaveConfig) Allows(k Kind) bool {
 	switch k {
 	case Fetch:
 		return c.Executable

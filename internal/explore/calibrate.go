@@ -2,12 +2,14 @@ package explore
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 
 	"repro/internal/calib"
 	"repro/internal/fault"
 	"repro/internal/javacard"
+	"repro/internal/platform"
 	"repro/internal/tlm3"
 )
 
@@ -43,40 +45,38 @@ func calibGroup(org javacard.Organization, arbPolicy string) string {
 var CalibrationArbs = ArbPolicies
 
 // Calibrate fits the layer-3 analytic model: it measures every
-// configuration of the given axes exactly at the timed layers (the
-// standard parallel sweep), counts each configuration's traffic once
-// with the layer-3 counting bus, and regresses per-event-count
-// coefficients per (layer, group) via deterministic least squares —
-// one group per organization, plus one per (organization, arbitration
-// policy) when opts.Arbs names policies. The faults axis comes from
-// opts.Faults, defaulting to CalibrationFaults; arbitrated groups are
-// measured on clean runs only.
+// configuration of the given axes exactly at the timed layers, counts
+// each configuration's traffic once with the layer-3 counting bus, and
+// regresses per-event-count coefficients per (layer, group) via
+// deterministic least squares — one group per organization, plus one
+// per (organization, arbitration policy) when opts.Arbs names policies.
+// The faults axis comes from opts.Faults, defaulting to
+// CalibrationFaults; arbitrated groups are measured on clean runs only.
+//
+// The timed runs of both axes and one counting run per unique traffic
+// shape form one job list on the sweep pool. Every output lands in its
+// own slot, so the samples reach the fit in cross-product order
+// whatever the worker count.
 //
 // Calibration is strict about failures: a configuration that cannot be
-// measured poisons the fit, so any sweep error aborts instead of
-// fitting on a partial design.
+// measured or counted poisons the fit, so any failed or cancelled job
+// aborts instead of fitting on a partial design.
 func Calibrate(ctx context.Context, opts SweepOpts, layers []int, orgs []javacard.Organization, maps []string, workloads []javacard.Workload) (calib.Model, error) {
-	sweepOpts := opts
-	sweepOpts.OnResult = nil
-	sweepOpts.Metrics = false
-	sweepOpts.Arbs = nil
-	if len(sweepOpts.Faults) == 0 {
-		sweepOpts.Faults = CalibrationFaults
-	}
 	for _, l := range layers {
 		if l == 3 {
 			return calib.Model{}, fmt.Errorf("explore: cannot calibrate against layer 3 (it is the model under calibration)")
 		}
 	}
-
-	results, err := SweepContext(ctx, sweepOpts, layers, orgs, maps, workloads)
-	if err != nil {
-		return calib.Model{}, fmt.Errorf("explore: calibration sweep: %w", err)
+	sweepOpts := opts
+	sweepOpts.Arbs = nil
+	if len(sweepOpts.Faults) == 0 {
+		sweepOpts.Faults = CalibrationFaults
 	}
+	timed, prepErrs := enumerateJobs(sweepOpts, layers, orgs, maps, workloads)
 
-	// The arbitrated groups get their own clean-only measurement sweep:
-	// the contended system's traffic (and the grant wires' energy) is
-	// what their coefficients must price.
+	// The arbitrated groups get their own clean-only jobs: the contended
+	// system's traffic (and the grant wires' energy) is what their
+	// coefficients must price.
 	var arbPolicies []string
 	for _, a := range opts.Arbs {
 		if off(a) != "" {
@@ -87,58 +87,47 @@ func Calibrate(ctx context.Context, opts SweepOpts, layers []int, orgs []javacar
 		arbOpts := sweepOpts
 		arbOpts.Faults = []string{""}
 		arbOpts.Arbs = arbPolicies
-		arbResults, err := SweepContext(ctx, arbOpts, layers, orgs, maps, workloads)
-		if err != nil {
-			return calib.Model{}, fmt.Errorf("explore: arbitration calibration sweep: %w", err)
-		}
-		results = append(results, arbResults...)
+		arbJobs, errs := enumerateJobs(arbOpts, layers, orgs, maps, workloads)
+		timed, prepErrs = append(timed, arbJobs...), append(prepErrs, errs...)
+	}
+	if len(prepErrs) > 0 {
+		return calib.Model{}, fmt.Errorf("explore: calibration: %w", errors.Join(prepErrs...))
 	}
 
-	// One counting run per unique (workload, org, map, fault, arb): the
-	// feature vector does not depend on the measured layer. The unique
-	// shapes are collected from the measured results themselves so the
-	// two sweeps above stay the single source of the calibrated space.
-	preps := map[string]prepared{}
-	for _, w := range workloads {
-		p, err := prepare(w)
+	// The feature vector does not depend on the measured layer, so the
+	// timed jobs share one counting run per traffic shape.
+	reps, shapeOf := shapes(timed)
+	char := platform.DefaultCharTable()
+	results := make([]Result, len(timed))
+	feats := make([][]float64, len(reps))
+	errs := make([]error, len(timed)+len(reps))
+	eachJob(opts.Workers, len(errs), func(i int) {
+		if i < len(timed) {
+			results[i], errs[i] = runJob(ctx, timed[i], char, false)
+			return
+		}
+		j := reps[i-len(timed)]
+		fv, _, err := countRun(ctx, j.cfg, j.p)
 		if err != nil {
-			return calib.Model{}, fmt.Errorf("explore: calibration %s: %w", w.Name, err)
+			errs[i] = fmt.Errorf("explore: calibration count %v/%s: %w", j.cfg, j.p.w.Name, err)
+			return
 		}
-		preps[w.Name] = p
-	}
-	type fkey struct {
-		wl            string
-		org           javacard.Organization
-		m, fault, arb string
-	}
-	feats := map[fkey][]float64{}
-	for _, r := range results {
-		k := fkey{r.Workload, r.Org, r.AddrMap, r.Fault, r.Arb}
-		if _, ok := feats[k]; ok {
-			continue
-		}
-		cfg := Config{Layer: 3, Org: r.Org, AddrMap: r.AddrMap, Fault: r.Fault, Arb: r.Arb}
-		fv, _, err := countRun(ctx, cfg, preps[r.Workload])
-		if err != nil {
-			return calib.Model{}, fmt.Errorf("explore: calibration count %v/%s: %w", cfg, r.Workload, err)
-		}
-		feats[k] = fv.Vector()
+		feats[i-len(timed)] = fv.Vector()
+	})
+	if err := errors.Join(errs...); err != nil {
+		return calib.Model{}, fmt.Errorf("explore: calibration: %w", err)
 	}
 
-	samples := make([]calib.Sample, 0, len(results))
-	for _, r := range results {
-		x, ok := feats[fkey{r.Workload, r.Org, r.AddrMap, r.Fault, r.Arb}]
-		if !ok {
-			return calib.Model{}, fmt.Errorf("explore: calibration missing features for %v/%s", r.Config, r.Workload)
-		}
-		samples = append(samples, calib.Sample{
+	samples := make([]calib.Sample, len(timed))
+	for i, r := range results {
+		samples[i] = calib.Sample{
 			Layer:   r.Layer,
 			Group:   calibGroup(r.Org, r.Arb),
 			Key:     r.Config.String() + "|" + r.Workload,
-			X:       x,
+			X:       feats[shapeOf[i]],
 			EnergyJ: r.BusEnergyJ,
 			Cycles:  float64(r.Cycles),
-		})
+		}
 	}
 	m, err := calib.Fit(tlm3.FeatureNames(), samples)
 	if err != nil {
@@ -157,15 +146,21 @@ var (
 // design space: timed layers 1 and 2, every SFR organization, every
 // named address map, the standard workloads, the full fault-plan
 // vocabulary, and both arbitration policies (clean-only). The first
-// caller pays the calibration sweep (a few hundred milliseconds);
-// everyone after shares the fitted value.
+// caller pays the calibration: 1,152 timed runs and 576 counting runs
+// in one pass on the sweep pool, about 0.4 s on a 2-vCPU Xeon host
+// (BenchmarkCalibrateCold). Everyone after shares the fitted value.
 func DefaultModel() (*calib.Model, error) {
 	defaultModelOnce.Do(func() {
-		defaultModelVal, defaultModelErr = Calibrate(context.Background(), SweepOpts{Arbs: CalibrationArbs},
-			[]int{1, 2}, javacard.Organizations, AllAddrMaps, javacard.Workloads())
+		defaultModelVal, defaultModelErr = calibrateDefault()
 	})
 	if defaultModelErr != nil {
 		return nil, defaultModelErr
 	}
 	return &defaultModelVal, nil
+}
+
+// calibrateDefault fits the model DefaultModel memoizes.
+func calibrateDefault() (calib.Model, error) {
+	return Calibrate(context.Background(), SweepOpts{Arbs: CalibrationArbs},
+		[]int{1, 2}, javacard.Organizations, AllAddrMaps, javacard.Workloads())
 }

@@ -546,14 +546,7 @@ func runJobs(ctx context.Context, opts SweepOpts, jobs []job) ([]Result, []error
 	errs := make([]error, len(jobs))
 	var cbMu sync.Mutex
 	eachJob(opts.Workers, len(jobs), func(i int) {
-		j := jobs[i]
-		r, err := runPrepared(ctx, j.cfg, j.p, char, opts.Metrics)
-		if err != nil {
-			var ce *CancelledError
-			if !errors.As(err, &ce) {
-				err = fmt.Errorf("explore %v/%s: %w", j.cfg, j.p.w.Name, err)
-			}
-		}
+		r, err := runJob(ctx, jobs[i], char, opts.Metrics)
 		results[i], errs[i] = r, err
 		if opts.OnResult != nil {
 			cbMu.Lock()
@@ -562,6 +555,19 @@ func runJobs(ctx context.Context, opts SweepOpts, jobs []job) ([]Result, []error
 		}
 	})
 	return results, errs
+}
+
+// runJob evaluates one job. An error names the job's configuration and
+// workload; a *CancelledError already does and is returned as is.
+func runJob(ctx context.Context, j job, char gatepower.CharTable, metered bool) (Result, error) {
+	r, err := runPrepared(ctx, j.cfg, j.p, char, metered)
+	if err != nil {
+		var ce *CancelledError
+		if !errors.As(err, &ce) {
+			err = fmt.Errorf("explore %v/%s: %w", j.cfg, j.p.w.Name, err)
+		}
+	}
+	return r, err
 }
 
 // eachJob calls f(i) for every i in [0, n) on a bounded pool: workers

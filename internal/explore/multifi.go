@@ -209,27 +209,14 @@ func SweepMultiFidelityContext(ctx context.Context, opts MultiFidelityOpts, laye
 	// layer axis — that sharing is what amortizes screening to
 	// microseconds per configuration.
 	screenStart := time.Now()
-	type fkey struct {
-		wl            string
-		org           javacard.Organization
-		m, fault, arb string
-	}
 	type fres struct {
 		x   []float64
 		err error
 	}
-	keySlot := map[fkey]int{}
-	var keyJobs []job // one representative job per unique key
-	for _, j := range jobs {
-		k := fkey{j.p.w.Name, j.cfg.Org, j.cfg.AddrMap, off(j.cfg.Fault), off(j.cfg.Arb)}
-		if _, ok := keySlot[k]; !ok {
-			keySlot[k] = len(keyJobs)
-			keyJobs = append(keyJobs, j)
-		}
-	}
-	featRes := make([]fres, len(keyJobs))
-	eachJob(opts.Workers, len(keyJobs), func(s int) {
-		j := keyJobs[s]
+	reps, shapeOf := shapes(jobs)
+	featRes := make([]fres, len(reps))
+	eachJob(opts.Workers, len(reps), func(s int) {
+		j := reps[s]
 		fv, _, err := countRun(ctx, j.cfg, j.p)
 		if err != nil {
 			featRes[s] = fres{err: err}
@@ -242,7 +229,7 @@ func SweepMultiFidelityContext(ctx context.Context, opts MultiFidelityOpts, laye
 	exempt := make([]bool, len(jobs)) // never prune: layer 3, failed or untrusted screen
 	for i, j := range jobs {
 		preds[i] = Prediction{Config: j.cfg, Workload: j.p.w.Name}
-		fr := featRes[keySlot[fkey{j.p.w.Name, j.cfg.Org, j.cfg.AddrMap, off(j.cfg.Fault), off(j.cfg.Arb)}]]
+		fr := featRes[shapeOf[i]]
 		if fr.err != nil {
 			// Conservative fallback: confirm exactly what could not be
 			// screened, and surface the screening failure.

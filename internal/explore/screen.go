@@ -44,6 +44,31 @@ type featKey struct {
 	arb   string
 }
 
+// shapeKey is the traffic shape of a configuration run on a prepared
+// workload.
+func shapeKey(cfg Config, p prepared) featKey {
+	return featKey{fp: p.fp, org: cfg.Org, amap: cfg.AddrMap, fault: off(cfg.Fault), arb: off(cfg.Arb)}
+}
+
+// shapes dedupes jobs by traffic shape. It returns one representative
+// job per shape, in first-seen order, and the shape slot of every job:
+// the jobs of one shape share one counting run.
+func shapes(jobs []job) (reps []job, slot []int) {
+	seen := map[featKey]int{}
+	slot = make([]int, len(jobs))
+	for i, j := range jobs {
+		k := shapeKey(j.cfg, j.p)
+		s, ok := seen[k]
+		if !ok {
+			s = len(reps)
+			seen[k] = s
+			reps = append(reps, j)
+		}
+		slot[i] = s
+	}
+	return reps, slot
+}
+
 // featCache memoizes counting runs process-wide. Counting is fully
 // deterministic (the fault injectors are seeded hashes of the access
 // stream), so a hit returns bit-identical features; the cache turns the
@@ -64,7 +89,7 @@ const featCacheCap = 8192
 // traffic stats, via the cache when the shape has been counted before.
 func countRun(ctx context.Context, cfg Config, p prepared) (tlm3.Features, countStats, error) {
 	cfg.Arb = off(cfg.Arb)
-	key := featKey{fp: p.fp, org: cfg.Org, amap: cfg.AddrMap, fault: off(cfg.Fault), arb: cfg.Arb}
+	key := shapeKey(cfg, p)
 	featMu.Lock()
 	v, ok := featCache[key]
 	featMu.Unlock()

@@ -34,13 +34,11 @@ func observeDense(est *gatepower.Estimator, w *ecbus.Bundle, n int) {
 // observeDenseMetered is observeDense plus the per-cycle metrics hooks
 // against reg (nil = disabled), wired the way the bus models wire them:
 // the counter hooks sit in the tick path unconditionally as
-// nil-receiver calls, while the energy-sampling observer (which reads
-// the meter) is only registered for an enabled registry.
+// nil-receiver calls, while the energy sample (which reads the meter)
+// is only taken for an enabled registry — a disabled one registers no
+// sampler, so the disabled loop makes no sampling call.
 func observeDenseMetered(est *gatepower.Estimator, w *ecbus.Bundle, reg *metrics.Registry, n int) {
-	sample := func() {}
-	if reg.Enabled() {
-		sample = func() { reg.EnergySample(metrics.PhaseReadData, 0, est.TotalEnergy()) }
-	}
+	sample := reg.Enabled()
 	for i := 0; i < n; i++ {
 		flip := ^uint64(0) * uint64(i&1)
 		for id := ecbus.SignalID(0); id < ecbus.NumSignals; id++ {
@@ -49,7 +47,9 @@ func observeDenseMetered(est *gatepower.Estimator, w *ecbus.Bundle, reg *metrics
 		est.Observe(w)
 		reg.Beat()
 		reg.WaitCycle()
-		sample()
+		if sample {
+			reg.EnergySample(metrics.PhaseReadData, 0, est.TotalEnergy())
+		}
 	}
 }
 

@@ -7,8 +7,11 @@
 # sweep on the enlarged design space), the cluster cached-hit
 # serving family (1-node vs 2-node replay throughput) and the
 # card-tear session family (torn session + power-up replay per
-# journaling strategy), with a machine-readable JSON table emitted
-# alongside the usual go test output.
+# journaling strategy), and the cold layer-3 calibration
+# (internal/explore BenchmarkCalibrateCold, the fit every fresh
+# jcexplore or ecserved process pays before its first screened sweep),
+# with a machine-readable JSON table emitted alongside the usual go
+# test output.
 #
 #   BENCHTIME=20x ./scripts/bench.sh       # per-benchmark time/iterations
 #   BENCH_OUT=path.json ./scripts/bench.sh # where the JSON table goes;
@@ -20,10 +23,10 @@ cd "$(dirname "$0")/.."
 
 BENCHTIME="${BENCHTIME:-10x}"
 BENCH_OUT="${BENCH_OUT:-${TMPDIR:-/tmp}/bench.json}"
-BENCH_RE="${BENCH_RE:-BenchmarkTable3_|BenchmarkBatchCorpus_|BenchmarkScreenConfig|BenchmarkSweepMultiFidelity|BenchmarkSweepExhaustive|BenchmarkClusterCached|BenchmarkTearSession}"
+BENCH_RE="${BENCH_RE:-BenchmarkTable3_|BenchmarkBatchCorpus_|BenchmarkScreenConfig|BenchmarkSweepMultiFidelity|BenchmarkSweepExhaustive|BenchmarkClusterCached|BenchmarkTearSession|BenchmarkCalibrateCold}"
 
 out=$(go test -run '^$' -bench "$BENCH_RE" \
-	-benchtime "$BENCHTIME" -benchmem .)
+	-benchtime "$BENCHTIME" -benchmem . ./internal/explore)
 echo "$out"
 
 echo "$out" | awk -v outfile="$BENCH_OUT" '
