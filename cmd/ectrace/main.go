@@ -7,13 +7,19 @@
 //	ectrace record -o run.trace          # trace the verification corpus on layer 0
 //	ectrace replay -layer 2 run.trace    # replay a trace into a TLM layer
 //	ectrace vcd -o run.vcd               # dump the layer-0 wires as VCD
+//
+// record and vcd run layer 0 under the EC protocol checker (package
+// checker): a run that breaks the interface rules prints each violation
+// to stderr and exits 1, after writing its output file.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
+	"repro/internal/checker"
 	"repro/internal/core"
 	"repro/internal/platform"
 	"repro/internal/rtlbus"
@@ -24,6 +30,28 @@ import (
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "ectrace:", err)
 	os.Exit(1)
+}
+
+// watch attaches the EC protocol checker to the layer-0 wires as a
+// Post-phase process that sees every cycle. Call the returned function
+// after the run: it exits 1 if the checker saw a violation.
+func watch(k *sim.Kernel, b *rtlbus.Bus) func() {
+	c := checker.New()
+	k.At(sim.Post, "checker", func(uint64) { c.Observe(b.Wires()) })
+	return func() {
+		if report(os.Stderr, c) {
+			os.Exit(1)
+		}
+	}
+}
+
+// report writes c's violations to w, one a line, and reports whether
+// there were any.
+func report(w io.Writer, c *checker.Checker) bool {
+	for _, v := range c.Violations() {
+		fmt.Fprintln(w, "ectrace: protocol violation:", v)
+	}
+	return !c.Clean()
 }
 
 func main() {
@@ -57,6 +85,7 @@ func cmdRecord(args []string) {
 
 	k := sim.New(0)
 	b := rtlbus.New(k, platform.RefMap())
+	verify := watch(k, b)
 	rec := trace.NewRecorder(b)
 	items := core.VerificationCorpus(platform.RefLayout)
 	if *seed != 0 {
@@ -74,6 +103,7 @@ func cmdRecord(args []string) {
 	if err := trace.Save(f, rec.Records()); err != nil {
 		fatal(err)
 	}
+	verify()
 	fmt.Printf("recorded %d transactions over %d cycles to %s\n",
 		len(rec.Records()), cycles, *out)
 }
@@ -128,6 +158,7 @@ func cmdVCD(args []string) {
 	defer f.Close()
 	v := trace.NewVCD(f)
 	k.At(sim.Post, "vcd", func(uint64) { v.Observe(b.Wires()) })
+	verify := watch(k, b)
 	m, cycles := core.RunScript(k, b, core.VerificationCorpus(platform.RefLayout), 10_000_000)
 	if !m.Done() {
 		fatal(fmt.Errorf("run did not complete"))
@@ -135,5 +166,6 @@ func cmdVCD(args []string) {
 	if err := v.Close(); err != nil {
 		fatal(err)
 	}
+	verify()
 	fmt.Printf("dumped %d cycles of EC wires to %s\n", cycles, *out)
 }

@@ -8,6 +8,9 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/checker"
+	"repro/internal/ecbus"
 )
 
 // TestReplayLayerFlagBoundary builds the command and execs it: replay
@@ -73,5 +76,25 @@ func TestReplayLayerFlagBoundary(t *testing.T) {
 	}
 	if code, stderr := run("record", "-seed", "5", "-n", "1", "-o", filepath.Join(dir, "n1.trace")); code != 0 {
 		t.Errorf("record -n 1: exit %d, want 0 (stderr %q)", code, stderr)
+	}
+}
+
+// TestReportViolations: report lists every violation the checker saw,
+// one a line, and says whether there was any; a clean run prints
+// nothing.
+func TestReportViolations(t *testing.T) {
+	var out bytes.Buffer
+	if report(&out, checker.New()) || out.Len() != 0 {
+		t.Fatalf("clean checker: report printed %q", out.String())
+	}
+	c := checker.New()
+	var b ecbus.Bundle
+	b.SetBool(ecbus.SigARdy, true) // ARdy with no AValid breaks A1
+	c.Observe(&b)
+	if !report(&out, c) {
+		t.Fatal("report missed the violation")
+	}
+	if got := out.String(); strings.Count(got, "\n") != len(c.Violations()) || !strings.Contains(got, "A1") {
+		t.Fatalf("report printed %q for %v", got, c.Violations())
 	}
 }

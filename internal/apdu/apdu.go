@@ -103,20 +103,6 @@ func (r Response) Bytes() []byte {
 	return append(out, byte(r.SW>>8), byte(r.SW))
 }
 
-// ParseResponse decodes a response APDU.
-func ParseResponse(b []byte) (Response, error) {
-	if len(b) < 2 {
-		return Response{}, errors.New("apdu: truncated response")
-	}
-	return Response{
-		Data: append([]byte(nil), b[:len(b)-2]...),
-		SW:   uint16(b[len(b)-2])<<8 | uint16(b[len(b)-1]),
-	}, nil
-}
-
-// OK reports whether the status word is SWSuccess.
-func (r Response) OK() bool { return r.SW == SWSuccess }
-
 // Wallet applet instruction set (CLA 0x80).
 const (
 	ClaWallet  = 0x80

@@ -86,9 +86,6 @@ func New(policy Policy, n int) *Arbiter {
 	return &Arbiter{policy: policy, n: n, last: n - 1}
 }
 
-// Masters returns the number of master ports.
-func (a *Arbiter) Masters() int { return a.n }
-
 // Pick returns the winning port for the request mask (bit i = port i
 // requesting), or -1 when nothing is requested. Pick does not advance
 // the round-robin pointer — the caller Commits the grant only if the

@@ -76,13 +76,6 @@ func (m *Mux) Bind(bus core.Initiator) *Mux {
 	return m
 }
 
-// Observe installs the wire observer (at most one; the checker chains
-// internally if it needs more).
-func (m *Mux) Observe(o Observer) { m.obs = o }
-
-// Masters returns the number of ports.
-func (m *Mux) Masters() int { return m.n }
-
 // Port returns master port i. Each master holds exactly one port;
 // ports are not safe for use by two concurrent masters (the whole
 // simulation is single-threaded).
@@ -180,9 +173,6 @@ func (m *Mux) Drained() bool {
 	return true
 }
 
-// Grants returns port i's committed grant count.
-func (m *Mux) Grants(i int) uint64 { return m.grants[i] }
-
 // TotalGrants returns the committed grants across all ports.
 func (m *Mux) TotalGrants() uint64 {
 	var s uint64
@@ -191,16 +181,6 @@ func (m *Mux) TotalGrants() uint64 {
 	}
 	return s
 }
-
-// GrantWaits returns the number of grant attempts the bus refused.
-func (m *Mux) GrantWaits() uint64 { return m.grantWaits }
-
-// Contentions returns the number of executed ticks on which more than
-// one master was requesting — the contention-window count.
-func (m *Mux) Contentions() uint64 { return m.contentions }
-
-// Edges returns port i's request+grant wire transition count.
-func (m *Mux) Edges(i int) uint64 { return m.edges[i] }
 
 // MasterEnergy returns the arbitration-wire energy attributed to port
 // i: its edge count priced at EdgeEnergyJ.

@@ -75,7 +75,14 @@ func TestScreenModelErrorBand(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, layer := range ScreenLayers {
-		eMax, cMax, ok := m.Band(layer)
+		var eMax, cMax float64
+		ok := false
+		for k, lm := range m.Fits {
+			if k.Layer == layer {
+				ok = true
+				eMax, cMax = max(eMax, lm.EnergyMaxRel), max(cMax, lm.CycleMaxRel)
+			}
+		}
 		if !ok {
 			t.Fatalf("screen model has no band for layer %d", layer)
 		}

@@ -224,18 +224,3 @@ func (m Model) Epsilon(layer int, group string, safety float64) (epsEnergy, epsC
 	}
 	return lm.EnergyMaxRel * safety, lm.CycleMaxRel * safety, nil
 }
-
-// Band returns the worst residual band across every group fitted for
-// the given layer — the conservative single-number summary reports and
-// trailers carry.
-func (m Model) Band(layer int) (energyMaxRel, cycleMaxRel float64, ok bool) {
-	for k, lm := range m.Fits {
-		if k.Layer != layer {
-			continue
-		}
-		ok = true
-		energyMaxRel = math.Max(energyMaxRel, lm.EnergyMaxRel)
-		cycleMaxRel = math.Max(cycleMaxRel, lm.CycleMaxRel)
-	}
-	return
-}

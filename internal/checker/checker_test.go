@@ -1,10 +1,12 @@
 package checker
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/ecbus"
+	"repro/internal/fault"
 	"repro/internal/mem"
 	"repro/internal/rtlbus"
 	"repro/internal/sim"
@@ -12,37 +14,62 @@ import (
 
 var lay = core.Layout{Fast: 0, Slow: 0x10000}
 
-func busMap() *ecbus.Map {
+func busMap() *ecbus.Map { return faultMap(fault.Plan{}) }
+
+func faultMap(plan fault.Plan) *ecbus.Map {
 	return ecbus.MustMap(
-		mem.NewRAM("fast", lay.Fast, 0x1000, 0, 0),
-		mem.NewRAM("slow", lay.Slow, 0x1000, 1, 2),
+		fault.Wrap(mem.NewRAM("fast", lay.Fast, 0x1000, 0, 0), plan),
+		fault.Wrap(mem.NewRAM("slow", lay.Slow, 0x1000, 1, 2), plan),
 	)
 }
 
 // TestLayer0IsProtocolClean: the layer-0 model must satisfy every
-// invariant on all corpora, including error cases.
+// invariant on all corpora, under every named fault plan, with and
+// without master retries — bus errors, wait storms, stretched busy
+// windows and re-issued transactions included.
 func TestLayer0IsProtocolClean(t *testing.T) {
 	corpora := map[string][]core.Item{
 		"verification": core.VerificationCorpus(lay),
 		"perf":         core.PerfCorpus(lay, 300),
 	}
 	for seed := uint64(1); seed <= 10; seed++ {
-		corpora["random"] = core.RandomCorpus(seed, 300, lay)
-		for name, items := range corpora {
-			k := sim.New(0)
-			b := rtlbus.New(k, busMap())
-			c := New()
-			k.At(sim.Post, "chk", func(uint64) { c.Observe(b.Wires()) })
-			m, _ := core.RunScript(k, b, core.CloneItems(items), 1_000_000)
-			if !m.Done() {
-				t.Fatalf("%s: hung", name)
-			}
-			if !c.Clean() {
-				for _, v := range c.Violations() {
-					t.Log(v)
+		corpora[fmt.Sprintf("random%d", seed)] = core.RandomCorpus(seed, 300, lay)
+	}
+	retries := map[string]core.RetryPolicy{
+		"no-retry": {},
+		"retry":    {MaxRetries: 3, Backoff: 2},
+	}
+	clean := -1 // errored attempts under the empty plan (decode misses)
+	for _, planName := range fault.Names {
+		plan, _ := fault.Named(planName)
+		faulted := 0 // errored attempts: final errors plus retries
+		for rname, retry := range retries {
+			for name, items := range corpora {
+				tag := fmt.Sprintf("%s/%s/%s", name, planName, rname)
+				k := sim.New(0)
+				b := rtlbus.New(k, faultMap(plan))
+				c := New()
+				k.At(sim.Post, "chk", func(uint64) { c.Observe(b.Wires()) })
+				m := core.NewScriptMaster(k, b, core.CloneItems(items))
+				m.Retry = retry
+				k.RunUntil(1_000_000, m.Done)
+				if !m.Done() {
+					t.Fatalf("%s: hung", tag)
 				}
-				t.Fatalf("%s (seed %d): %d protocol violations", name, seed, len(c.Violations()))
+				if !c.Clean() {
+					for _, v := range c.Violations() {
+						t.Log(v)
+					}
+					t.Fatalf("%s: %d protocol violations", tag, len(c.Violations()))
+				}
+				faulted += m.Errors() + m.TotalRetries()
 			}
+		}
+		switch {
+		case plan.Empty():
+			clean = faulted
+		case plan.ReadErrPermille > 0 && faulted <= clean:
+			t.Errorf("%s: %d errored attempts, %d without faults; the plan injected nothing", planName, faulted, clean)
 		}
 	}
 }

@@ -255,8 +255,8 @@ func TestPeerCacheReplay(t *testing.T) {
 	if !bytes.Equal(got2, want) {
 		t.Fatalf("locally replayed body differs from owner's bytes")
 	}
-	snap := tc.nodes[0].srv.Stats()
-	snap2 := tc.nodes[1].srv.Stats()
+	snap := tc.nodes[0].srv.Registry().Snapshot()
+	snap2 := tc.nodes[1].srv.Registry().Snapshot()
 	if snap.PeerFetches+snap2.PeerFetches == 0 {
 		t.Fatalf("no PeerFetches recorded anywhere")
 	}
@@ -333,7 +333,7 @@ func TestKillNodeMidSweep(t *testing.T) {
 		t.Errorf("sweep body after peer death differs from single-node reference\n got: %q\nwant: %q",
 			res.body, want)
 	}
-	if snap := tc.srvs[0].Stats(); snap.Requeues == 0 {
+	if snap := tc.srvs[0].Registry().Snapshot(); snap.Requeues == 0 {
 		t.Errorf("coordinator recorded no requeues; want >= 1")
 	}
 }
@@ -573,7 +573,7 @@ func TestTruncatedPeerBodyFallsBack(t *testing.T) {
 			t.Errorf("%s: local fallback after truncated peer body produced wrong bytes", c.endpoint)
 		}
 	}
-	if snap := srv.Stats(); snap.PeerErrors == 0 {
+	if snap := srv.Registry().Snapshot(); snap.PeerErrors == 0 {
 		t.Errorf("truncated peer body recorded no PeerErrors")
 	}
 }

@@ -262,13 +262,6 @@ func (m *ScriptMaster) onSkip(n uint64) {
 	}
 }
 
-// Serialized makes the master wait for each transaction to finish before
-// issuing the next, and returns the master for chaining.
-func (m *ScriptMaster) Serialized() *ScriptMaster {
-	m.MaxInFlight = 1
-	return m
-}
-
 // Done reports whether every scripted transaction has completed.
 func (m *ScriptMaster) Done() bool {
 	return m.next == len(m.items) && len(m.inflight) == 0 && len(m.retryQ) == 0

@@ -20,7 +20,8 @@ func TestScriptMasterSerialized(t *testing.T) {
 
 	k := sim.New(0)
 	b := rtlbus.New(k, testMap())
-	m := core.NewScriptMaster(k, b, core.CloneItems(items)).Serialized()
+	m := core.NewScriptMaster(k, b, core.CloneItems(items))
+	m.MaxInFlight = 1
 	n, _ := k.RunUntil(1_000_000, m.Done)
 	if !m.Done() {
 		t.Fatal("serialized run did not finish")

@@ -41,7 +41,7 @@ func runFaultLayer(t *testing.T, layer int, items []core.Item, plan fault.Plan, 
 	m := core.NewScriptMaster(k, bus, items)
 	m.Retry = eqRetry
 	if serialized {
-		m.Serialized()
+		m.MaxInFlight = 1
 	}
 	n, _ := k.RunUntil(1_000_000, m.Done)
 	if !m.Done() {

@@ -37,7 +37,7 @@ type goldenCapture struct {
 	timing   string // per-transaction timing fields, in completion order
 	energy   string // every energy figure as hex float bits
 	trace    string // trace.Save bytes of the recorded transaction stream
-	stats    string // the bus's Stats, rejections included
+	stats    string // the bus ledger's counts, rejections included
 	counts   string // the registry's transaction counters ("" unmetered)
 	rejected uint64 // the bus's Stats.Rejected, for the exercised checks
 	waits    uint64 // the registry's wait cycles (0 unmetered), checked by TestGoldenWaitCycles
@@ -135,7 +135,7 @@ func goldenRunMetered(t *testing.T, layer int, items []core.Item, char gatepower
 	var bus core.Initiator
 	var energy func(sb *strings.Builder)
 	var total func() float64
-	var stats func() (string, uint64) // the bus's Stats and its Rejected count
+	var stats func() (string, uint64) // the bus ledger's counts and its Rejected count
 	switch layer {
 	case 0:
 		b := rtlbus.New(k, mp())
@@ -145,7 +145,7 @@ func goldenRunMetered(t *testing.T, layer int, items []core.Item, char gatepower
 			b.AttachMetrics(k, reg, est.TotalEnergy)
 		}
 		bus = b
-		stats = func() (string, uint64) { st := b.Stats(); return fmt.Sprintf("%+v", st), st.Rejected }
+		stats = func() (string, uint64) { st := b.Counts(); return fmt.Sprintf("%+v", st), st.Rejected }
 		total = est.TotalEnergy
 		energy = func(sb *strings.Builder) {
 			sb.WriteString(f64bits(est.TotalEnergy()))
@@ -166,7 +166,7 @@ func goldenRunMetered(t *testing.T, layer int, items []core.Item, char gatepower
 			b.AttachMetrics(reg)
 		}
 		bus = b
-		stats = func() (string, uint64) { st := b.Stats(); return fmt.Sprintf("%+v", st), st.Rejected }
+		stats = func() (string, uint64) { st := b.Counts(); return fmt.Sprintf("%+v", st), st.Rejected }
 		total = b.Power().TotalEnergy
 		energy = func(sb *strings.Builder) {
 			p := b.Power()
@@ -180,7 +180,7 @@ func goldenRunMetered(t *testing.T, layer int, items []core.Item, char gatepower
 			b.AttachMetrics(reg)
 		}
 		bus = b
-		stats = func() (string, uint64) { st := b.Stats(); return fmt.Sprintf("%+v", st), st.Rejected }
+		stats = func() (string, uint64) { st := b.Counts(); return fmt.Sprintf("%+v", st), st.Rejected }
 		total = b.Power().TotalEnergy
 		energy = func(sb *strings.Builder) {
 			p := b.Power()

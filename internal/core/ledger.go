@@ -5,8 +5,7 @@ import (
 	"repro/internal/metrics"
 )
 
-// TxCounts are the transaction counters every cycle-level bus's Stats
-// carries.
+// TxCounts are the transaction counters a bus's ledger keeps (Counts).
 type TxCounts struct {
 	Accepted  uint64 // transactions accepted onto the bus
 	Completed uint64 // transactions finished OK

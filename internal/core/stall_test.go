@@ -7,6 +7,7 @@ import (
 	"repro/internal/arb"
 	"repro/internal/core"
 	"repro/internal/ecbus"
+	"repro/internal/metrics"
 	"repro/internal/rtlbus"
 	"repro/internal/sim"
 	"repro/internal/tlm1"
@@ -26,13 +27,13 @@ func stallBus(layer int, k *sim.Kernel, m *ecbus.Map) (core.Refuser, func() stri
 	switch layer {
 	case 0:
 		b := rtlbus.New(k, m)
-		return b, func() string { return fmt.Sprintf("%+v", b.Stats()) }
+		return b, func() string { return fmt.Sprintf("%+v", b.Counts()) }
 	case 1:
 		b := tlm1.New(k, m)
-		return b, func() string { return fmt.Sprintf("%+v", b.Stats()) }
+		return b, func() string { return fmt.Sprintf("%+v", b.Counts()) }
 	default:
 		b := tlm2.New(k, m)
-		return b, func() string { return fmt.Sprintf("%+v", b.Stats()) }
+		return b, func() string { return fmt.Sprintf("%+v", b.Counts()) }
 	}
 }
 
@@ -141,7 +142,9 @@ func TestArbitratedMasterNotStalled(t *testing.T) {
 		for _, tr := range m.Completed() {
 			r.timing += fmt.Sprintf("%d:%d/%d/%d ", tr.ID, tr.IssueCycle, tr.AddrCycle, tr.DataCycle)
 		}
-		r.stats, r.grantWaits = fmt.Sprintf("%+v", b.Stats()), mux.GrantWaits()
+		reg := metrics.New("TL1")
+		mux.ReportMetrics(reg)
+		r.stats, r.grantWaits = fmt.Sprintf("%+v", b.Counts()), reg.Snapshot().Arb.GrantWaits
 		return r
 	}
 	var ref result

@@ -297,13 +297,13 @@ func runRefusals(t *testing.T, layer string, wrap func(*refusalBus) core.Initiat
 	switch layer {
 	case "L0":
 		b := rtlbus.New(k, bmap)
-		bus, rejected = b, func() uint64 { return b.Stats().Rejected }
+		bus, rejected = b, func() uint64 { return b.Counts().Rejected }
 	case "TL1":
 		b := tlm1.New(k, bmap)
-		bus, rejected = b, func() uint64 { return b.Stats().Rejected }
+		bus, rejected = b, func() uint64 { return b.Counts().Rejected }
 	default:
 		b := tlm2.New(k, bmap)
-		bus, rejected = b, func() uint64 { return b.Stats().Rejected }
+		bus, rejected = b, func() uint64 { return b.Counts().Rejected }
 	}
 	rec := trace.NewRecorder(bus)
 	rb := newRefusalBus(rec)

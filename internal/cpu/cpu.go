@@ -114,10 +114,6 @@ func (c *CPU) SetReg(r int, v uint32) {
 // Halted reports whether the CPU stopped (BREAK, Halt or fault).
 func (c *CPU) Halted() bool { return c.st == stHalted }
 
-// Halt stops the CPU cleanly (no fault recorded); used by SYSCALL hooks
-// implementing an exit service.
-func (c *CPU) Halt() { c.st = stHalted }
-
 // Fault returns the fault that halted the CPU, or nil for a clean BREAK.
 func (c *CPU) Fault() error { return c.fault }
 

@@ -53,10 +53,3 @@ func (c *ICache) Fill(addr uint64, words []uint32) {
 	l.tag = tag
 	copy(l.words[:], words)
 }
-
-// Invalidate clears the whole cache (e.g. after self-modifying stores).
-func (c *ICache) Invalidate() {
-	for i := range c.lines {
-		c.lines[i].valid = false
-	}
-}

@@ -63,15 +63,6 @@ func Encrypt(key, block uint64) uint64 {
 	return uint64(r)<<32 | uint64(l)
 }
 
-// Decrypt inverts Encrypt.
-func Decrypt(key, block uint64) uint64 {
-	r, l := uint32(block>>32), uint32(block)
-	for i := Rounds - 1; i >= 0; i-- {
-		l, r = r^F(l, Subkey(key, i)), l
-	}
-	return uint64(l)<<32 | uint64(r)
-}
-
 // SFR byte offsets of the coprocessor register file.
 const (
 	RegKey0   = 0x00

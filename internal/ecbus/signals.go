@@ -142,10 +142,6 @@ func (b *Bundle) Bool(id SignalID) bool { return b.v[id] != 0 }
 // Snapshot returns a copy of the raw signal values.
 func (b *Bundle) Snapshot() [NumSignals]uint64 { return b.v }
 
-// Dirty returns the dirty mask (bit i set = signal i written to a new
-// value since the last TakeDirty).
-func (b *Bundle) Dirty() uint32 { return b.dirty }
-
 // TakeDirty returns the dirty mask and clears it. The per-cycle consumer
 // that maintains a previous-value snapshot owns this call; a bundle must
 // have exactly one such consumer.
@@ -153,10 +149,4 @@ func (b *Bundle) TakeDirty() uint32 {
 	d := b.dirty
 	b.dirty = 0
 	return d
-}
-
-// MarkAllDirty flags every signal dirty, forcing the next delta-driven
-// observation to scan the full bundle.
-func (b *Bundle) MarkAllDirty() {
-	b.dirty = 1<<uint(NumSignals) - 1
 }

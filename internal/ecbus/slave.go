@@ -201,6 +201,15 @@ func (m *Map) Add(s Slave) error {
 // Slaves returns the slaves in ascending base-address order.
 func (m *Map) Slaves() []Slave { return m.slaves }
 
+// Names returns the slave names in Lookup order.
+func (m *Map) Names() []string {
+	names := make([]string, len(m.targets))
+	for i := range m.targets {
+		names[i] = m.targets[i].Config.Name
+	}
+	return names
+}
+
 // Target returns the i-th slave's resolved target (the Lookup
 // numbering).
 func (m *Map) Target(i int) *Target { return &m.targets[i] }

@@ -182,18 +182,6 @@ func (p Plan) Validate() error {
 	return nil
 }
 
-// Stats counts the injections an Injector performed. The error and
-// corruption counters are layer-invariant (one count per faulted beat);
-// the wait counters are diagnostics only — layers may sample the
-// dynamic-wait interface a different number of times.
-type Stats struct {
-	ReadErrors  uint64 // read beats failed
-	WriteErrors uint64 // write beats failed
-	Corruptions uint64 // read beats corrupted alongside the error
-	ExtraWaits  uint64 // injected storm cycles, summed over samples
-	Stretched   uint64 // busy-window cycles added, summed over samples
-}
-
 // Injector wraps an ecbus.Slave and applies a Plan. It implements
 // ecbus.Slave and ecbus.DynamicWaiter, and forwards the optional
 // EnergyReporter extension, so it drops into any address map in place
@@ -203,28 +191,19 @@ type Injector struct {
 	inner ecbus.Slave
 	plan  Plan
 
-	// Ordinal bookkeeping. For slaves with a modest address range the
-	// counters live in flat arrays indexed by word offset — the per-beat
-	// hot path is then one array increment instead of two map operations.
-	// Larger (or out-of-range) word addresses fall back to the maps.
-	// passive marks an empty plan: no decision ever depends on the
-	// ordinals, so the bookkeeping (unobservable in that case) is
-	// skipped and data beats forward straight to the wrapped slave.
-	passive   bool
-	base      uint64
-	flatWords uint64
-	flatRead  []uint32
-	flatWrite []uint32
-	nRead     map[uint64]uint32 // accesses so far, per word address
-	nWrite    map[uint64]uint32
+	// Ordinal bookkeeping: accesses so far per word, in arrays indexed
+	// by word offset from base and sized to the slave's range (the bus
+	// forwards only decoded, in-range beats). passive marks an empty
+	// plan: no decision ever depends on the ordinals, so the bookkeeping
+	// (unobservable in that case) is skipped and data beats forward
+	// straight to the wrapped slave.
+	passive bool
+	base    uint64
+	nRead   []uint32
+	nWrite  []uint32
 
-	stats Stats
-	mx    *metrics.Registry
+	mx *metrics.Registry
 }
-
-// maxFlatWords bounds the flat ordinal arrays (1 MiB of counters per
-// direction); slaves with larger ranges use the map path.
-const maxFlatWords = 1 << 18
 
 // Wrap builds an injector applying plan to s. It panics on an invalid
 // plan — plans are built by tests and tools, not parsed from input.
@@ -233,11 +212,12 @@ func Wrap(s ecbus.Slave, plan Plan) *Injector {
 		panic(err)
 	}
 	in := &Injector{inner: s, plan: plan, passive: plan.Empty()}
-	if cfg := s.Config(); !in.passive && cfg.Size/4 <= maxFlatWords {
+	if !in.passive {
+		cfg := s.Config()
 		in.base = cfg.Base &^ 3
-		in.flatWords = (cfg.Size + 3) / 4
-		in.flatRead = make([]uint32, in.flatWords)
-		in.flatWrite = make([]uint32, in.flatWords)
+		words := (cfg.End() - in.base + 3) / 4
+		in.nRead = make([]uint32, words)
+		in.nWrite = make([]uint32, words)
 	}
 	return in
 }
@@ -246,35 +226,15 @@ func Wrap(s ecbus.Slave, plan Plan) *Injector {
 // it — the per-word ordinal stream both beatFaulty and the cross-layer
 // determinism contract are defined over.
 func (in *Injector) ordinal(op Op, word uint64) uint32 {
-	if off := (word - in.base) / 4; off < in.flatWords {
-		if op == OpRead {
-			n := in.flatRead[off]
-			in.flatRead[off] = n + 1
-			return n
-		}
-		n := in.flatWrite[off]
-		in.flatWrite[off] = n + 1
-		return n
-	}
-	m := in.nWrite
+	counts := in.nWrite
 	if op == OpRead {
-		m = in.nRead
+		counts = in.nRead
 	}
-	if m == nil {
-		m = make(map[uint64]uint32)
-		if op == OpRead {
-			in.nRead = m
-		} else {
-			in.nWrite = m
-		}
-	}
-	n := m[word]
-	m[word] = n + 1
+	off := (word - in.base) / 4
+	n := counts[off]
+	counts[off] = n + 1
 	return n
 }
-
-// Inner returns the wrapped slave.
-func (in *Injector) Inner() ecbus.Slave { return in.inner }
 
 // Passthrough implements ecbus.Passthrough: an injector with an empty
 // plan never perturbs an access — data beats forward verbatim and
@@ -282,12 +242,12 @@ func (in *Injector) Inner() ecbus.Slave { return in.inner }
 // no stretch) — so callers may bypass it entirely.
 func (in *Injector) Passthrough() (ecbus.Slave, bool) { return in.inner, in.passive }
 
-// Stats returns a copy of the injection counters.
-func (in *Injector) Stats() Stats { return in.stats }
-
-// AttachMetrics mirrors every Stats increment into the registry's fault
-// counters (nil detaches), so a run report shows injections alongside
-// the bus-side retries and errored phases they caused.
+// AttachMetrics counts every injection in the registry's fault counters
+// (nil detaches), so a run report shows injections alongside the
+// bus-side retries and errored phases they caused. The error and
+// corruption counts are layer-invariant (one per faulted beat); the
+// wait counts are diagnostics only, as layers may sample the
+// dynamic-wait interface a different number of times.
 func (in *Injector) AttachMetrics(reg *metrics.Registry) *Injector {
 	in.mx = reg
 	return in
@@ -363,11 +323,9 @@ func (in *Injector) ReadWord(addr uint64, w ecbus.Width) (uint32, bool) {
 		return data, false
 	}
 	if in.beatFaulty(OpRead, word, n) {
-		in.stats.ReadErrors++
 		in.mx.FaultReadError()
 		if in.plan.CorruptMask != 0 {
 			data ^= in.plan.CorruptMask
-			in.stats.Corruptions++
 			in.mx.FaultCorruption()
 		}
 		return data, false
@@ -385,7 +343,6 @@ func (in *Injector) WriteWord(addr uint64, data uint32, w ecbus.Width) bool {
 	word := addr &^ 3
 	n := in.ordinal(OpWrite, word)
 	if in.beatFaulty(OpWrite, word, n) {
-		in.stats.WriteErrors++
 		in.mx.FaultWriteError()
 		return false
 	}
@@ -400,7 +357,6 @@ func (in *Injector) ExtraWait(k ecbus.Kind, addr uint64) int {
 	base := ecbus.ExtraWaitOf(in.inner, k, addr)
 	if base > 0 && in.plan.BusyStretch > 0 {
 		add := base * in.plan.BusyStretch
-		in.stats.Stretched += uint64(add)
 		in.mx.FaultStretch(add)
 		base += add
 	}
@@ -408,7 +364,6 @@ func (in *Injector) ExtraWait(k ecbus.Kind, addr uint64) int {
 		key := addr<<2 | uint64(k)
 		if in.roll(saltWaitHit, key, 0) < uint64(in.plan.WaitPermille) {
 			storm := 1 + int(in.roll(saltWaitLen, key, 1))%in.plan.MaxExtraWait
-			in.stats.ExtraWaits += uint64(storm)
 			in.mx.FaultExtraWait(storm)
 			base += storm
 		}

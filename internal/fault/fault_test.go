@@ -5,7 +5,15 @@ import (
 
 	"repro/internal/ecbus"
 	"repro/internal/mem"
+	"repro/internal/metrics"
 )
+
+// wrapCounted wraps s under plan with a registry counting the
+// injections.
+func wrapCounted(s ecbus.Slave, plan Plan) (*Injector, *metrics.Registry) {
+	reg := metrics.New("L0")
+	return Wrap(s, plan).AttachMetrics(reg), reg
+}
 
 func newTestRAM(t *testing.T) *mem.RAM {
 	t.Helper()
@@ -83,7 +91,7 @@ func TestNamedPlans(t *testing.T) {
 }
 
 func TestScriptedReadWindow(t *testing.T) {
-	in := Wrap(newTestRAM(t), Plan{Scripted: []ScriptedFault{
+	in, reg := wrapCounted(newTestRAM(t), Plan{Scripted: []ScriptedFault{
 		{Op: OpRead, Addr: 0x10, After: 2, Count: 2},
 	}})
 	want := []bool{true, true, false, false, true, true}
@@ -97,7 +105,7 @@ func TestScriptedReadWindow(t *testing.T) {
 	if _, ok := in.ReadWord(0x14, ecbus.W32); !ok {
 		t.Error("unscripted word errored")
 	}
-	if s := in.Stats(); s.ReadErrors != 2 {
+	if s := reg.Snapshot().Fault; s.ReadErrors != 2 {
 		t.Errorf("ReadErrors = %d, want 2", s.ReadErrors)
 	}
 }
@@ -139,7 +147,7 @@ func TestWriteSuppression(t *testing.T) {
 
 func TestCorruption(t *testing.T) {
 	ram := newTestRAM(t)
-	in := Wrap(ram, Plan{
+	in, reg := wrapCounted(ram, Plan{
 		CorruptMask: 0xDEAD_BEEF,
 		Scripted:    []ScriptedFault{{Op: OpRead, Addr: 0x40, After: 0, Count: 1}},
 	})
@@ -155,7 +163,7 @@ func TestCorruption(t *testing.T) {
 	if got, ok := in.ReadWord(0x40, ecbus.W32); !ok || got != clean {
 		t.Errorf("post-error read = %#x ok=%v, want clean %#x", got, ok, clean)
 	}
-	if s := in.Stats(); s.Corruptions != 1 {
+	if s := reg.Snapshot().Fault; s.Corruptions != 1 {
 		t.Errorf("Corruptions = %d, want 1", s.Corruptions)
 	}
 }
@@ -210,11 +218,11 @@ func (w *waiterStub) WriteWord(addr uint64, _ uint32, _ ecbus.Width) bool { retu
 func (w *waiterStub) ExtraWait(ecbus.Kind, uint64) int                    { return w.extra }
 
 func TestBusyStretch(t *testing.T) {
-	in := Wrap(&waiterStub{extra: 5}, Plan{BusyStretch: 2})
+	in, reg := wrapCounted(&waiterStub{extra: 5}, Plan{BusyStretch: 2})
 	if got := in.ExtraWait(ecbus.Write, 0x10); got != 15 {
 		t.Errorf("ExtraWait = %d, want 15 (5 stretched by 1+2)", got)
 	}
-	if s := in.Stats(); s.Stretched != 10 {
+	if s := reg.Snapshot().Fault; s.Stretched != 10 {
 		t.Errorf("Stretched = %d, want 10", s.Stretched)
 	}
 	// Idle device: nothing to stretch.
@@ -273,11 +281,11 @@ func TestInnerErrorPassesThrough(t *testing.T) {
 	// Reads outside the RAM's backing array fail in the inner slave; the
 	// injector must forward that verbatim and not count it as injected.
 	ram := mem.NewRAM("ram", 0, 0x10, 0, 0)
-	in := Wrap(ram, Plan{Seed: 1, CorruptMask: 0xFF})
+	in, reg := wrapCounted(ram, Plan{Seed: 1, CorruptMask: 0xFF})
 	if ok := in.WriteWord(0x8, 0xAB, ecbus.W16); !ok {
 		t.Fatal("16-bit write failed")
 	}
-	if s := in.Stats(); s.ReadErrors != 0 && s.WriteErrors != 0 {
+	if s := reg.Snapshot().Fault; s.ReadErrors != 0 || s.WriteErrors != 0 {
 		t.Errorf("pass-through counted as injection: %+v", s)
 	}
 }

@@ -73,7 +73,6 @@ const (
 type Stack interface {
 	Push(v int16) error
 	Pop() (int16, error)
-	Depth() int
 	Reset()
 }
 
@@ -151,9 +150,6 @@ func (vm *VM) Halted() bool { return vm.halted }
 
 // Static returns static field n (for result assertions).
 func (vm *VM) Static(n int) int16 { return vm.statics[n] }
-
-// Context returns the active firewall context.
-func (vm *VM) Context() byte { return vm.ctx }
 
 // errTrap wraps interpreter-level failures with the faulting pc.
 func (vm *VM) errTrap(format string, a ...any) error {

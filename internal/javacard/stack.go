@@ -31,9 +31,6 @@ func (s *SoftStack) Pop() (int16, error) {
 	return v, nil
 }
 
-// Depth implements Stack.
-func (s *SoftStack) Depth() int { return len(s.data) }
-
 // Reset implements Stack.
 func (s *SoftStack) Reset() { s.data = s.data[:0] }
 
@@ -82,9 +79,6 @@ func NewHardStack(name string, base uint64) *HardStack {
 
 // Config implements ecbus.Slave.
 func (h *HardStack) Config() ecbus.SlaveConfig { return h.cfg }
-
-// Depth returns the current fill level.
-func (h *HardStack) Depth() int { return len(h.data) }
 
 func (h *HardStack) push(v int16) bool {
 	if len(h.data) >= HardStackSize {
@@ -331,20 +325,6 @@ func (a *MasterAdapter) Pop() (int16, error) {
 		v, err := a.do(ecbus.Read, a.base+RegPop16, ecbus.W16, 0)
 		return int16(uint16(v)), err
 	}
-}
-
-// Depth implements Stack (one bus read).
-func (a *MasterAdapter) Depth() int {
-	if a.org == OrgBurst {
-		if err := a.Flush(); err != nil {
-			return -1
-		}
-	}
-	v, err := a.do(ecbus.Read, a.base+RegDepth, ecbus.W32, 0)
-	if err != nil {
-		return -1
-	}
-	return int(v)
 }
 
 // Reset implements Stack.

@@ -214,10 +214,6 @@ func NewWriter(s Strategy, reg Region, bus BusRW) *Writer {
 	return &Writer{s: s, reg: reg, bus: bus, head: reg.JournalBase, committed: map[uint64]uint32{}}
 }
 
-// Seq returns the sequence number of the last durable frame — the
-// transaction count of the committed prefix.
-func (w *Writer) Seq() uint32 { return w.seq }
-
 // Committed returns the journaled words made durable so far (marker
 // written), keyed by address. The map is live; copy before mutating.
 func (w *Writer) Committed() map[uint64]uint32 { return w.committed }

@@ -22,10 +22,3 @@ func LaneRises(old, new, active uint64) uint64 {
 func LaneFalls(old, new, active uint64) uint64 {
 	return old & ^new & active
 }
-
-// LaneClassify classifies one lane's bit transition between two packed
-// words. Packed lane wires are always driven (never tri-stated), so both
-// Z-masks are zero and the result is one of NoChange, Rise or Fall.
-func LaneClassify(old, new uint64, lane int) TransitionKind {
-	return Classify(old, new, 0, 0, lane)
-}

@@ -25,26 +25,6 @@ const (
 	FromZ1                  // Z -> 1
 )
 
-// String returns a short mnemonic for the transition kind.
-func (t TransitionKind) String() string {
-	switch t {
-	case NoChange:
-		return "-"
-	case Rise:
-		return "r"
-	case Fall:
-		return "f"
-	case ToZ:
-		return "z"
-	case FromZ0:
-		return "Z0"
-	case FromZ1:
-		return "Z1"
-	default:
-		return "?"
-	}
-}
-
 // Hamming returns the number of differing bits between a and b restricted
 // to the low `width` bits. Width must be in [0, 64].
 func Hamming(a, b uint64, width int) int {
@@ -121,31 +101,6 @@ func CoupledOppositeMasked(old, new, mask uint64) int {
 	return bits.OnesCount64(r&(f>>1)) + bits.OnesCount64(f&(r>>1))
 }
 
-// Classify returns the transition kind of bit `bit` between old and new
-// values with corresponding high-impedance flags. A bit is Z when its
-// z-mask bit is set, regardless of the data bit.
-func Classify(oldVal, newVal, oldZ, newZ uint64, bit int) TransitionKind {
-	m := uint64(1) << uint(bit)
-	oz, nz := oldZ&m != 0, newZ&m != 0
-	ov, nv := oldVal&m != 0, newVal&m != 0
-	switch {
-	case oz && nz:
-		return NoChange
-	case oz && !nz && nv:
-		return FromZ1
-	case oz && !nz && !nv:
-		return FromZ0
-	case !oz && nz:
-		return ToZ
-	case !ov && nv:
-		return Rise
-	case ov && !nv:
-		return Fall
-	default:
-		return NoChange
-	}
-}
-
 // Mix64 is a 64-bit finalizer (splitmix64): it breaks the linear bit
 // dependences of raw LFSR states, producing values whose bits behave
 // independently — required wherever stimulus bits must be uncorrelated
@@ -182,12 +137,6 @@ func (l *LFSR) Next() uint64 {
 	b := ((s >> 63) ^ (s >> 62) ^ (s >> 60) ^ (s >> 59)) & 1
 	l.state = (s << 1) | b
 	return l.state
-}
-
-// NextN returns the low n bits of the next LFSR state. n must be in
-// [1, 64].
-func (l *LFSR) NextN(n int) uint64 {
-	return l.Next() & Mask(n)
 }
 
 // NextBool returns a pseudo-random bit.

@@ -274,12 +274,6 @@ func (e *EEPROM) ExtraWait(_ ecbus.Kind, _ uint64) int {
 // Programs returns the number of programming operations performed.
 func (e *EEPROM) Programs() uint64 { return e.programs }
 
-// BusyUntil returns the first cycle at which the device is no longer in
-// a self-timed programming cycle (0 when never programmed). Exposed for
-// idle-skip tests: the stall is a pure function of the kernel cycle, so
-// fast-forwarding across it must not change the sampled wait states.
-func (e *EEPROM) BusyUntil() uint64 { return e.busyUntil }
-
 // Flash models the 64 kB program flash: fast reads, slow block-oriented
 // writes with a shorter self-timed phase than EEPROM.
 type Flash struct {
@@ -317,15 +311,6 @@ func (f *Flash) WriteWord(addr uint64, data uint32, w ecbus.Width) bool {
 	return true
 }
 
-// Programs returns the number of programming operations performed.
-func (f *Flash) Programs() uint64 { return f.programs }
-
-// TearAt applies the partial-write corruption model for a power loss at
-// the given cycle; see EEPROM.TearAt.
-func (f *Flash) TearAt(cycle, seed uint64) (TornWord, bool) {
-	return tearAt(&f.array, f.last, f.programs, f.busyUntil, cycle, seed)
-}
-
 // ExtraWait stalls accesses during programming.
 func (f *Flash) ExtraWait(_ ecbus.Kind, _ uint64) int {
 	now := f.clk.Cycle()
@@ -334,7 +319,3 @@ func (f *Flash) ExtraWait(_ ecbus.Kind, _ uint64) int {
 	}
 	return int(f.busyUntil - now)
 }
-
-// BusyUntil returns the first cycle at which the device is no longer in
-// a self-timed programming phase (0 when never programmed).
-func (f *Flash) BusyUntil() uint64 { return f.busyUntil }

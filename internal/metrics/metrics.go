@@ -189,7 +189,6 @@ type slaveAcc struct {
 type Registry struct {
 	layer  string
 	master string
-	sink   SpanSink
 
 	// Kernel accounting, recorded once at end of run.
 	cycles    uint64
@@ -205,7 +204,6 @@ type Registry struct {
 	retries   uint64
 	beats     uint64
 	waits     uint64
-	spans     uint64
 
 	occ     [ecbus.NumCategories]Histogram
 	latency Histogram
@@ -232,25 +230,12 @@ func New(layer string) *Registry {
 	return &Registry{layer: layer, carry: PhaseIdle}
 }
 
-// Enabled reports whether the registry collects anything.
-func (r *Registry) Enabled() bool { return r != nil }
-
-// SetMaster labels the master feeding this registry's spans.
+// SetMaster labels the master feeding this registry.
 func (r *Registry) SetMaster(name string) {
 	if r == nil {
 		return
 	}
 	r.master = name
-}
-
-// SetSink installs the span sink. A nil sink disables span emission
-// while keeping counters and energy attribution active.
-func (r *Registry) SetSink(s SpanSink) *Registry {
-	if r == nil {
-		return nil
-	}
-	r.sink = s
-	return r
 }
 
 // BindSlaves sizes the per-slave energy table. The bus models call this
@@ -289,9 +274,8 @@ func (r *Registry) TxRejected(n uint64) {
 }
 
 // TxRetired records one completed attempt of a transaction: counters,
-// completion latency, the per-slave access count, and — when a sink is
-// installed — a structured span. slave is the address-map index, or -1
-// for decode misses.
+// completion latency and the per-slave access count. slave is the
+// address-map index, or -1 for decode misses.
 func (r *Registry) TxRetired(tr *ecbus.Transaction, slave int, errored bool) {
 	if r == nil {
 		return
@@ -307,31 +291,6 @@ func (r *Registry) TxRetired(tr *ecbus.Transaction, slave int, errored bool) {
 	if slave >= 0 && slave < len(r.slaves) {
 		r.slaves[slave].accesses++
 	}
-	if r.sink != nil {
-		r.spans++
-		r.sink.Emit(Span{
-			ID:      tr.ID,
-			Layer:   r.layer,
-			Master:  r.master,
-			Slave:   r.SlaveName(slave),
-			Kind:    tr.Kind,
-			Burst:   tr.Burst,
-			Attempt: tr.Retries,
-			Issue:   tr.IssueCycle,
-			Addr:    tr.AddrCycle,
-			End:     tr.DataCycle,
-			Err:     errored,
-		})
-	}
-}
-
-// SlaveName returns the bound name of a slave index, or "-" when the
-// index is out of range (decode miss / unattributed).
-func (r *Registry) SlaveName(i int) string {
-	if r == nil || i < 0 || i >= len(r.slaves) {
-		return "-"
-	}
-	return r.slaves[i].name
 }
 
 // Retries adds master-side re-issues of errored transactions.

@@ -33,7 +33,6 @@ type Snapshot struct {
 	Retries    uint64
 	Beats      uint64
 	WaitCycles uint64
-	Spans      uint64
 
 	// EnergyJ holds the per-phase-kind attribution; TotalEnergyJ is the
 	// registry cursor, i.e. the meter total at Finalize, bit-for-bit.
@@ -74,7 +73,6 @@ func (r *Registry) Snapshot() Snapshot {
 		Retries:    r.retries,
 		Beats:      r.beats,
 		WaitCycles: r.waits,
-		Spans:      r.spans,
 
 		TotalEnergyJ:  r.cursor,
 		UnattributedJ: r.unattr.sum,
@@ -100,17 +98,6 @@ func (r *Registry) Snapshot() Snapshot {
 		}
 	}
 	return s
-}
-
-// PhaseEnergySum returns the sum of the per-phase buckets. The buckets
-// are Kahan-compensated, so the result matches TotalEnergyJ to within
-// a few ulps (the property suite pins the exact bound).
-func (s *Snapshot) PhaseEnergySum() float64 {
-	var sum float64
-	for k := 0; k < int(NumPhaseKinds); k++ {
-		sum += s.EnergyJ[k]
-	}
-	return sum
 }
 
 // fmtJ renders an energy in engineering units (the repo's tables work
@@ -147,7 +134,7 @@ func (s Snapshot) Table() string {
 		s.Cycles, s.SkippedCycles, s.IdleSkips, s.ProcsRun)
 	fmt.Fprintf(&b, "  tx accepted %d  completed %d  errored %d  rejected %d  retries %d\n",
 		s.Accepted, s.Completed, s.Errored, s.Rejected, s.Retries)
-	fmt.Fprintf(&b, "  beats %d  wait cycles %d  spans %d\n", s.Beats, s.WaitCycles, s.Spans)
+	fmt.Fprintf(&b, "  beats %d  wait cycles %d\n", s.Beats, s.WaitCycles)
 	fmt.Fprintf(&b, "  energy %s\n", fmtJ(s.TotalEnergyJ))
 	for k := 0; k < int(NumPhaseKinds); k++ {
 		fmt.Fprintf(&b, "    %-10s %12s  %s\n",

@@ -86,9 +86,6 @@ func (ic *IntController) Raise(n int) {
 // Pending returns the enabled pending lines.
 func (ic *IntController) Pending() uint32 { return ic.pending & ic.enable }
 
-// Raised returns the total number of raise events.
-func (ic *IntController) Raised() uint64 { return ic.raised }
-
 // ReadWord implements ecbus.Slave.
 func (ic *IntController) ReadWord(addr uint64, _ ecbus.Width) (uint32, bool) {
 	switch addr - ic.cfg.Base {
@@ -163,9 +160,6 @@ func (t *Timer) Config() ecbus.SlaveConfig { return t.cfg }
 
 // Expirations returns how many times the timer reached zero.
 func (t *Timer) Expirations() uint64 { return t.expirations }
-
-// Flag reports the expiry flag.
-func (t *Timer) Flag() bool { return t.flag }
 
 func (t *Timer) tick(uint64) {
 	if t.ctrl&1 == 0 {

@@ -31,7 +31,7 @@ func NewBus(k *sim.Kernel, layer Layer, m *ecbus.Map, energy bool, char gatepowe
 	switch layer {
 	case Layer0:
 		b := rtlbus.New(k, m)
-		var meter func() float64 // nil: counters and spans only
+		var meter func() float64 // nil: counters only
 		if energy {
 			total = observeGates(k, b).TotalEnergy
 			meter = total

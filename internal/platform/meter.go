@@ -44,6 +44,3 @@ func (m *SlaveMeter) Energy() float64 {
 	return float64(m.Reads)*er.AccessEnergy(ecbus.Read) +
 		float64(m.Writes)*er.AccessEnergy(ecbus.Write)
 }
-
-// Inner returns the wrapped slave.
-func (m *SlaveMeter) Inner() ecbus.Slave { return m.inner }

@@ -11,7 +11,7 @@ import (
 //
 // total is the energy meter to attribute — typically the method value
 // est.TotalEnergy of the gate-level estimator observing this bus; nil
-// collects counters and spans without energy attribution.
+// collects counters without energy attribution.
 //
 // When total is non-nil, AttachMetrics registers a Post-phase observer
 // that samples the meter once per executed cycle, classified by the
@@ -24,11 +24,7 @@ func (b *Bus) AttachMetrics(k *sim.Kernel, reg *metrics.Registry, total func() f
 	b.mx = reg
 	b.SetMetrics(reg)
 	b.mxKind, b.mxSlave = metrics.PhaseIdle, -1
-	names := make([]string, 0, len(b.m.Slaves()))
-	for _, s := range b.m.Slaves() {
-		names = append(names, s.Config().Name)
-	}
-	reg.BindSlaves(names...)
+	reg.BindSlaves(b.m.Names()...)
 	if reg == nil || total == nil {
 		return b
 	}

@@ -82,8 +82,6 @@ type Bus struct {
 	mx      *metrics.Registry
 	mxKind  metrics.PhaseKind
 	mxSlave int
-
-	stats Stats
 }
 
 // entry is a transaction past its address phase and the index of the
@@ -99,13 +97,6 @@ type beatState struct {
 	cnt   int // cycles spent waiting on this beat
 	waits int // wait states per beat (sampled at phase start)
 	fresh bool
-}
-
-// Stats aggregates observable bus activity.
-type Stats struct {
-	core.TxCounts
-	DataBeats  uint64 // data words moved
-	AddrCycles uint64 // cycles with an active address phase
 }
 
 // New creates a layer-0 bus over the address map and registers its bus
@@ -180,7 +171,6 @@ func (b *Bus) onSkip(n uint64) {
 	b.cycle += n
 	if !b.addrQ.Empty() && b.addrNew && b.addrCnt < b.addrWaits {
 		b.addrCnt += int(n)
-		b.stats.AddrCycles += n // each skipped tick had an active address phase
 		b.mx.WaitCycles(n)
 	}
 	if !b.readQ.Empty() && b.rBeat.fresh && b.rBeat.cnt < b.rBeat.waits {
@@ -205,18 +195,6 @@ func (b *Bus) Access(tr *ecbus.Transaction) ecbus.BusState {
 		b.addrQ.Push(tr)
 	}
 	return st
-}
-
-// Idle reports whether no transaction is in flight.
-func (b *Bus) Idle() bool {
-	return b.addrQ.Empty() && b.readQ.Empty() && b.writeQ.Empty()
-}
-
-// Stats returns a copy of the activity counters.
-func (b *Bus) Stats() Stats {
-	s := b.stats
-	s.TxCounts = b.Counts()
-	return s
 }
 
 // Wires returns the wire bundle driven during the current cycle. The
@@ -258,7 +236,6 @@ func (b *Bus) addrUnit(cycle uint64) {
 	if !b.addrNewStarted() {
 		b.startAddrPhase(tr)
 	}
-	b.stats.AddrCycles++
 	b.driveAddrWires(tr)
 	if b.mx != nil {
 		b.mark(metrics.PhaseAddress, b.addrSel)
@@ -367,7 +344,6 @@ func (b *Bus) readUnit(cycle uint64) {
 	}
 	data, ok := t.Slave.ReadWord(addr, w)
 	b.wires.Set(ecbus.SigRData, uint64(data))
-	b.stats.DataBeats++
 	if b.mx != nil {
 		b.mark(metrics.PhaseReadData, e.sel)
 		b.mx.Beat()
@@ -423,7 +399,6 @@ func (b *Bus) writeUnit(cycle uint64) {
 		w = ecbus.W32
 	}
 	ok := t.Slave.WriteWord(addr, tr.Data[i], w)
-	b.stats.DataBeats++
 	b.mx.Beat()
 	b.wBeat.beat++
 	b.wBeat.cnt = 0

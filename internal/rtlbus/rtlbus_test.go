@@ -154,7 +154,7 @@ func TestOutstandingLimitPerCategory(t *testing.T) {
 		items = append(items, core.Item{Tr: single(uint64(i+1), ecbus.Read, 0x10000+uint64(4*i), ecbus.W32, 0)})
 	}
 	m, _ := run(t, k, b, items)
-	if got := b.Stats().Rejected; got == 0 {
+	if got := b.Counts().Rejected; got == 0 {
 		t.Fatal("expected rejections from the outstanding limit")
 	}
 	if len(m.Completed()) != 6 || m.Errors() != 0 {
@@ -179,8 +179,8 @@ func TestDecodeMissError(t *testing.T) {
 	if tr.DataCycle != 0 {
 		t.Fatalf("error completion cycle %d, want 0 (1-cycle addr phase)", tr.DataCycle)
 	}
-	if b.Stats().Errors != 1 {
-		t.Fatalf("stats errors = %d", b.Stats().Errors)
+	if b.Counts().Errors != 1 {
+		t.Fatalf("counted errors = %d", b.Counts().Errors)
 	}
 }
 
@@ -226,9 +226,9 @@ func TestVerificationCorpusCompletes(t *testing.T) {
 	if cycles == 0 || len(m.Completed()) != len(items) {
 		t.Fatalf("completed %d/%d in %d cycles", len(m.Completed()), len(items), cycles)
 	}
-	st := b.Stats()
-	if st.Completed != uint64(len(items)) || st.DataBeats == 0 {
-		t.Fatalf("stats: %+v", st)
+	st := b.Counts()
+	if st.Completed != uint64(len(items)) || st.Accepted != uint64(len(items)) {
+		t.Fatalf("counts: %+v", st)
 	}
 }
 
@@ -268,8 +268,8 @@ func TestIdleBusDrivesNoStrobes(t *testing.T) {
 			t.Fatalf("idle bus asserts %v", s)
 		}
 	}
-	if !b.Idle() {
-		t.Fatal("bus not idle")
+	if c := b.Counts(); c != (core.TxCounts{}) {
+		t.Fatalf("idle bus counted %+v", c)
 	}
 }
 

@@ -110,7 +110,7 @@ func BenchmarkServeEstimateDedup16(b *testing.B) {
 		wg.Wait()
 	}
 	b.StopTimer()
-	if computes := s.Stats().Computes; computes != uint64(b.N) {
+	if computes := s.Registry().Snapshot().Computes; computes != uint64(b.N) {
 		b.Fatalf("%d computes for %d deduped bursts", computes, b.N)
 	}
 }

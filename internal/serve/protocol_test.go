@@ -270,7 +270,7 @@ func TestMetriczPerEndpointAccounting(t *testing.T) {
 		}
 	}
 
-	snap := s.Stats()
+	snap := s.Registry().Snapshot()
 	for _, ep := range eps {
 		by, ok := snap.OutcomesBy[ep]
 		if !ok {

@@ -156,9 +156,6 @@ func New(opts Options) *Server {
 // Handler returns the server's HTTP handler.
 func (s *Server) Handler() http.Handler { return s.mux }
 
-// Stats returns a snapshot of the per-server metrics registry.
-func (s *Server) Stats() metrics.ServerSnapshot { return s.reg.Snapshot() }
-
 // Registry exposes the server's metrics registry so wrapping layers
 // (the cluster router) account their peer traffic in the same /metricz.
 func (s *Server) Registry() *metrics.ServerRegistry { return s.reg }

@@ -183,7 +183,7 @@ func TestDedupSixteenConcurrentOneCompute(t *testing.T) {
 			t.Fatalf("response %d differs from response 0:\n%s\n%s", i, bodies[i], bodies[0])
 		}
 	}
-	snap := s.Stats()
+	snap := s.Registry().Snapshot()
 	if snap.Computes != 1 {
 		t.Fatalf("16 identical requests performed %d computes, want exactly 1", snap.Computes)
 	}
@@ -245,7 +245,7 @@ func TestOverloadBackpressure(t *testing.T) {
 		s.qmu.Lock()
 		queued := len(s.queue)
 		s.qmu.Unlock()
-		rejected := int(s.Stats().Rejected429)
+		rejected := int(s.Registry().Snapshot().Rejected429)
 		return queued+rejected == flood
 	})
 	close(gate)
@@ -281,7 +281,7 @@ func TestOverloadBackpressure(t *testing.T) {
 	if accepted != 1 || rejected != flood-1 {
 		t.Fatalf("accepted=%d rejected=%d, want 1/%d", accepted, rejected, flood-1)
 	}
-	if got := s.Stats().Rejected429; got != uint64(flood-1) {
+	if got := s.Registry().Snapshot().Rejected429; got != uint64(flood-1) {
 		t.Fatalf("Rejected429 = %d, want %d", got, flood-1)
 	}
 }
@@ -312,7 +312,7 @@ func TestEnqueueCountsBeforeSend(t *testing.T) {
 	}
 	wg.Wait()
 	s.Close()
-	if got := s.Stats().Computes; got != submitters*each {
+	if got := s.Registry().Snapshot().Computes; got != submitters*each {
 		t.Fatalf("%d computes, want %d", got, submitters*each)
 	}
 }

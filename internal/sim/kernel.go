@@ -19,7 +19,6 @@
 package sim
 
 import (
-	"errors"
 	"fmt"
 	"sync/atomic"
 )
@@ -65,28 +64,10 @@ const (
 	Post
 )
 
-// String returns the phase name.
-func (p Phase) String() string {
-	switch p {
-	case Rising:
-		return "rising"
-	case Falling:
-		return "falling"
-	case Post:
-		return "post"
-	default:
-		return fmt.Sprintf("Phase(%d)", int(p))
-	}
-}
-
 // Proc is a simulation process. It is invoked once per cycle during the
 // phase it was registered for. The cycle argument is the number of the
 // cycle being executed, starting at 0.
 type Proc func(cycle uint64)
-
-// Stopper is returned by processes that can request simulation stop; see
-// Kernel.Stop for the imperative variant used by most models.
-var ErrStopped = errors.New("sim: stopped")
 
 type procEntry struct {
 	name string
@@ -101,7 +82,6 @@ type Kernel struct {
 	rising   []procEntry
 	falling  []procEntry
 	post     []procEntry
-	stopped  bool
 	started  bool
 	ClockPS  uint64 // clock period in picoseconds; 0 means unspecified
 	procsRun uint64
@@ -206,28 +186,13 @@ func (k *Kernel) register(ph Phase, name string, fn Proc) {
 // callback it equals the index of the cycle being executed.
 func (k *Kernel) Cycle() uint64 { return k.cycle }
 
-// TimePS returns the simulated time in picoseconds, derived from the cycle
-// count and the clock period.
-func (k *Kernel) TimePS() uint64 { return k.cycle * k.ClockPS }
-
-// Stop requests the kernel to stop after the current cycle completes.
-func (k *Kernel) Stop() { k.stopped = true }
-
-// Stopped reports whether Stop has been called.
-func (k *Kernel) Stopped() bool { return k.stopped }
-
 // ProcsRun returns the total number of process invocations, a cheap
 // progress metric used by the simulation-performance benchmarks.
 func (k *Kernel) ProcsRun() uint64 { return k.procsRun }
 
-// Step executes exactly one clock cycle (all three phases) unless the
-// kernel is already stopped, and reports whether a cycle was executed.
-// A Stop issued during the cycle takes effect from the next Step.
-func (k *Kernel) Step() bool {
+// Step executes exactly one clock cycle (all three phases).
+func (k *Kernel) Step() {
 	k.started = true
-	if k.stopped {
-		return false
-	}
 	c := k.cycle
 	for i := range k.rising {
 		k.rising[i].fn(c)
@@ -240,7 +205,6 @@ func (k *Kernel) Step() bool {
 	}
 	k.procsRun += uint64(len(k.rising) + len(k.falling) + len(k.post))
 	k.cycle++
-	return true
 }
 
 // SkippedCycles returns the number of cycles fast-forwarded by the
@@ -285,16 +249,15 @@ func (k *Kernel) skip(n uint64) {
 	}
 }
 
-// Run executes up to maxCycles cycles, stopping early if Stop is called.
-// It returns the number of cycles actually executed; fast-forwarded idle
-// cycles count as executed.
+// Run executes maxCycles cycles, fast-forwarded idle cycles included,
+// and returns the number executed.
 func (k *Kernel) Run(maxCycles uint64) uint64 {
 	k.started = true
 	defer k.noteRun()
 	canSkip := k.canSkip()
 	var n uint64
 	for n < maxCycles {
-		if canSkip && !k.stopped {
+		if canSkip {
 			if t := k.nextEvent(); t > k.cycle {
 				s := t - k.cycle // NoEvent yields a huge span, clamped below
 				if rem := maxCycles - n; s > rem {
@@ -305,16 +268,14 @@ func (k *Kernel) Run(maxCycles uint64) uint64 {
 				continue
 			}
 		}
-		if !k.Step() {
-			break
-		}
+		k.Step()
 		n++
 	}
 	return n
 }
 
 // RunUntil executes cycles until done returns true (checked after each
-// cycle), Stop is called, or maxCycles elapse. It returns the number of
+// cycle) or maxCycles elapse. It returns the number of
 // cycles executed (fast-forwarded idle cycles included) and whether done
 // was reached.
 //
@@ -329,7 +290,7 @@ func (k *Kernel) RunUntil(maxCycles uint64, done func() bool) (uint64, bool) {
 	canSkip := k.canSkip()
 	var n uint64
 	for n < maxCycles {
-		if canSkip && n > 0 && !k.stopped {
+		if canSkip && n > 0 {
 			if t := k.nextEvent(); t != NoEvent && t > k.cycle {
 				s := t - k.cycle
 				if rem := maxCycles - n; s > rem {
@@ -343,9 +304,7 @@ func (k *Kernel) RunUntil(maxCycles uint64, done func() bool) (uint64, bool) {
 				continue
 			}
 		}
-		if !k.Step() {
-			return n, done()
-		}
+		k.Step()
 		n++
 		if done() {
 			return n, true

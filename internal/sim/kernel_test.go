@@ -50,25 +50,6 @@ func TestRunCountsCycles(t *testing.T) {
 	}
 }
 
-func TestStopEndsRunEarly(t *testing.T) {
-	k := New(0)
-	k.At(Rising, "s", func(c uint64) {
-		if c == 4 {
-			k.Stop()
-		}
-	})
-	n := k.Run(100)
-	if n != 5 { // cycles 0..4 complete, then stop
-		t.Fatalf("ran %d cycles, want 5", n)
-	}
-	if !k.Stopped() {
-		t.Fatal("kernel not stopped")
-	}
-	if k.Step() {
-		t.Fatal("Step after Stop should return false")
-	}
-}
-
 func TestCycleArgumentMatchesKernelCycle(t *testing.T) {
 	k := New(0)
 	k.At(Falling, "chk", func(c uint64) {

@@ -176,17 +176,6 @@ func TestSkipDeterministicAcrossRuns(t *testing.T) {
 	}
 }
 
-func TestStopPreventsSkip(t *testing.T) {
-	k := New(0)
-	h := &hintedCounter{period: 100}
-	k.AtHinted(Rising, "h", h.proc, h.hint, h.onSkip)
-	k.Step() // run cycle 0
-	k.Stop()
-	if n := k.Run(100); n != 0 {
-		t.Fatalf("Run after Stop = %d, want 0", n)
-	}
-}
-
 func TestAtHintedNilHintPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -39,7 +39,7 @@ func TestSessionCleanRun(t *testing.T) {
 		t.Fatalf("%d responses, want %d", len(res.Responses), len(DefaultSession()))
 	}
 	for i, r := range res.Responses {
-		if !r.OK() {
+		if r.SW != apdu.SWSuccess {
 			t.Fatalf("command %d: SW=%04X", i, r.SW)
 		}
 	}

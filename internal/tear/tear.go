@@ -139,9 +139,6 @@ func (m *Monitor) latch(cut uint64, op uint64) {
 	}
 }
 
-// Torn reports whether the monitor has latched.
-func (m *Monitor) Torn() bool { return m != nil && m.torn }
-
 // CutCycle returns the cycle the supply died at: for the ordinal
 // trigger, CutOffset cycles into the interrupting operation's window —
 // the cycle internal/mem's TearAt resolves the corruption against.
@@ -150,6 +147,3 @@ func (m *Monitor) CutCycle() uint64 { return m.cutCycle }
 // CutProgram returns the ordinal of the programming operation the cut
 // landed in (0 for cycle/joule triggers).
 func (m *Monitor) CutProgram() uint64 { return m.cutOp }
-
-// CutEnergyJ returns the meter total sampled at the latch.
-func (m *Monitor) CutEnergyJ() float64 { return m.cutJ }

@@ -74,14 +74,6 @@ type Bus struct {
 	mx      *metrics.Registry
 	mxKind  metrics.PhaseKind
 	mxSlave int
-
-	stats Stats
-}
-
-// Stats aggregates bus activity counters.
-type Stats struct {
-	core.TxCounts
-	DataBeats uint64
 }
 
 // New creates a layer-1 bus over the address map and registers the bus
@@ -187,11 +179,7 @@ func (b *Bus) Power() *PowerModel { return b.power }
 func (b *Bus) AttachMetrics(reg *metrics.Registry) *Bus {
 	b.mx = reg
 	b.SetMetrics(reg)
-	names := make([]string, 0, len(b.m.Slaves()))
-	for _, s := range b.m.Slaves() {
-		names = append(names, s.Config().Name)
-	}
-	reg.BindSlaves(names...)
+	reg.BindSlaves(b.m.Names()...)
 	return b
 }
 
@@ -201,18 +189,6 @@ func (b *Bus) mark(kind metrics.PhaseKind, slave int) {
 	if b.mxKind == metrics.PhaseIdle || kind > b.mxKind {
 		b.mxKind, b.mxSlave = kind, slave
 	}
-}
-
-// Stats returns a copy of the activity counters.
-func (b *Bus) Stats() Stats {
-	s := b.stats
-	s.TxCounts = b.Counts()
-	return s
-}
-
-// Idle reports whether no request is in flight.
-func (b *Bus) Idle() bool {
-	return b.requestQ.Empty() && b.readQ.Empty() && b.writeQ.Empty()
 }
 
 // Access is the non-blocking master interface (both the instruction and
@@ -355,7 +331,6 @@ func (b *Bus) readPhase(cycle uint64) {
 	}
 	data, ok := b.m.Target(e.sel).Slave.ReadWord(addr, w)
 	e.tr.Data[i] = data
-	b.stats.DataBeats++
 	if b.mx != nil {
 		b.mark(metrics.PhaseReadData, e.sel)
 		b.mx.Beat()
@@ -409,7 +384,6 @@ func (b *Bus) writePhase(cycle uint64) {
 		w = ecbus.W32
 	}
 	ok := b.m.Target(e.sel).Slave.WriteWord(addr, e.tr.Data[i], w)
-	b.stats.DataBeats++
 	b.mx.Beat()
 	if b.power != nil && ok {
 		// On an errored beat the error strobe (finish path) replaces

@@ -70,11 +70,6 @@ type Bus struct {
 	mx    *metrics.Registry
 }
 
-// Stats aggregates bus activity counters.
-type Stats struct {
-	core.TxCounts
-}
-
 // New creates a layer-2 bus over the address map and registers the bus
 // process on the kernel's falling edge, with a quiescence hint so the
 // kernel can fast-forward pure wait-state countdowns and idle gaps.
@@ -172,11 +167,7 @@ func (b *Bus) Power() *PowerModel { return b.power }
 func (b *Bus) AttachMetrics(reg *metrics.Registry) *Bus {
 	b.mx = reg
 	b.SetMetrics(reg)
-	names := make([]string, 0, len(b.m.Slaves()))
-	for _, s := range b.m.Slaves() {
-		names = append(names, s.Config().Name)
-	}
-	reg.BindSlaves(names...)
+	reg.BindSlaves(b.m.Names()...)
 	return b
 }
 
@@ -189,14 +180,6 @@ func (b *Bus) sampleEnergy(kind metrics.PhaseKind, sel int) {
 		t = b.power.TotalEnergy()
 	}
 	b.mx.EnergySample(kind, sel, t)
-}
-
-// Stats returns a copy of the activity counters.
-func (b *Bus) Stats() Stats { return Stats{b.Counts()} }
-
-// Idle reports whether no request is in flight.
-func (b *Bus) Idle() bool {
-	return b.addrQ.Empty() && b.readQ.Empty() && b.writeQ.Empty()
 }
 
 // Access is the master interface, with layer-1 semantics so the

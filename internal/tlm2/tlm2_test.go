@@ -24,8 +24,8 @@ func TestBurstIsSingleTransaction(t *testing.T) {
 	k, b, _ := bench()
 	tr, _ := ecbus.NewBurst(1, ecbus.Read, 0x300, nil)
 	core.RunScript(k, b, []core.Item{{Tr: tr}}, 100)
-	if st := b.Stats(); st.Accepted != 1 || st.Completed != 1 {
-		t.Fatalf("stats = %+v, want one transaction", st)
+	if st := b.Counts(); st.Accepted != 1 || st.Completed != 1 {
+		t.Fatalf("counts = %+v, want one transaction", st)
 	}
 	// Beats: addr ends cycle 0; 4-beat block occupies cycles 1..4.
 	if tr.DataCycle != 4 {
@@ -73,8 +73,8 @@ func TestDecodeErrorTicket(t *testing.T) {
 	if !m.Done() || !tr.Err {
 		t.Fatal("decode miss not reported")
 	}
-	if b.Stats().Errors != 1 {
-		t.Fatalf("errors = %d", b.Stats().Errors)
+	if b.Counts().Errors != 1 {
+		t.Fatalf("errors = %d", b.Counts().Errors)
 	}
 }
 
@@ -96,7 +96,7 @@ func TestRejectionWhenCategoryFull(t *testing.T) {
 	if rejectedAt != 4 {
 		t.Fatalf("rejection at request %d, want 4 (MaxOutstanding)", rejectedAt)
 	}
-	if got := b.Stats().Rejected; got != 1 {
+	if got := b.Counts().Rejected; got != 1 {
 		t.Fatalf("rejected = %d, want 1", got)
 	}
 }

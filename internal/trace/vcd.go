@@ -82,15 +82,6 @@ type Profile struct {
 // Add appends one cycle's energy.
 func (p *Profile) Add(e float64) { p.Samples = append(p.Samples, e) }
 
-// Total returns the integrated energy.
-func (p *Profile) Total() float64 {
-	var s float64
-	for _, v := range p.Samples {
-		s += v
-	}
-	return s
-}
-
 // Peak returns the largest per-cycle sample, the figure contact-less
 // cards must keep under the RF-field supply budget.
 func (p *Profile) Peak() float64 {

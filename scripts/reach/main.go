@@ -1,26 +1,37 @@
-// Command reach lists the exported functions and methods under
-// internal/ that no given binary contains. scripts/reach.sh builds the
-// repository's binaries with inlining off and runs it over them:
+// Command reach fails when an exported function or method under
+// internal/ is in none of the given binaries and not named in the
+// allowlist. scripts/reach.sh builds the repository's binaries with
+// inlining off and runs it over them:
 //
-//	go run ./scripts/reach BIN...
+//	go run ./scripts/reach -allow scripts/reach/allow.txt BIN...
 //
 // A declaration counts as reached when any binary's text symbols name
 // it, a closure inside it, a method value of it, or a generic
 // instantiation of it (the linker prints those under shape names, for
-// example "(*Ring[go.shape.*uint8]).Push"). The report lists each
-// unreached declaration with its file:line and body lines, then the
-// totals. It is a report, not a gate: the exit status is 0 whenever the
-// scan itself succeeds.
+// example "(*Ring[go.shape.*uint8]).Push").
+//
+// The allowlist has one "symbol<TAB>reason" entry a line; blank lines
+// and lines starting with # are ignored. A symbol is written as the
+// report prints it, without the "repro/internal/" prefix: "pkg.Func"
+// names one function, "pkg.Type.Method" one method, and "pkg.Type"
+// every unreached exported method of that type. The scan lists each
+// unreached declaration with its file:line, body lines and whether the
+// allowlist covers it, then the totals. It exits 1 when an unreached
+// declaration is not listed or an entry is stale (it covers no
+// unreached declaration: the symbol is now linked, or gone), and 2 when
+// the scan itself fails.
 package main
 
 import (
 	"bufio"
 	"bytes"
+	"flag"
 	"fmt"
 	"go/ast"
 	"go/build"
 	"go/parser"
 	"go/token"
+	"io"
 	"io/fs"
 	"os"
 	"os/exec"
@@ -32,16 +43,26 @@ import (
 const module = "repro/internal/"
 
 func main() {
-	if len(os.Args) < 2 {
-		fmt.Fprintln(os.Stderr, "usage: reach BIN...")
+	allowPath := flag.String("allow", "", "allowlist file (symbol<TAB>reason lines)")
+	flag.Parse()
+	if flag.NArg() == 0 || *allowPath == "" {
+		fmt.Fprintln(os.Stderr, "usage: reach -allow FILE BIN...")
 		os.Exit(2)
 	}
+	f, err := os.Open(*allowPath)
+	if err != nil {
+		fail(err)
+	}
+	allow, err := parseAllow(f)
+	f.Close()
+	if err != nil {
+		fail(fmt.Errorf("%s: %w", *allowPath, err))
+	}
 	reached := map[string]bool{}
-	for _, bin := range os.Args[1:] {
+	for _, bin := range flag.Args() {
 		out, err := exec.Command("go", "tool", "nm", bin).Output()
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "reach: go tool nm %s: %v\n", bin, err)
-			os.Exit(1)
+			fail(fmt.Errorf("go tool nm %s: %w", bin, err))
 		}
 		for _, sym := range textSymbols(out) {
 			for _, k := range keys(sym) {
@@ -51,20 +72,107 @@ func main() {
 	}
 	decls, err := exported("internal")
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "reach:", err)
+		fail(err)
+	}
+	r := check(decls, reached, allow)
+	lines := 0
+	for _, u := range r.unreached {
+		lines += u.body
+		status := "unlisted"
+		if u.allowed {
+			status = "allowed"
+		}
+		fmt.Printf("%-48s %-44s %4d  %s\n", u.pos, strings.TrimPrefix(u.key, module), u.body, status)
+	}
+	for _, e := range r.stale {
+		fmt.Printf("%-48s %-44s stale: covers no unreached declaration\n", fmt.Sprintf("%s:%d", *allowPath, e.line), e.symbol)
+	}
+	fmt.Printf("reach: %d of %d exported functions and methods under internal/ are in none of %d binaries (%d body lines); %d allowed by %d entries, %d unlisted, %d stale entries\n",
+		len(r.unreached), len(decls), flag.NArg(), lines, len(r.unreached)-r.unlisted, len(allow), r.unlisted, len(r.stale))
+	if r.unlisted > 0 || len(r.stale) > 0 {
 		os.Exit(1)
 	}
-	n, lines := 0, 0
+}
+
+func fail(err error) {
+	fmt.Fprintln(os.Stderr, "reach:", err)
+	os.Exit(2)
+}
+
+// entry is one allowlist line.
+type entry struct {
+	symbol string // "pkg.Func", "pkg.Type.Method" or "pkg.Type"
+	reason string
+	line   int
+}
+
+// parseAllow reads allowlist entries, skipping blank and # lines. Every
+// entry needs a symbol, a tab and a reason; a symbol may appear once.
+func parseAllow(r io.Reader) ([]entry, error) {
+	var out []entry
+	seen := map[string]bool{}
+	sc := bufio.NewScanner(r)
+	for n := 1; sc.Scan(); n++ {
+		line := strings.TrimSpace(sc.Text())
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		sym, reason, ok := strings.Cut(line, "\t")
+		sym, reason = strings.TrimSpace(sym), strings.TrimSpace(reason)
+		if !ok || sym == "" || reason == "" || strings.ContainsAny(sym, " \t") {
+			return nil, fmt.Errorf("line %d: want symbol<TAB>reason, got %q", n, line)
+		}
+		if seen[sym] {
+			return nil, fmt.Errorf("line %d: %s listed twice", n, sym)
+		}
+		seen[sym] = true
+		out = append(out, entry{symbol: sym, reason: reason, line: n})
+	}
+	return out, sc.Err()
+}
+
+// unreached is a declaration no binary links and whether an allowlist
+// entry covers it.
+type unreached struct {
+	decl
+	allowed bool
+}
+
+// result is the outcome of check.
+type result struct {
+	unreached []unreached
+	unlisted  int
+	stale     []entry
+}
+
+// check matches the unreached declarations against the allowlist: an
+// entry covers the declaration it names and, when it names a type, every
+// method of that type. An entry that covers nothing is stale.
+func check(decls []decl, reached map[string]bool, allow []entry) result {
+	used := make([]bool, len(allow))
+	var r result
 	for _, d := range decls {
 		if reached[d.key] {
 			continue
 		}
-		n++
-		lines += d.body
-		fmt.Printf("%-48s %-44s %4d\n", d.pos, strings.TrimPrefix(d.key, module), d.body)
+		u := unreached{decl: d}
+		sym := strings.TrimPrefix(d.key, module)
+		for i, e := range allow {
+			if sym == e.symbol || strings.HasPrefix(sym, e.symbol+".") {
+				u.allowed, used[i] = true, true
+			}
+		}
+		if !u.allowed {
+			r.unlisted++
+		}
+		r.unreached = append(r.unreached, u)
 	}
-	fmt.Printf("reach: %d of %d exported functions and methods under internal/ are in none of %d binaries (%d body lines)\n",
-		n, len(decls), len(os.Args)-1, lines)
+	for i, e := range allow {
+		if !used[i] {
+			r.stale = append(r.stale, e)
+		}
+	}
+	return r
 }
 
 // textSymbols returns the text-segment symbols under module from go

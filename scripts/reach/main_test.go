@@ -2,6 +2,7 @@ package main
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -58,5 +59,81 @@ func TestTextSymbols(t *testing.T) {
 	}
 	if got := textSymbols(nm); !reflect.DeepEqual(got, want) {
 		t.Fatalf("textSymbols = %q, want %q", got, want)
+	}
+}
+
+// declsOf builds declarations for the given symbols.
+func declsOf(syms ...string) []decl {
+	var ds []decl
+	for _, s := range syms {
+		ds = append(ds, decl{key: module + s, pos: "x.go:1", body: 1})
+	}
+	return ds
+}
+
+func allowOf(syms ...string) []entry {
+	var es []entry
+	for i, s := range syms {
+		es = append(es, entry{symbol: s, reason: "r", line: i + 1})
+	}
+	return es
+}
+
+// TestCheckUnlisted: an unreached declaration no entry names fails the
+// scan; a reached one is not reported at all.
+func TestCheckUnlisted(t *testing.T) {
+	reached := map[string]bool{module + "p.Linked": true}
+	r := check(declsOf("p.Linked", "p.Orphan", "p.Listed"), reached, allowOf("p.Listed"))
+	if r.unlisted != 1 || len(r.stale) != 0 || len(r.unreached) != 2 {
+		t.Fatalf("check = %+v, want one unlisted of two unreached", r)
+	}
+	if u := r.unreached[0]; u.key != module+"p.Orphan" || u.allowed {
+		t.Fatalf("first unreached %+v, want p.Orphan unlisted", u)
+	}
+	if !r.unreached[1].allowed {
+		t.Fatal("listed declaration reported unlisted")
+	}
+}
+
+// TestCheckStale: an entry whose symbol is now linked, or no longer
+// declared, fails the scan.
+func TestCheckStale(t *testing.T) {
+	reached := map[string]bool{module + "p.Linked": true}
+	r := check(declsOf("p.Linked"), reached, allowOf("p.Linked", "p.Gone"))
+	if r.unlisted != 0 || len(r.stale) != 2 || r.stale[0].symbol != "p.Linked" || r.stale[1].symbol != "p.Gone" {
+		t.Fatalf("check = %+v, want both entries stale", r)
+	}
+}
+
+// TestCheckTypeEntryCoversMethods: an entry naming a type covers every
+// unreached method of it, but not a function that merely shares the
+// name's prefix.
+func TestCheckTypeEntryCoversMethods(t *testing.T) {
+	r := check(declsOf("p.T.A", "p.T.B", "p.TFunc"), map[string]bool{}, allowOf("p.T"))
+	if r.unlisted != 1 || len(r.stale) != 0 {
+		t.Fatalf("check = %+v, want only p.TFunc unlisted", r)
+	}
+	for _, u := range r.unreached {
+		if want := u.key != module+"p.TFunc"; u.allowed != want {
+			t.Errorf("%s allowed=%v, want %v", u.key, u.allowed, want)
+		}
+	}
+}
+
+// TestParseAllow skips blank lines and # comments and rejects entries
+// without a reason or listed twice.
+func TestParseAllow(t *testing.T) {
+	got, err := parseAllow(strings.NewReader("# header\n\n  \np.F\tkept for a reason\n\t# indented comment\np.T\ttwo\twords\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []entry{{"p.F", "kept for a reason", 4}, {"p.T", "two\twords", 6}}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("parseAllow = %+v, want %+v", got, want)
+	}
+	for _, bad := range []string{"p.F\n", "p.F\t\n", "p.F reason\n", "\treason\n", "p.F\ta\np.F\tb\n"} {
+		if _, err := parseAllow(strings.NewReader(bad)); err == nil {
+			t.Errorf("parseAllow(%q) accepted a malformed allowlist", bad)
+		}
 	}
 }
