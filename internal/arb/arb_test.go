@@ -99,7 +99,7 @@ func runContenders(t *testing.T, policy arb.Policy, corpora [][]core.Item) (*arb
 
 	mon := checker.NewGrantMonitor(policy, len(corpora))
 	var obs []wireObs
-	mux.Observe(func(cycle uint64, req, gnt uint32) {
+	mux.Observe(k, func(cycle uint64, req, gnt uint32) {
 		obs = append(obs, wireObs{req, gnt})
 		mon.Observe(cycle, req, gnt)
 	})

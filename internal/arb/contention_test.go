@@ -149,7 +149,7 @@ func runContention(t *testing.T, layer int, policy arb.Policy, corpora [][]core.
 	mux.Bind(bus)
 
 	var out contentionOutcome
-	mux.Observe(func(_ uint64, req, gnt uint32) {
+	mux.Observe(k, func(_ uint64, req, gnt uint32) {
 		if gnt != 0 {
 			out.winners = append(out.winners, bits.TrailingZeros32(gnt))
 		}
@@ -312,7 +312,7 @@ func TestGoldenContendedEquivalence(t *testing.T) {
 		}
 		mux.Bind(bus)
 		var out contentionOutcome
-		mux.Observe(func(_ uint64, _, gnt uint32) {
+		mux.Observe(k, func(_ uint64, _, gnt uint32) {
 			if gnt != 0 {
 				out.winners = append(out.winners, bits.TrailingZeros32(gnt))
 			}

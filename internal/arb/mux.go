@@ -11,12 +11,6 @@ import (
 	"repro/internal/sim"
 )
 
-// Observer receives the arbitration wires of every executed falling
-// tick: the request mask sampled at arbitration time and the grant
-// pulse (at most one bit). The checker's grant-protocol monitor hooks
-// in here.
-type Observer func(cycle uint64, req, gnt uint32)
-
 // Mux is the multi-master front of a bus model: n master-side ports
 // share one downstream core.Initiator under an arbitration policy.
 //
@@ -48,8 +42,6 @@ type Mux struct {
 	grants           []uint64 // per-master committed grants
 	grantWaits       uint64   // grant attempts refused by the bus (queue full)
 	contentions      uint64   // executed ticks with >1 requester
-
-	obs Observer
 }
 
 // NewMux creates the arbitrating front for n masters and registers its
@@ -103,7 +95,7 @@ func (m *Mux) hint(now uint64) uint64 {
 // tick is the falling-edge arbitration step: sample requests, pick one
 // winner, present its head transaction to the bus, and integrate the
 // request/grant wire activity.
-func (m *Mux) tick(cycle uint64) {
+func (m *Mux) tick(uint64) {
 	var req uint32
 	for i := 0; i < m.n; i++ {
 		if len(m.pending[i]) > 0 {
@@ -141,9 +133,6 @@ func (m *Mux) tick(cycle uint64) {
 		}
 	}
 	m.reqPrev, m.gntPrev = req, gnt
-	if m.obs != nil {
-		m.obs(cycle, req, gnt)
-	}
 }
 
 // pop removes port w's granted head transaction in place: the queue

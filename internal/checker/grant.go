@@ -8,8 +8,8 @@ import (
 )
 
 // GrantMonitor is the grant-protocol checker of the multi-master bus:
-// it watches the arbiter's request/grant wires (arb.Mux.Observe) and
-// flags violations of the arbitration invariants:
+// it watches the arbiter's request/grant wires and flags violations of
+// the arbitration invariants:
 //
 //	G1  A grant pulse only to a requesting master (no grant without
 //	    request — the wire-level face of "no data phase without
@@ -58,7 +58,7 @@ func (g *GrantMonitor) flag(cycle uint64, rule, format string, a ...any) {
 	g.violations = append(g.violations, Violation{Cycle: cycle, Rule: rule, Info: fmt.Sprintf(format, a...)})
 }
 
-// Observe checks one arbitration cycle; wire it to arb.Mux.Observe.
+// Observe checks one arbitration cycle of request/grant wires.
 func (g *GrantMonitor) Observe(cycle uint64, req, gnt uint32) {
 	if bits.OnesCount32(gnt) > 1 {
 		g.flag(cycle, "G2", "more than one grant asserted: gnt=%0*b", g.n, gnt)

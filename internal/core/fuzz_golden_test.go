@@ -69,7 +69,7 @@ func fuzzScript(data []byte) ([]core.Item, func() *ecbus.Map) {
 // FuzzGoldenEquivalence is the golden gate over generated scripts: each
 // runs on the reference and the optimized path at L0, TL1 and TL2 with
 // the fault tables' retry policy, plain and metered, and per-transaction
-// timing, energy bits, bus Stats (rejections included) and registry
+// timing, energy bits, bus ledger counts (rejections included) and registry
 // counts must be identical.
 func FuzzGoldenEquivalence(f *testing.F) {
 	char := characterize(f)

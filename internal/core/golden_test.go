@@ -39,7 +39,7 @@ type goldenCapture struct {
 	trace    string // trace.Save bytes of the recorded transaction stream
 	stats    string // the bus ledger's counts, rejections included
 	counts   string // the registry's transaction counters ("" unmetered)
-	rejected uint64 // the bus's Stats.Rejected, for the exercised checks
+	rejected uint64 // the ledger's Rejected count, for the exercised checks
 	waits    uint64 // the registry's wait cycles (0 unmetered), checked by TestGoldenWaitCycles
 	skipped  uint64 // diagnostics only, NOT compared
 }

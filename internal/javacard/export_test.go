@@ -4,9 +4,6 @@ package javacard
 
 import "repro/internal/ecbus"
 
-// Share marks obj as a shareable interface object.
-func (f *Firewall) Share(obj int) { f.shareable[obj] = true }
-
 // Depth implements Stack.
 func (s *SoftStack) Depth() int { return len(s.data) }
 

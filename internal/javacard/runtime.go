@@ -76,6 +76,9 @@ func NewFirewall() *Firewall {
 // Own assigns object obj to context ctx.
 func (f *Firewall) Own(obj int, ctx byte) { f.owner[obj] = ctx }
 
+// Share marks obj as a shareable interface object.
+func (f *Firewall) Share(obj int) { f.shareable[obj] = true }
+
 // Check enforces the firewall rule for an access to obj from ctx.
 func (f *Firewall) Check(ctx byte, obj int) error {
 	owner, ok := f.owner[obj]

@@ -18,4 +18,4 @@ for d in cmd/*/ examples/*/; do
 	go build -gcflags=all=-l -o "$bin/$(echo "$d" | tr / -)" "./$d"
 done
 (cd perf && go build -gcflags=all=-l -o "$bin/perf" .)
-go run ./scripts/reach -allow scripts/reach/allow.txt "$bin"/*
+go run ./scripts/reach "$bin"/*

@@ -1,9 +1,10 @@
 // Command reach fails when an exported function or method under
 // internal/ is in none of the given binaries and not named in the
-// allowlist. scripts/reach.sh builds the repository's binaries with
-// inlining off and runs it over them:
+// allowlist, scripts/reach/allow.txt. Run it from the repository root;
+// scripts/reach.sh builds the repository's binaries with inlining off
+// and runs it over them:
 //
-//	go run ./scripts/reach -allow scripts/reach/allow.txt BIN...
+//	go run ./scripts/reach BIN...
 //
 // A declaration counts as reached when any binary's text symbols name
 // it, a closure inside it, a method value of it, or a generic
@@ -25,7 +26,6 @@ package main
 import (
 	"bufio"
 	"bytes"
-	"flag"
 	"fmt"
 	"go/ast"
 	"go/build"
@@ -42,24 +42,26 @@ import (
 // module is the import path prefix of the packages the scan covers.
 const module = "repro/internal/"
 
+// allowPath is the allowlist, relative to the repository root.
+const allowPath = "scripts/reach/allow.txt"
+
 func main() {
-	allowPath := flag.String("allow", "", "allowlist file (symbol<TAB>reason lines)")
-	flag.Parse()
-	if flag.NArg() == 0 || *allowPath == "" {
-		fmt.Fprintln(os.Stderr, "usage: reach -allow FILE BIN...")
+	bins := os.Args[1:]
+	if len(bins) == 0 {
+		fmt.Fprintln(os.Stderr, "usage: reach BIN...")
 		os.Exit(2)
 	}
-	f, err := os.Open(*allowPath)
+	f, err := os.Open(allowPath)
 	if err != nil {
 		fail(err)
 	}
 	allow, err := parseAllow(f)
 	f.Close()
 	if err != nil {
-		fail(fmt.Errorf("%s: %w", *allowPath, err))
+		fail(fmt.Errorf("%s: %w", allowPath, err))
 	}
 	reached := map[string]bool{}
-	for _, bin := range flag.Args() {
+	for _, bin := range bins {
 		out, err := exec.Command("go", "tool", "nm", bin).Output()
 		if err != nil {
 			fail(fmt.Errorf("go tool nm %s: %w", bin, err))
@@ -85,10 +87,10 @@ func main() {
 		fmt.Printf("%-48s %-44s %4d  %s\n", u.pos, strings.TrimPrefix(u.key, module), u.body, status)
 	}
 	for _, e := range r.stale {
-		fmt.Printf("%-48s %-44s stale: covers no unreached declaration\n", fmt.Sprintf("%s:%d", *allowPath, e.line), e.symbol)
+		fmt.Printf("%-48s %-44s stale: covers no unreached declaration\n", fmt.Sprintf("%s:%d", allowPath, e.line), e.symbol)
 	}
 	fmt.Printf("reach: %d of %d exported functions and methods under internal/ are in none of %d binaries (%d body lines); %d allowed by %d entries, %d unlisted, %d stale entries\n",
-		len(r.unreached), len(decls), flag.NArg(), lines, len(r.unreached)-r.unlisted, len(allow), r.unlisted, len(r.stale))
+		len(r.unreached), len(decls), len(bins), lines, len(r.unreached)-r.unlisted, len(allow), r.unlisted, len(r.stale))
 	if r.unlisted > 0 || len(r.stale) > 0 {
 		os.Exit(1)
 	}
